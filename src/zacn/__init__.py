@@ -23,17 +23,11 @@ from .geometry import (
     CameraIntrinsics,
     KernelSpec,
     OffsetSummary,
-    PlaneFrame,
-    Point3,
-    ScaleFactors,
     back_project,
     basis_from_normal,
     compute_offsets,
     fit_plane,
-    frame_from_normal,
-    grid_3d,
     project,
-    scale_factors,
 )
 from .io import (
     read_depth,
@@ -70,18 +64,12 @@ __all__ = [
     "FormatError",
     "TrainingError",
     "CameraIntrinsics",
-    "Point3",
-    "PlaneFrame",
-    "ScaleFactors",
     "KernelSpec",
     "OffsetSummary",
     "back_project",
     "project",
     "fit_plane",
     "basis_from_normal",
-    "frame_from_normal",
-    "scale_factors",
-    "grid_3d",
     "compute_offsets",
     "DepthMap",
     "FeatureTensor",

@@ -110,6 +110,7 @@ def cmd_offsets(args) -> int:
     field, summary = compute_offsets(depth, K, spec, out_h, out_w, workers=_workers())
     zio.write_offsets(field, args.out)
     mags = np.abs(field.data.astype(np.float64))
+    p50, p90, p99 = np.percentile(mags, [50, 90, 99])
     payload = {
         **summary.as_dict(),
         "kernel": spec.size,
@@ -118,9 +119,9 @@ def cmd_offsets(args) -> int:
         "padding": spec.padding,
         "height": out_h,
         "width": out_w,
-        "offset_abs_p50": float(np.percentile(mags, 50)),
-        "offset_abs_p90": float(np.percentile(mags, 90)),
-        "offset_abs_p99": float(np.percentile(mags, 99)),
+        "offset_abs_p50": float(p50),
+        "offset_abs_p90": float(p90),
+        "offset_abs_p99": float(p99),
         "offset_abs_max": float(mags.max()),
     }
     _write_json(_summary_path(args), payload)
@@ -143,7 +144,7 @@ def cmd_conv(args) -> int:
         if args.offsets is None:
             raise ConfigError("need --offsets FILE (or pass --standard)")
         offsets = zio.read_offsets(args.offsets)
-        y, summary = za_conv_forward(x, w, offsets, spec, method=args.method)
+        y, summary = za_conv_forward(x, w, offsets, spec)
     zio.write_tensor(y.data, args.out)
     payload = {"standard": bool(args.standard)}
     if summary is not None:
@@ -367,7 +368,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weights", required=True, help="weights container (co,ci,N,N)")
     p.add_argument("--offsets", help="offset field container")
     p.add_argument("--standard", action="store_true", help="ignore offsets, regular grid")
-    p.add_argument("--method", choices=("direct", "gathered"), default="direct")
     _add_kernel_flags(p, "same")
     p.add_argument("--out", required=True)
     p.add_argument("--summary", help="JSON summary path (default: OUT.json)")
@@ -398,7 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="append",
         default=None,
         help="operator id (repeatable): standard_conv, za_conv_direct, "
-        "za_conv_gathered, standard_avg_pool, za_avg_pool, offsets",
+        "standard_avg_pool, za_avg_pool, offsets",
     )
     p.add_argument("--sizes", default="32,64", help="comma-separated square sizes")
     p.add_argument("--repeats", type=int, default=5)

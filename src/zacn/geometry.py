@@ -7,29 +7,36 @@ Coordinate conventions (standard computer vision):
     pixel center, so back-projection is
     ``X = (u - cu) * Z / fu``, ``Y = (v - cv) * Z / fv``.
 
-The offset pipeline, per output pixel ``p``:
+The offset pipeline, per output pixel ``p``, is one batch stage per
+formula, run by ``_offset_block`` over a block of output rows:
 
   1. gather the regular receptive field on the depth map (coordinates
      clamped to the image),
-  2. back-project the valid-depth taps into a 3D point cloud,
-  3. least-squares fit a plane through the back-projected center ``P0``
-     (smallest eigenvector of the scatter matrix of ``Pi - P0``),
-  4. build an orthonormal in-plane basis with a horizontal x axis,
-  5. scale a regular grid on the plane so that a fronto-parallel plane
-     reproduces the dilated pixel grid exactly,
-  6. project the 3D grid back to the image; the offsets are the
+  2. ``_back_project`` the valid-depth taps into a 3D point cloud,
+  3. ``_plane_normals``: least-squares plane through the back-projected
+     center ``P0`` (smallest eigenvector of the scatter matrix of
+     ``Pi - P0``),
+  4. ``_plane_basis``: orthonormal in-plane basis with a horizontal x axis,
+  5. ``_plane_grid``: a regular grid on the plane, scaled so that a
+     fronto-parallel plane reproduces the dilated pixel grid exactly,
+  6. ``_project`` the 3D grid back to the image; the offsets are the
      projected positions minus the regular grid positions.
 
-Pixels with invalid center depth, fewer than 3 valid neighbors, or a
-rank-deficient (collinear) neighborhood fall back to zero offsets, which
-reduces the adapted operators to their standard counterparts there.
+The public ``back_project``, ``project``, ``fit_plane`` and
+``basis_from_normal`` check their input and run the same stages on one
+point or neighborhood.
+
+Pixels with invalid center depth, fewer than 3 valid neighbors, a
+rank-deficient (collinear) neighborhood, or a grid that reaches behind
+the camera fall back to zero offsets, which reduces the adapted
+operators to their standard counterparts there.
 """
 
 from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,22 +51,16 @@ from .tensor import DepthMap, OffsetField
 
 __all__ = [
     "CameraIntrinsics",
-    "Point3",
-    "PlaneFrame",
-    "ScaleFactors",
     "KernelSpec",
     "OffsetSummary",
     "back_project",
     "project",
     "fit_plane",
     "basis_from_normal",
-    "frame_from_normal",
-    "scale_factors",
-    "grid_3d",
     "compute_offsets",
 ]
 
-# Unit/orthogonality tolerance for plane frames and the basis guard.
+# Unit-length tolerance for normals and the degenerate-basis zone width.
 _FRAME_TOL = 1e-6
 # Relative eigenvalue gap below which a neighborhood counts as collinear.
 _RANK_TOL = 1e-9
@@ -86,30 +87,6 @@ class CameraIntrinsics:
                 raise ConfigError(f"intrinsic {name}={val} is not finite")
         if self.fu <= 0 or self.fv <= 0:
             raise ConfigError(f"focal lengths must be positive, got ({self.fu}, {self.fv})")
-
-
-@dataclass(frozen=True)
-class Point3:
-    """A camera-frame 3D point in meters."""
-
-    X: float
-    Y: float
-    Z: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.X) and math.isfinite(self.Y) and math.isfinite(self.Z)):
-            raise ConfigError(f"point ({self.X}, {self.Y}, {self.Z}) is not finite")
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.X, self.Y, self.Z], dtype=np.float64)
-
-
-@dataclass(frozen=True)
-class ScaleFactors:
-    """Metric grid step along the in-plane axes (meters per tap)."""
-
-    ku: float
-    kv: float
 
 
 @dataclass(frozen=True)
@@ -175,38 +152,6 @@ class KernelSpec:
 
 
 @dataclass(frozen=True)
-class PlaneFrame:
-    """Orthonormal in-plane basis (x horizontal) anchored at ``origin``."""
-
-    normal: np.ndarray = field(repr=False)
-    x_axis: np.ndarray = field(repr=False)
-    y_axis: np.ndarray = field(repr=False)
-    origin: Point3
-
-    def __post_init__(self):
-        n = np.asarray(self.normal, dtype=np.float64)
-        x = np.asarray(self.x_axis, dtype=np.float64)
-        y = np.asarray(self.y_axis, dtype=np.float64)
-        for name, vec in (("normal", n), ("x_axis", x), ("y_axis", y)):
-            if vec.shape != (3,):
-                raise ConfigError(f"{name} must be a 3-vector")
-            if abs(np.linalg.norm(vec) - 1.0) > _FRAME_TOL:
-                raise ConfigError(f"{name} is not unit length: {vec}")
-        if abs(float(x @ n)) > _FRAME_TOL or abs(float(y @ n)) > _FRAME_TOL:
-            raise ConfigError("plane axes are not orthogonal to the normal")
-        if abs(float(x @ y)) > _FRAME_TOL:
-            raise ConfigError("plane axes are not orthogonal to each other")
-        if abs(float(x[1])) > _FRAME_TOL:
-            raise ConfigError("x axis must be horizontal (zero Y component)")
-        if np.max(np.abs(np.cross(n, x) - y)) > _FRAME_TOL:
-            raise ConfigError("frame is not right-handed (normal x xAxis != yAxis)")
-        for name, vec in (("normal", n), ("x_axis", x), ("y_axis", y)):
-            vec = np.ascontiguousarray(vec)
-            vec.setflags(write=False)
-            object.__setattr__(self, name, vec)
-
-
-@dataclass(frozen=True)
 class OffsetSummary:
     """Bookkeeping for one offset-field computation."""
 
@@ -222,136 +167,27 @@ class OffsetSummary:
         }
 
 
-def back_project(u: float, v: float, z: float, K: CameraIntrinsics) -> Point3:
-    """Lift pixel ``(u, v)`` with depth ``z`` (meters) into the camera frame."""
-    if not (math.isfinite(z) and z > 0):
-        raise InvalidDepthError(f"depth must be positive and finite, got {z}")
-    return Point3((u - K.cu) * z / K.fu, (v - K.cv) * z / K.fv, z)
+def _back_project(u, v, z, K: CameraIntrinsics):
+    """Camera-frame ``(X, Y, Z)`` of pixels ``(u, v)`` with depth ``z``."""
+    return (u - K.cu) * z / K.fu, (v - K.cv) * z / K.fv, z
 
 
-def project(p, K: CameraIntrinsics) -> tuple[float, float]:
-    """Perspective-project a camera-frame point to fractional pixels."""
-    if isinstance(p, Point3):
-        x, y, z = p.X, p.Y, p.Z
-    else:
-        x, y, z = (float(t) for t in p)
-    if z <= 0:
-        raise BehindCameraError(f"cannot project point with Z={z} <= 0")
-    return K.fu * x / z + K.cu, K.fv * y / z + K.cv
+def _plane_normals(dx: np.ndarray, dy: np.ndarray, dz: np.ndarray):
+    """Batch form of :func:`fit_plane` over ``(n, h, w)`` neighborhoods.
 
-
-def _points_to_array(points) -> np.ndarray:
-    rows = []
-    for p in points:
-        if isinstance(p, Point3):
-            rows.append((p.X, p.Y, p.Z))
-        else:
-            rows.append(tuple(float(t) for t in p))
-    arr = np.asarray(rows, dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[1] != 3:
-        raise ConfigError(f"expected a sequence of 3D points, got shape {arr.shape}")
-    return arr
-
-
-def fit_plane(points, center) -> np.ndarray:
-    """Least-squares plane normal through ``center`` for a 3D neighborhood.
-
-    Minimizes the summed squared point-plane distances
-    ``sum_i (n . (Pi - P0))^2`` over unit normals ``n``; the minimizer is
-    the smallest eigenvector of the 3x3 scatter matrix of the
-    center-relative points.  The sign is fixed so ``n3 >= 0`` (ties
-    broken by ``n1 >= 0`` then ``n2 >= 0``; components within 1e-3 of
-    zero count as ties so noise cannot flip near-axis-aligned normals).
-
-    Raises :class:`DegenerateNeighborhoodError` when fewer than 3 finite
-    points remain or the neighborhood is collinear.
+    ``dx``, ``dy``, ``dz`` hold ``Pi - P0``, excluded points set to zero.
+    Returns normals ``(h, w, 3)`` and the mask of collinear or
+    single-point neighborhoods.
     """
-    pts = _points_to_array(points)
-    pts = pts[np.all(np.isfinite(pts), axis=1)]
-    if pts.shape[0] < 3:
-        raise DegenerateNeighborhoodError(
-            f"plane fit needs >= 3 valid points, got {pts.shape[0]}"
-        )
-    p0 = center.as_array() if isinstance(center, Point3) else np.asarray(center, np.float64)
-    diffs = pts - p0
-    scatter = diffs.T @ diffs
-    eigvals, normal = _smallest_eigenpair_sym3(scatter[None])
-    lam_min, lam_mid, lam_max = (float(e[0]) for e in eigvals)
-    if lam_max <= 0.0 or lam_mid <= _RANK_TOL * lam_max:
-        raise DegenerateNeighborhoodError("neighborhood is collinear or a single point")
-    return normal[0]
-
-
-def basis_from_normal(n) -> tuple[np.ndarray, np.ndarray]:
-    """In-plane orthonormal basis ``(x, y)`` with horizontal ``x``.
-
-    ``x = (n3, 0, -n1) / sqrt(1 - n2^2)`` and
-    ``y = (-n1*n2, 1 - n2^2, -n2*n3) / sqrt(1 - n2^2)``, which satisfies
-    ``n x xAxis = yAxis``.  Raises :class:`DegenerateBasisError` when
-    ``n2^2 >= 1 - 1e-6`` (normal nearly along camera Y); callers should
-    substitute the fallback frame ``(1,0,0) / (0,0,-sign(n2))``.
-    """
-    n = np.asarray(n, dtype=np.float64)
-    if n.shape != (3,):
-        raise ConfigError(f"normal must be a 3-vector, got shape {n.shape}")
-    if abs(np.linalg.norm(n) - 1.0) > _FRAME_TOL:
-        raise ConfigError(f"normal must be unit length, got |n|={np.linalg.norm(n)}")
-    s2 = 1.0 - n[1] * n[1]
-    if s2 <= _FRAME_TOL:
-        raise DegenerateBasisError(f"normal {n} is too close to the camera Y axis")
-    inv = 1.0 / math.sqrt(s2)
-    x = np.array([n[2] * inv, 0.0, -n[0] * inv])
-    y = np.array([-n[0] * n[1] * inv, s2 * inv, -n[1] * n[2] * inv])
-    return x, y
-
-
-def frame_from_normal(normal, origin: Point3) -> PlaneFrame:
-    """Build a :class:`PlaneFrame`, applying the degenerate-basis fallback.
-
-    Near-vertical normals (``n2^2 >= 1 - 1e-6``) get the fallback frame
-    and the stored normal snaps to ``(0, sign(n2), 0)`` so the frame
-    invariants hold exactly.
-    """
-    n = np.asarray(normal, dtype=np.float64)
-    try:
-        x, y = basis_from_normal(n)
-    except DegenerateBasisError:
-        sign = 1.0 if n[1] >= 0 else -1.0
-        n = np.array([0.0, sign, 0.0])
-        x = np.array([1.0, 0.0, 0.0])
-        y = np.array([0.0, 0.0, -sign])
-    return PlaneFrame(normal=n, x_axis=x, y_axis=y, origin=origin)
-
-
-def scale_factors(z0: float, spec: KernelSpec, K: CameraIntrinsics) -> ScaleFactors:
-    """Grid step sizes ``ku = dilation * z0 / fu``, ``kv = dilation * z0 / fv``.
-
-    Chosen so that on a fronto-parallel plane the projected 3D grid
-    lands exactly on the dilated pixel grid.
-    """
-    if not (math.isfinite(z0) and z0 > 0):
-        raise InvalidDepthError(f"center depth must be positive and finite, got {z0}")
-    return ScaleFactors(spec.dilation * z0 / K.fu, spec.dilation * z0 / K.fv)
-
-
-def grid_3d(frame: PlaneFrame, s: ScaleFactors, size: int) -> np.ndarray:
-    """Regular ``size x size`` grid on the plane, shape ``(size, size, 3)``.
-
-    ``tap[i, j] = origin + ku*(j - c)*x_axis + kv*(i - c)*y_axis``; the
-    center tap equals the origin and every tap lies on the plane.
-    """
-    if size < 1 or size % 2 == 0:
-        raise ConfigError(f"kernel size must be odd and >= 1, got {size}")
-    c = (size - 1) // 2
-    steps = np.arange(size, dtype=np.float64) - c
-    a = s.ku * steps  # along x_axis, varies with column j
-    b = s.kv * steps  # along y_axis, varies with row i
-    taps = (
-        frame.origin.as_array()[None, None, :]
-        + a[None, :, None] * frame.x_axis[None, None, :]
-        + b[:, None, None] * frame.y_axis[None, None, :]
-    )
-    return taps
+    scat = np.empty(dx.shape[1:] + (3, 3), dtype=np.float64)
+    scat[..., 0, 0] = np.einsum("nhw,nhw->hw", dx, dx)
+    scat[..., 1, 1] = np.einsum("nhw,nhw->hw", dy, dy)
+    scat[..., 2, 2] = np.einsum("nhw,nhw->hw", dz, dz)
+    scat[..., 0, 1] = scat[..., 1, 0] = np.einsum("nhw,nhw->hw", dx, dy)
+    scat[..., 0, 2] = scat[..., 2, 0] = np.einsum("nhw,nhw->hw", dx, dz)
+    scat[..., 1, 2] = scat[..., 2, 1] = np.einsum("nhw,nhw->hw", dy, dz)
+    (_, lam_mid, lam_max), normal = _smallest_eigenpair_sym3(scat)
+    return normal, (lam_max <= 0.0) | (lam_mid <= _RANK_TOL * lam_max)
 
 
 def _smallest_eigenpair_sym3(s: np.ndarray) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
@@ -429,6 +265,124 @@ def _smallest_eigenpair_sym3(s: np.ndarray) -> tuple[tuple[np.ndarray, ...], np.
     return (lam_min, lam_mid, lam_max), v
 
 
+def _plane_basis(normal: np.ndarray):
+    """Batch form of :func:`basis_from_normal` for normals ``(..., 3)``.
+
+    Where ``n2^2 >= 1 - 1e-6`` the fallback frame ``x = (1, 0, 0)``,
+    ``y = (0, 0, -sign(n2))`` is used.  Returns ``(x_axis, y_axis,
+    fallback)`` with the axes component-first, shape ``(3, ...)``.
+    """
+    n1 = normal[..., 0]
+    nY = normal[..., 1]
+    n3 = normal[..., 2]
+    s2 = 1.0 - nY * nY
+    fallback = s2 <= _FRAME_TOL
+    inv = 1.0 / np.sqrt(np.maximum(s2, _FRAME_TOL))
+    sgn = np.where(nY >= 0.0, 1.0, -1.0)
+    x_axis = np.stack(
+        [np.where(fallback, 1.0, n3 * inv), np.zeros_like(s2), np.where(fallback, 0.0, -n1 * inv)]
+    )
+    y_axis = np.stack(
+        [
+            np.where(fallback, 0.0, -n1 * nY * inv),
+            np.where(fallback, 0.0, s2 * inv),
+            np.where(fallback, -sgn, -nY * n3 * inv),
+        ]
+    )
+    return x_axis, y_axis, fallback
+
+
+def _plane_grid(x0, y0, z0, x_axis, y_axis, spec: KernelSpec, K: CameraIntrinsics):
+    """Regular ``N x N`` grid of 3D taps on the plane through ``P0``.
+
+    ``tap[i, j] = P0 + ku*(j - c)*x + kv*(i - c)*y`` with
+    ``ku = dilation * z0 / fu`` and ``kv = dilation * z0 / fv``, so that on
+    a fronto-parallel plane the taps project exactly onto the dilated
+    pixel grid.  Returns the tap coordinates ``(X, Y, Z)``, each of shape
+    ``(N*N,) + z0.shape`` with taps row-major.
+    """
+    ii, jj = np.divmod(np.arange(spec.tap_count), spec.size)
+    steps = (-1,) + (1,) * np.ndim(z0)
+    a = (jj - spec.center).astype(np.float64).reshape(steps) * (spec.dilation * z0 / K.fu)
+    b = (ii - spec.center).astype(np.float64).reshape(steps) * (spec.dilation * z0 / K.fv)
+    tx = x0 + a * x_axis[0] + b * y_axis[0]
+    ty = y0 + b * y_axis[1]  # x axis has zero Y component
+    tz = z0 + a * x_axis[2] + b * y_axis[2]
+    return tx, ty, tz
+
+
+def _project(x, y, z, K: CameraIntrinsics):
+    """Fractional pixel ``(u, v)`` of camera-frame points ``(x, y, z)``."""
+    return K.fu * x / z + K.cu, K.fv * y / z + K.cv
+
+
+def back_project(u: float, v: float, z: float, K: CameraIntrinsics) -> np.ndarray:
+    """Lift pixel ``(u, v)`` with depth ``z`` (meters) into the camera frame.
+
+    Returns the float64 point ``(X, Y, Z)``, shape ``(3,)``.
+    """
+    if not (math.isfinite(z) and z > 0):
+        raise InvalidDepthError(f"depth must be positive and finite, got {z}")
+    return np.array(_back_project(u, v, z, K), dtype=np.float64)
+
+
+def project(p, K: CameraIntrinsics) -> tuple[float, float]:
+    """Perspective-project a camera-frame 3-vector to fractional pixels."""
+    x, y, z = (float(t) for t in p)
+    if z <= 0:
+        raise BehindCameraError(f"cannot project point with Z={z} <= 0")
+    return _project(x, y, z, K)
+
+
+def fit_plane(points, center) -> np.ndarray:
+    """Least-squares plane normal through ``center`` for a 3D neighborhood.
+
+    ``points`` is an ``(n, 3)`` array-like and ``center`` a 3-vector.
+    Minimizes the summed squared point-plane distances
+    ``sum_i (n . (Pi - P0))^2`` over unit normals ``n``; the minimizer is
+    the smallest eigenvector of the 3x3 scatter matrix of the
+    center-relative points.  The sign is fixed so ``n3 >= 0`` (ties
+    broken by ``n1 >= 0`` then ``n2 >= 0``; components within 1e-3 of
+    zero count as ties so noise cannot flip near-axis-aligned normals).
+
+    Raises :class:`DegenerateNeighborhoodError` when fewer than 3 finite
+    points remain or the neighborhood is collinear.
+    """
+    pts = np.asarray(points, dtype=np.float64)
+    if pts.ndim != 2 or pts.shape[1] != 3:
+        raise ConfigError(f"expected an (n, 3) array of 3D points, got shape {pts.shape}")
+    pts = pts[np.all(np.isfinite(pts), axis=1)]
+    if pts.shape[0] < 3:
+        raise DegenerateNeighborhoodError(
+            f"plane fit needs >= 3 valid points, got {pts.shape[0]}"
+        )
+    d = (pts - np.asarray(center, dtype=np.float64)).T[:, :, None, None]
+    normal, rank_deficient = _plane_normals(d[0], d[1], d[2])
+    if rank_deficient[0, 0]:
+        raise DegenerateNeighborhoodError("neighborhood is collinear or a single point")
+    return normal[0, 0]
+
+
+def basis_from_normal(n) -> tuple[np.ndarray, np.ndarray]:
+    """In-plane orthonormal basis ``(x, y)`` with horizontal ``x``.
+
+    ``x = (n3, 0, -n1) / sqrt(1 - n2^2)`` and
+    ``y = (-n1*n2, 1 - n2^2, -n2*n3) / sqrt(1 - n2^2)``, which satisfies
+    ``n x xAxis = yAxis``.  Raises :class:`DegenerateBasisError` when
+    ``n2^2 >= 1 - 1e-6`` (normal nearly along camera Y), where the offset
+    generator uses the fallback frame ``(1,0,0) / (0,0,-sign(n2))``.
+    """
+    n = np.asarray(n, dtype=np.float64)
+    if n.shape != (3,):
+        raise ConfigError(f"normal must be a 3-vector, got shape {n.shape}")
+    if abs(np.linalg.norm(n) - 1.0) > _FRAME_TOL:
+        raise ConfigError(f"normal must be unit length, got |n|={np.linalg.norm(n)}")
+    x, y, fallback = _plane_basis(n)
+    if fallback:
+        raise DegenerateBasisError(f"normal {n} is too close to the camera Y axis")
+    return x, y
+
+
 def _offset_block(
     depth64: np.ndarray,
     valid_depth: np.ndarray,
@@ -440,15 +394,9 @@ def _offset_block(
 ):
     """Offsets for output rows ``[row_start, row_stop)``; pure function."""
     h, w = depth64.shape
-    n = spec.size
-    n2 = n * n
     c = spec.center
-    center_tap = c * n + c
-    ii, jj = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-    ii = ii.ravel()
-    jj = jj.ravel()
-    di = spec.dilation * (ii - c)
-    dj = spec.dilation * (jj - c)
+    center_tap = c * spec.size + c
+    di, dj = spec.tap_grid()
 
     oy = np.arange(row_start, row_stop, dtype=np.int64)
     ox = np.arange(out_w, dtype=np.int64)
@@ -464,77 +412,34 @@ def _offset_block(
 
     z = depth64[tvc, tuc]
     valid = valid_depth[tvc, tuc]
+    center_valid = valid[center_tap]
 
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        px = (tuc - K.cu) * z / K.fu
-        py = (tvc - K.cv) * z / K.fv
-
+        px, py, _ = _back_project(tuc, tvc, z, K)
         x0 = px[center_tap]
         y0 = py[center_tap]
         z0 = z[center_tap]
-        center_valid = valid[center_tap]
-
-        dx = np.where(valid, px - x0[None], 0.0)
-        dy = np.where(valid, py - y0[None], 0.0)
-        dz = np.where(valid, z - z0[None], 0.0)
-
-        scat = np.empty(dx.shape[1:] + (3, 3), dtype=np.float64)
-        scat[..., 0, 0] = np.einsum("nhw,nhw->hw", dx, dx)
-        scat[..., 1, 1] = np.einsum("nhw,nhw->hw", dy, dy)
-        scat[..., 2, 2] = np.einsum("nhw,nhw->hw", dz, dz)
-        scat[..., 0, 1] = scat[..., 1, 0] = np.einsum("nhw,nhw->hw", dx, dy)
-        scat[..., 0, 2] = scat[..., 2, 0] = np.einsum("nhw,nhw->hw", dx, dz)
-        scat[..., 1, 2] = scat[..., 2, 1] = np.einsum("nhw,nhw->hw", dy, dz)
-
-        (lam_min, lam_mid, lam_max), normal = _smallest_eigenpair_sym3(scat)
+        normal, rank_deficient = _plane_normals(
+            np.where(valid, px - x0, 0.0),
+            np.where(valid, py - y0, 0.0),
+            np.where(valid, z - z0, 0.0),
+        )
+        x_axis, y_axis, fallback = _plane_basis(normal)
+        tx, ty, tz = _plane_grid(x0, y0, z0, x_axis, y_axis, spec, K)
+        proj_u, proj_v = _project(tx, ty, tz, K)
 
         neighbor_count = valid.sum(axis=0) - center_valid.astype(np.int64)
         degenerate = (
             ~center_valid
             | (neighbor_count < 3)
-            | (lam_max <= 0.0)
-            | (lam_mid <= _RANK_TOL * lam_max)
+            | rank_deficient
+            | ~((tz > 0.0) & np.isfinite(tz)).all(axis=0)  # grid behind the camera
         )
-
-        # In-plane basis; near-vertical normals use the fallback frame.
-        n1 = normal[..., 0]
-        nY = normal[..., 1]
-        n3 = normal[..., 2]
-        s2 = 1.0 - nY * nY
-        fallback = s2 <= _FRAME_TOL
-        inv = 1.0 / np.sqrt(np.maximum(s2, _FRAME_TOL))
-        sgn = np.where(nY >= 0.0, 1.0, -1.0)
-        ax = np.where(fallback, 1.0, n3 * inv)
-        az = np.where(fallback, 0.0, -n1 * inv)
-        bx = np.where(fallback, 0.0, -n1 * nY * inv)
-        by = np.where(fallback, 0.0, s2 * inv)
-        bz = np.where(fallback, -sgn, -nY * n3 * inv)
-
-        z0safe = np.where(center_valid, z0, 1.0)
-        ku = spec.dilation * z0safe / K.fu
-        kv = spec.dilation * z0safe / K.fv
-
-        a = (jj - c).astype(np.float64)[:, None, None] * ku[None]
-        b = (ii - c).astype(np.float64)[:, None, None] * kv[None]
-
-        tx = x0[None] + a * ax[None] + b * bx[None]
-        ty = y0[None] + b * by[None]  # x axis has zero Y component
-        tz = z0[None] + a * az[None] + b * bz[None]
-
-        behind = (tz <= 0.0) & np.isfinite(tz)
-        degenerate = degenerate | behind.any(axis=0) | ~np.isfinite(tz).all(axis=0)
-
-        tzsafe = np.where(tz > 0.0, tz, 1.0)
-        proj_u = K.fu * tx / tzsafe + K.cu
-        proj_v = K.fv * ty / tzsafe + K.cv
-
-        off_dy = proj_v - tv
-        off_dx = proj_u - tu
         keep = ~degenerate
-        off_dy = np.where(keep[None], off_dy, 0.0)
-        off_dx = np.where(keep[None], off_dx, 0.0)
+        off_dy = np.where(keep, proj_v - tv, 0.0)
+        off_dx = np.where(keep, proj_u - tu, 0.0)
 
-    block = np.stack([off_dy, off_dx], axis=1).reshape(2 * n2, len(oy), out_w)
+    block = np.stack([off_dy, off_dx], axis=1).reshape(2 * spec.tap_count, len(oy), out_w)
     degenerate_count = int(np.count_nonzero(degenerate))
     fallback_count = int(np.count_nonzero(fallback & keep))
     return block.astype(np.float32), degenerate_count, fallback_count

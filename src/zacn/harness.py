@@ -460,7 +460,6 @@ def bench(op: str, sizes, repeats: int = 5, channels: int = 8, kernel: int = 3) 
     known = {
         "standard_conv",
         "za_conv_direct",
-        "za_conv_gathered",
         "standard_avg_pool",
         "za_avg_pool",
         "offsets",
@@ -487,9 +486,7 @@ def bench(op: str, sizes, repeats: int = 5, channels: int = 8, kernel: int = 3) 
             if op == "standard_conv":
                 standard_conv(x, w, spec)
             elif op == "za_conv_direct":
-                za_conv_forward(x, w, offsets, spec, method="direct")
-            elif op == "za_conv_gathered":
-                za_conv_forward(x, w, offsets, spec, method="gathered")
+                za_conv_forward(x, w, offsets, spec)
             elif op == "standard_avg_pool":
                 standard_avg_pool(x, spec)
             elif op == "za_avg_pool":

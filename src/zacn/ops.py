@@ -6,11 +6,9 @@ bilinear interpolation, so a zero offset field reproduces the standard
 operator exactly.  Offsets never receive gradients; backward only
 produces gradients for the input and the weights.
 
-Accumulation happens in float64 and is cast to float32 at the end.  Two
-forward paths share one interface: ``method="direct"`` streams taps one
-at a time, ``method="gathered"`` materializes all sampled taps first and
-contracts once (the im2col-style variant the benchmark harness compares
-against).
+Accumulation happens in float64 and is cast to float32 at the end.  The
+adapted forward streams taps one at a time, so it never holds more than
+one tap's bilinear samples; backward and pooling gather all taps at once.
 
 Every kernel here is vectorized single-threaded numpy with a fixed
 accumulation order (einsum without BLAS dispatch, sequential bincount
@@ -170,11 +168,6 @@ def _sample_positions(spec: KernelSpec, offsets: OffsetField):
     return np.broadcast_arrays(u, v)
 
 
-def _gather_taps(x: FeatureTensor, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Bilinear samples at deformed positions, (ci, N*N, out_h, out_w)."""
-    return _bilinear_gather(x.data, u, v)
-
-
 def _oob_stats(h: int, w: int, u: np.ndarray, v: np.ndarray) -> tuple[int, float]:
     inside_u = (u >= 0.0) & (u <= w - 1)
     inside_v = (v >= 0.0) & (v <= h - 1)
@@ -201,14 +194,11 @@ def za_conv_forward(
     w: ConvWeights,
     offsets: OffsetField,
     spec: KernelSpec,
-    method: str = "direct",
 ) -> tuple[FeatureTensor, OpSummary]:
     """Depth-adapted convolution: taps read ``regular grid + offset``.
 
-    ``method="direct"`` accumulates one tap at a time; ``"gathered"``
-    materializes the full (ci, N*N, h, w) sample block and contracts it
-    in one step.  Both return identical results up to float64 summation
-    order.
+    Accumulates one tap at a time in float64: each tap's bilinear samples
+    are contracted with that tap's weights and added to the output.
     """
     t0 = time.perf_counter()
     out_h, out_w = _check_conv_shapes(x, w, spec)
@@ -216,16 +206,10 @@ def za_conv_forward(
     u, v = _sample_positions(spec, offsets)
     w2 = w.data.astype(np.float64).reshape(w.out_channels, w.in_channels, spec.tap_count)
 
-    if method == "direct":
-        out = np.zeros((w.out_channels, out_h, out_w), dtype=np.float64)
-        for n in range(spec.tap_count):
-            samp = _bilinear_gather(x.data, u[n], v[n])
-            out += np.einsum("oi,ihw->ohw", w2[:, :, n], samp)
-    elif method == "gathered":
-        samp = _gather_taps(x, u, v)
-        out = np.einsum("oin,inhw->ohw", w2, samp)
-    else:
-        raise ConfigError(f"unknown method {method!r}, expected 'direct' or 'gathered'")
+    out = np.zeros((w.out_channels, out_h, out_w), dtype=np.float64)
+    for n in range(spec.tap_count):
+        samp = _bilinear_gather(x.data, u[n], v[n])
+        out += np.einsum("oi,ihw->ohw", w2[:, :, n], samp)
 
     degenerate, frac = _oob_stats(x.height, x.width, u, v)
     summary = OpSummary(degenerate, frac, time.perf_counter() - t0)
@@ -257,7 +241,7 @@ def za_conv_backward(
     g = grad_out.data.astype(np.float64)
     w2 = w.data.astype(np.float64).reshape(w.out_channels, w.in_channels, spec.tap_count)
 
-    samp = _gather_taps(x, u, v)  # (ci, n2, oh, ow)
+    samp = _bilinear_gather(x.data, u, v)  # (ci, n2, oh, ow)
     grad_w = np.einsum("ohw,inhw->oin", g, samp).reshape(w.data.shape)
 
     # Per-tap upstream gradient for each input channel, then bilinear scatter.
@@ -295,7 +279,7 @@ def za_avg_pool(
     out_h, out_w = spec.output_shape(x.height, x.width)
     _check_offsets(offsets, spec, out_h, out_w)
     u, v = _sample_positions(spec, offsets)
-    samp = _gather_taps(x, u, v)
+    samp = _bilinear_gather(x.data, u, v)
     out = samp.sum(axis=1) / spec.tap_count
     degenerate, frac = _oob_stats(x.height, x.width, u, v)
     summary = OpSummary(degenerate, frac, time.perf_counter() - t0)

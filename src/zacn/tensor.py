@@ -200,8 +200,11 @@ def _bilinear_gather(data: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarr
     ``(C,) + u.shape``.
     """
     c, h, w = data.shape
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
+    # Past these bounds all four neighbors lie off the image, as they did
+    # before clipping, so samples are unchanged; clipping only keeps the
+    # int64 casts below defined for positions far off the image.
+    u = np.clip(np.asarray(u, dtype=np.float64), -2.0, w + 1.0)
+    v = np.clip(np.asarray(v, dtype=np.float64), -2.0, h + 1.0)
     u0 = np.floor(u)
     v0 = np.floor(v)
     du = u - u0
@@ -221,7 +224,7 @@ def _bilinear_gather(data: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarr
         mask = (vi >= 0) & (vi < h) & (ui >= 0) & (ui < w)
         vic = np.clip(vi, 0, h - 1)
         uic = np.clip(ui, 0, w - 1)
-        out += (wgt * mask) * data[:, vic, uic].astype(np.float64)
+        out += (wgt * mask) * data[:, vic, uic]
     return out
 
 
@@ -231,8 +234,8 @@ def _bilinear_scatter_weights(h: int, w: int, u: np.ndarray, v: np.ndarray):
     Returns ``(flat_idx, weights, inbounds)`` arrays of shape
     ``(4,) + u.shape`` where ``flat_idx`` indexes a flattened (H, W) grid.
     """
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
+    u = np.clip(np.asarray(u, dtype=np.float64), -2.0, w + 1.0)  # as in _bilinear_gather
+    v = np.clip(np.asarray(v, dtype=np.float64), -2.0, h + 1.0)
     u0 = np.floor(u)
     v0 = np.floor(v)
     du = u - u0

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -10,38 +12,38 @@ from zacn import (
     DepthMap,
     InvalidDepthError,
     KernelSpec,
-    PlaneFrame,
-    Point3,
     back_project,
     basis_from_normal,
     compute_offsets,
     fit_plane,
-    frame_from_normal,
-    grid_3d,
     project,
-    scale_factors,
 )
+from zacn.geometry import _plane_basis, _plane_grid
 
 from conftest import nyu_like_intrinsics, smooth_depth
 from oracles import plane_residual, ref_offsets_eigh
 
 INV_SQRT5 = 1.0 / np.sqrt(5.0)
+# Unit roundoff of float32: a correctly rounded float32 value is within a
+# relative 2**-24 of the real number it stands for.
+F32_UNIT = 2.0**-24
 
 
 class TestBackProjectProject:
     def test_principal_point_is_optical_axis(self):
         K = CameraIntrinsics(400.0, 410.0, 320.0, 240.0)
         p = back_project(320.0, 240.0, 2.0, K)
-        assert (p.X, p.Y, p.Z) == (0.0, 0.0, 2.0)
+        assert p.dtype == np.float64 and p.shape == (3,)
+        assert tuple(p) == (0.0, 0.0, 2.0)
 
     def test_one_focal_length_off_axis(self):
         # NYUv2-scale focal: one focal length across maps to a unit
         # lateral offset at unit depth.
         K = CameraIntrinsics(519.0, 519.0, 100.0, 80.0)
         p = back_project(100.0 + 519.0, 80.0, 1.0, K)
-        assert p.X == pytest.approx(1.0, abs=1e-12)
-        assert p.Y == 0.0
-        assert p.Z == 1.0
+        assert p[0] == pytest.approx(1.0, abs=1e-12)
+        assert p[1] == 0.0
+        assert p[2] == 1.0
 
     def test_round_trip_identity(self, rng):
         K = CameraIntrinsics(519.0, 481.0, 321.4, 239.1)
@@ -55,19 +57,19 @@ class TestBackProjectProject:
 
     def test_project_optical_axis(self):
         K = CameraIntrinsics(222.0, 333.0, 17.0, 23.0)
-        assert project(Point3(0.0, 0.0, 5.0), K) == (17.0, 23.0)
+        assert project((0.0, 0.0, 5.0), K) == (17.0, 23.0)
 
     def test_project_unit_point_small_focal(self):
         K = CameraIntrinsics(100.0, 100.0, 0.0, 0.0)
-        assert project(Point3(1.0, 0.0, 1.0), K) == (100.0, 0.0)
+        assert project(np.array([1.0, 0.0, 1.0]), K) == (100.0, 0.0)
 
     def test_projection_scale_invariant(self, rng):
         K = CameraIntrinsics(300.0, 280.0, 10.0, 12.0)
         for _ in range(50):
-            p = Point3(*(rng.uniform(-2, 2, size=2).tolist() + [float(rng.uniform(0.2, 5))]))
+            p = np.array(rng.uniform(-2, 2, size=2).tolist() + [float(rng.uniform(0.2, 5))])
             s = float(rng.uniform(0.01, 90.0))
             u0, v0 = project(p, K)
-            u1, v1 = project(Point3(s * p.X, s * p.Y, s * p.Z), K)
+            u1, v1 = project(s * p, K)
             assert u1 == pytest.approx(u0, rel=1e-12, abs=1e-9)
             assert v1 == pytest.approx(v0, rel=1e-12, abs=1e-9)
 
@@ -80,7 +82,7 @@ class TestBackProjectProject:
     def test_behind_camera_rejected(self):
         K = CameraIntrinsics(100.0, 100.0, 0.0, 0.0)
         with pytest.raises(BehindCameraError):
-            project(Point3(1.0, 1.0, -0.5), K)
+            project((1.0, 1.0, -0.5), K)
 
     def test_intrinsics_validation(self):
         with pytest.raises(ConfigError):
@@ -91,22 +93,22 @@ class TestBackProjectProject:
 
 class TestFitPlane:
     def test_fronto_parallel_nine_points(self):
-        pts = [Point3(float(x), float(y), 2.0) for x in (-1, 0, 1) for y in (-1, 0, 1)]
-        n = fit_plane(pts, Point3(0.0, 0.0, 2.0))
+        pts = [(float(x), float(y), 2.0) for x in (-1, 0, 1) for y in (-1, 0, 1)]
+        n = fit_plane(pts, (0.0, 0.0, 2.0))
         np.testing.assert_allclose(n, [0.0, 0.0, 1.0], atol=1e-12)
 
     def test_analytic_slanted_plane(self):
         # Z = 2 + 0.5*X  =>  normal proportional to (-0.5, 0, 1)
-        pts = [Point3(float(x), float(y), 2.0 + 0.5 * x) for x in (-1, 0, 1) for y in (-1, 0, 1)]
-        center = Point3(0.0, 0.0, 2.0)
+        pts = np.array([(x, y, 2.0 + 0.5 * x) for x in (-1.0, 0.0, 1.0) for y in (-1.0, 0.0, 1.0)])
+        center = np.array([0.0, 0.0, 2.0])
         n = fit_plane(pts, center)
         np.testing.assert_allclose(n, [-INV_SQRT5, 0.0, 2 * INV_SQRT5], atol=1e-12)
-        assert plane_residual(n, [p.as_array() for p in pts], center.as_array()) < 1e-24
+        assert plane_residual(n, pts, center) < 1e-24
 
     def test_noisy_set_beats_random_unit_vectors(self, rng):
         pts = rng.normal(size=(9, 3)) * np.array([1.0, 1.0, 0.15])
         center = pts[4]
-        n = fit_plane([Point3(*p) for p in pts], Point3(*center))
+        n = fit_plane(pts, center)
         res = plane_residual(n, pts, center)
         v = rng.normal(size=(10000, 3))
         v /= np.linalg.norm(v, axis=1, keepdims=True)
@@ -117,23 +119,23 @@ class TestFitPlane:
         for _ in range(100):
             pts = rng.normal(size=(9, 3))
             center = pts[4]
-            n = fit_plane([Point3(*p) for p in pts], Point3(*center))
+            n = fit_plane(pts, center)
             d = pts - center
             _, vecs = np.linalg.eigh(d.T @ d)
             assert abs(float(vecs[:, 0] @ n)) == pytest.approx(1.0, abs=1e-9)
 
     def test_too_few_points(self):
-        pts = [Point3(0.0, 0.0, 1.0), Point3(1.0, 0.0, 1.0)]
+        pts = [(0.0, 0.0, 1.0), (1.0, 0.0, 1.0)]
         with pytest.raises(DegenerateNeighborhoodError):
-            fit_plane(pts, Point3(0.0, 0.0, 1.0))
+            fit_plane(pts, (0.0, 0.0, 1.0))
 
     def test_non_finite_points_are_dropped(self):
         pts = [(0.0, 0.0, 1.0), (1.0, 0.0, 1.0), (float("nan"),) * 3, (0.0, 1.0, 1.0)]
-        n = fit_plane(pts, Point3(0.0, 0.0, 1.0))
+        n = fit_plane(pts, (0.0, 0.0, 1.0))
         np.testing.assert_allclose(n, [0.0, 0.0, 1.0], atol=1e-12)
 
     def test_collinear_points_degenerate(self):
-        pts = [Point3(float(t), 2.0 * t, 1.0 + t) for t in np.linspace(-1, 1, 7)]
+        pts = np.array([(t, 2.0 * t, 1.0 + t) for t in np.linspace(-1, 1, 7)])
         with pytest.raises(DegenerateNeighborhoodError):
             fit_plane(pts, pts[3])
 
@@ -174,95 +176,94 @@ class TestBasis:
             basis_from_normal(n)
 
     def test_fallback_frame_is_valid(self):
-        origin = Point3(0.0, 0.0, 1.0)
         for sign in (1.0, -1.0):
-            frame = frame_from_normal(np.array([0.0, sign, 0.0]), origin)
-            np.testing.assert_allclose(frame.x_axis, [1.0, 0.0, 0.0])
-            np.testing.assert_allclose(frame.y_axis, [0.0, 0.0, -sign])
-            np.testing.assert_allclose(np.cross(frame.normal, frame.x_axis), frame.y_axis, atol=1e-15)
+            n = np.array([0.0, sign, 0.0])
+            x, y, fallback = _plane_basis(n)
+            assert fallback
+            np.testing.assert_array_equal(x, [1.0, 0.0, 0.0])
+            np.testing.assert_array_equal(y, [0.0, 0.0, -sign])
+            np.testing.assert_allclose(np.cross(n, x), y, atol=1e-15)
 
-    def test_frame_invariants_enforced(self):
-        origin = Point3(0.0, 0.0, 1.0)
-        with pytest.raises(ConfigError):
-            PlaneFrame(
-                normal=np.array([0.0, 0.0, 1.0]),
-                x_axis=np.array([0.0, 1.0, 0.0]),  # not horizontal
-                y_axis=np.array([1.0, 0.0, 0.0]),
-                origin=origin,
-            )
-        with pytest.raises(ConfigError):
-            PlaneFrame(
-                normal=np.array([0.0, 0.0, 2.0]),  # not unit
-                x_axis=np.array([1.0, 0.0, 0.0]),
-                y_axis=np.array([0.0, 1.0, 0.0]),
-                origin=origin,
-            )
+
+def _grid_steps(z0, spec, K):
+    """Grid steps ``(ku, kv)`` read off ``_plane_grid`` taps laid out with
+    image-aligned axes at the camera origin (exact: steps times 1.0)."""
+    tx, ty, _ = _plane_grid(
+        0.0, 0.0, z0, np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0]), spec, K
+    )
+    c = spec.center
+    return tx[c * spec.size + c + 1], ty[(c + 1) * spec.size + c]
 
 
 class TestScaleFactors:
     def test_direct_formula(self):
         K = CameraIntrinsics(100.0, 100.0, 0.0, 0.0)
-        s = scale_factors(1.0, KernelSpec(3), K)
-        assert (s.ku, s.kv) == (0.01, 0.01)
+        assert _grid_steps(1.0, KernelSpec(3), K) == (0.01, 0.01)
 
     def test_dilated_nyu_focal(self):
         K = CameraIntrinsics(519.0, 519.0, 0.0, 0.0)
-        s = scale_factors(2.0, KernelSpec(3, dilation=2), K)
-        assert s.ku == pytest.approx(4.0 / 519.0, rel=1e-15)
-        assert s.kv == pytest.approx(4.0 / 519.0, rel=1e-15)
+        ku, kv = _grid_steps(2.0, KernelSpec(3, dilation=2), K)
+        assert ku == pytest.approx(4.0 / 519.0, rel=1e-15)
+        assert kv == pytest.approx(4.0 / 519.0, rel=1e-15)
 
     def test_linear_in_depth(self, rng):
         K = CameraIntrinsics(240.0, 260.0, 0.0, 0.0)
         spec = KernelSpec(5, dilation=3)
         for _ in range(20):
             z = float(rng.uniform(0.1, 9.0))
-            s1 = scale_factors(z, spec, K)
-            s2 = scale_factors(2 * z, spec, K)
-            assert s2.ku == pytest.approx(2 * s1.ku, rel=1e-12)
-            assert s2.kv == pytest.approx(2 * s1.kv, rel=1e-12)
+            ku1, kv1 = _grid_steps(z, spec, K)
+            ku2, kv2 = _grid_steps(2 * z, spec, K)
+            assert ku2 == pytest.approx(2 * ku1, rel=1e-12)
+            assert kv2 == pytest.approx(2 * kv1, rel=1e-12)
 
-    def test_invalid_depth(self):
-        K = CameraIntrinsics(100.0, 100.0, 0.0, 0.0)
-        with pytest.raises(InvalidDepthError):
-            scale_factors(0.0, KernelSpec(3), K)
+    def test_invalid_depth(self, rng):
+        # the grid scale needs a positive, finite center depth; a pixel
+        # without one falls back to zero offsets instead
+        K = nyu_like_intrinsics(9, 9)
+        for z in (0.0, -1.0, np.nan, np.inf):
+            depth = smooth_depth(rng, 9, 9)
+            depth[4, 4] = z
+            field, summary = compute_offsets(DepthMap(depth), K, KernelSpec.same(3), 9, 9)
+            assert summary.degenerate_pixels == 1
+            assert np.count_nonzero(field.data[:, 4, 4]) == 0
 
 
 class TestGrid3D:
     def test_single_tap_equals_origin(self):
-        frame = frame_from_normal(np.array([0.0, 0.0, 1.0]), Point3(0.3, -0.2, 1.5))
-        s = scale_factors(1.5, KernelSpec(1), CameraIntrinsics(100.0, 100.0, 0.0, 0.0))
-        taps = grid_3d(frame, s, 1)
-        assert taps.shape == (1, 1, 3)
-        np.testing.assert_allclose(taps[0, 0], [0.3, -0.2, 1.5])
+        x, y, _ = _plane_basis(np.array([0.0, 0.0, 1.0]))
+        K = CameraIntrinsics(100.0, 100.0, 0.0, 0.0)
+        tx, ty, tz = _plane_grid(0.3, -0.2, 1.5, x, y, KernelSpec(1), K)
+        assert np.shape(tx) == (1,)
+        np.testing.assert_allclose([tx[0], ty[0], tz[0]], [0.3, -0.2, 1.5])
 
     def test_fronto_parallel_projects_to_dilated_grid(self):
         K = CameraIntrinsics(128.0, 128.0, 31.5, 23.5)
         z0 = 2.0
         u0, v0 = 20.0, 14.0
         p0 = back_project(u0, v0, z0, K)
-        frame = frame_from_normal(np.array([0.0, 0.0, 1.0]), p0)
+        x, y, _ = _plane_basis(np.array([0.0, 0.0, 1.0]))
         spec = KernelSpec(3, dilation=2)
-        s = scale_factors(z0, spec, K)
-        taps = grid_3d(frame, s, 3)
+        taps = np.stack(_plane_grid(*p0, x, y, spec, K), axis=-1).reshape(3, 3, 3)
         for i in range(3):
             for j in range(3):
-                u, v = project(Point3(*taps[i, j]), K)
+                u, v = project(taps[i, j], K)
                 assert u == pytest.approx(u0 + 2 * (j - 1), abs=1e-9)
                 assert v == pytest.approx(v0 + 2 * (i - 1), abs=1e-9)
 
     def test_center_tap_and_planarity(self, rng):
+        K = CameraIntrinsics(200.0, 220.0, 0.0, 0.0)
+        spec = KernelSpec(5, dilation=2)
         for _ in range(50):
             n = rng.normal(size=3)
             n /= np.linalg.norm(n)
             if n[1] * n[1] >= 1 - 1e-4:
                 continue
-            origin = Point3(*rng.uniform(-1, 1, size=2).tolist(), float(rng.uniform(0.5, 4)))
-            frame = frame_from_normal(n, origin)
-            s = scale_factors(origin.Z, KernelSpec(5, dilation=2), CameraIntrinsics(200.0, 220.0, 0.0, 0.0))
-            taps = grid_3d(frame, s, 5)
-            np.testing.assert_allclose(taps[2, 2], origin.as_array(), atol=1e-15)
-            rel = taps - origin.as_array()
-            np.testing.assert_allclose(rel @ frame.normal, 0.0, atol=1e-6)
+            origin = np.array(rng.uniform(-1, 1, size=2).tolist() + [float(rng.uniform(0.5, 4))])
+            x, y, _ = _plane_basis(n)
+            taps = np.stack(_plane_grid(*origin, x, y, spec, K), axis=-1).reshape(5, 5, 3)
+            np.testing.assert_allclose(taps[2, 2], origin, atol=1e-15)
+            rel = taps - origin
+            np.testing.assert_allclose(rel @ n, 0.0, atol=1e-6)
 
 
 class TestComputeOffsets:
@@ -348,6 +349,86 @@ class TestComputeOffsets:
         ref = ref_offsets_eigh(depth.astype(np.float64), K.fu, K.fv, K.cu, K.cv, 3, 1, 1, 1)
         np.testing.assert_allclose(field.data, ref, atol=1e-5)
 
+    @pytest.mark.parametrize("size", [3, 5])
+    @pytest.mark.parametrize("dilation", [1, 2])
+    def test_exact_plane_reproduction(self, rng, size, dilation):
+        """Adapted taps of any exact plane land on the plane's own grid.
+
+        Each scene is a random plane ``n . P = d`` (``n2^2 < 0.9``) rendered
+        as float32 depth by ray-plane intersection.  At every pixel whose
+        window lies inside the image, tap ``(i, j)`` at ``regular grid +
+        offset`` must match the projection of
+        ``P0 + ku*(j-c)*x + kv*(i-c)*y``, with ``P0``, ``ku = dilation*z0/fu``
+        and ``kv`` from the float32 center depth ``z0`` and ``x, y`` from the
+        true normal.
+
+        Tolerance, to first order in float32 depth rounding, doubled to
+        cover higher-order terms:
+          * rounding moves a point along its ray by a relative F32_UNIT,
+            i.e. off the plane by at most F32_UNIT*|d|, so each of the m
+            neighbors is off by at most 2*F32_UNIT*|d| relative to P0;
+          * the least-squares normal then tilts by at most
+            g = 2*F32_UNIT*|d|*sqrt(m) / sigma, sigma the smallest singular
+            value of the neighbors' in-plane coordinates;
+          * the axes turn by at most g*(1 + 1/sqrt(1 - n2^2)), which moves
+            tap (i, j) by (ku*|j-c| + kv*|i-c|) times that;
+          * projection scales a 3D error at T by at most
+            max(fu, fv)/Tz * sqrt(1 + (Tx^2 + Ty^2)/Tz^2);
+          * the float32 offset adds |offset|*F32_UNIT, and float64
+            evaluation noise stays below 1e-9 px.
+        """
+        spec = KernelSpec.same(size, dilation=dilation)
+        h, w = 20, 26
+        c = spec.center
+        ii, jj = np.divmod(np.arange(spec.tap_count), size)
+        di, dj = dilation * (ii - c), dilation * (jj - c)
+        r = dilation * c
+        v0, u0 = (a.ravel() for a in np.mgrid[r : h - r, r : w - r])
+        for _ in range(60):
+            n, d, K, depth = _random_plane_scene(rng, h, w)
+            field, _ = compute_offsets(DepthMap(depth), K, spec, h, w)
+
+            s = math.sqrt(1.0 - n[1] ** 2)
+            x_axis = np.array([n[2], 0.0, -n[0]]) / s
+            y_axis = np.cross(n, x_axis)
+            z0 = depth[v0, u0].astype(np.float64)[:, None]
+            ku = dilation * z0 / K.fu
+            kv = dilation * z0 / K.fv
+            p0 = np.stack([(u0 - K.cu) * z0[:, 0] / K.fu, (v0 - K.cv) * z0[:, 0] / K.fv, z0[:, 0]], -1)
+            taps = (
+                p0[:, None, :]
+                + (ku * (jj - c))[..., None] * x_axis
+                + (kv * (ii - c))[..., None] * y_axis
+            )  # (pixels, taps, 3)
+            assert np.all(taps[..., 2] > 0.0)
+            ref_u = K.fu * taps[..., 0] / taps[..., 2] + K.cu
+            ref_v = K.fv * taps[..., 1] / taps[..., 2] + K.cv
+            got_v = v0[:, None] + di + field.data[0::2, v0, u0].T.astype(np.float64)
+            got_u = u0[:, None] + dj + field.data[1::2, v0, u0].T.astype(np.float64)
+
+            # exact neighbors (float64) for the in-plane conditioning sigma
+            rays = np.stack(
+                [
+                    (u0[:, None] + dj - K.cu) / K.fu,
+                    (v0[:, None] + di - K.cv) / K.fv,
+                    np.ones((len(v0), spec.tap_count)),
+                ],
+                -1,
+            )
+            pts = (d / (rays @ n))[..., None] * rays
+            rel = pts - pts[:, c * size + c][:, None]
+            t = np.stack([rel @ x_axis, rel @ y_axis], -1)
+            sigma = np.sqrt(np.linalg.eigvalsh(np.einsum("pti,ptj->pij", t, t))[:, 0])
+            g = 2 * F32_UNIT * abs(d) * math.sqrt(spec.tap_count - 1) / sigma
+            shift = (ku * np.abs(jj - c) + kv * np.abs(ii - c)) * (1 + 1 / s) * g[:, None]
+            gain = max(K.fu, K.fv) / taps[..., 2] * np.sqrt(
+                1 + (taps[..., 0] ** 2 + taps[..., 1] ** 2) / taps[..., 2] ** 2
+            )
+            offset = np.maximum(np.abs(ref_u - u0[:, None] - dj), np.abs(ref_v - v0[:, None] - di))
+            tol = 2 * gain * shift + offset * F32_UNIT + 1e-9
+            err = np.maximum(np.abs(got_u - ref_u), np.abs(got_v - ref_v))
+            assert np.all(err <= tol), f"worst err/tol {np.max(err / tol):.3g} for plane {n}"
+
     def test_kernel_spec_validation(self):
         with pytest.raises(ConfigError):
             KernelSpec(2)
@@ -359,3 +440,24 @@ class TestComputeOffsets:
             KernelSpec(3, padding=-1)
         with pytest.raises(ConfigError):
             KernelSpec(9, padding=0).output_shape(4, 4)
+
+
+def _random_plane_scene(rng, h, w):
+    """Random plane ``n . P = d`` in front of a random camera, with its
+    float32 depth rendered by ray-plane intersection in float64."""
+    K = CameraIntrinsics(
+        *rng.uniform(25.0, 120.0, size=2), *rng.uniform([0.3 * w, 0.3 * h], [0.7 * w, 0.7 * h])
+    )
+    v, u = np.mgrid[0:h, 0:w].astype(np.float64)
+    while True:
+        n = rng.normal(size=3)
+        n /= math.sqrt(n @ n)
+        if n[2] < 0:
+            n = -n
+        if n[1] ** 2 >= 0.9 or n[2] < 0.1:
+            continue
+        d = n[2] * rng.uniform(0.5, 5.0)  # the plane meets the optical axis at depth d/n3
+        denom = n[0] * (u - K.cu) / K.fu + n[1] * (v - K.cv) / K.fv + n[2]
+        # keep the whole plane in front of the camera and its depth range moderate
+        if denom.min() > 0 and denom.max() / denom.min() <= 20:
+            return n, d, K, (d / denom).astype(np.float32)

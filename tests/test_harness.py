@@ -147,7 +147,7 @@ class TestBench:
         assert rows_std[0].param_count == rows_za[0].param_count == conv_param_count(8, 8, 3)
 
     def test_single_repeat_has_no_variance_column(self):
-        rows = bench("za_conv_gathered", [16], repeats=1)
+        rows = bench("za_conv_direct", [16], repeats=1)
         assert rows[0].p95_ms is None
         assert rows[0].median_ms > 0
 
