@@ -346,17 +346,21 @@ def fit_plane(points, center) -> np.ndarray:
     zero count as ties so noise cannot flip near-axis-aligned normals).
 
     Raises :class:`DegenerateNeighborhoodError` when fewer than 3 finite
-    points remain or the neighborhood is collinear.
+    points remain or the neighborhood is collinear, and
+    :class:`ConfigError` for a non-finite ``center``.
     """
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != 3:
         raise ConfigError(f"expected an (n, 3) array of 3D points, got shape {pts.shape}")
+    center = np.asarray(center, dtype=np.float64)
+    if not np.all(np.isfinite(center)):
+        raise ConfigError(f"plane center must be finite, got {center}")
     pts = pts[np.all(np.isfinite(pts), axis=1)]
     if pts.shape[0] < 3:
         raise DegenerateNeighborhoodError(
             f"plane fit needs >= 3 valid points, got {pts.shape[0]}"
         )
-    d = (pts - np.asarray(center, dtype=np.float64)).T[:, :, None, None]
+    d = (pts - center).T[:, :, None, None]
     normal, rank_deficient = _plane_normals(d[0], d[1], d[2])
     if rank_deficient[0, 0]:
         raise DegenerateNeighborhoodError("neighborhood is collinear or a single point")

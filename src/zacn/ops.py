@@ -7,8 +7,12 @@ operator exactly.  Offsets never receive gradients; backward only
 produces gradients for the input and the weights.
 
 Accumulation happens in float64 and is cast to float32 at the end.  The
-adapted forward streams taps one at a time, so it never holds more than
-one tap's bilinear samples; backward and pooling gather all taps at once.
+adapted operators sample through one bilinear plan per (offset field,
+kernel spec, input shape), cached on the field: the flat indices and
+float64 weights (0 off the image) of the 4 neighbors of every tap sample,
+plus the border statistics.  Forward and pooling stream it one tap at a
+time; backward gathers every tap and scatters gradients with the same
+indices and weights.  Positions far off the image sample zero padding.
 
 Every kernel here is vectorized single-threaded numpy with a fixed
 accumulation order (einsum without BLAS dispatch, sequential bincount
@@ -162,10 +166,10 @@ def _sample_positions(spec: KernelSpec, offsets: OffsetField):
     di, dj = spec.tap_grid()
     base_v = np.arange(oh, dtype=np.float64) * spec.stride - spec.padding + spec.dilation * c
     base_u = np.arange(ow, dtype=np.float64) * spec.stride - spec.padding + spec.dilation * c
-    off = offsets.data.astype(np.float64).reshape(spec.tap_count, 2, oh, ow)
+    off = offsets.data.reshape(spec.tap_count, 2, oh, ow)  # float32, added exactly in float64
     v = base_v[None, :, None] + di[:, None, None] + off[:, 0]
     u = base_u[None, None, :] + dj[:, None, None] + off[:, 1]
-    return np.broadcast_arrays(u, v)
+    return u, v
 
 
 def _oob_stats(h: int, w: int, u: np.ndarray, v: np.ndarray) -> tuple[int, float]:
@@ -176,6 +180,30 @@ def _oob_stats(h: int, w: int, u: np.ndarray, v: np.ndarray) -> tuple[int, float
     degenerate = int(np.count_nonzero(fully_out.any(axis=0)))
     frac = float(np.count_nonzero(clipped)) / clipped.size
     return degenerate, frac
+
+
+@dataclass(frozen=True)
+class _SamplingPlan:
+    idx: np.ndarray  # (4, N*N, out_h, out_w) flat neighbor indices into (H*W)
+    wgt: np.ndarray  # (4, N*N, out_h, out_w) float64 weights, 0 off the image
+    degenerate: int  # the border statistics of OpSummary
+    oob_fraction: float
+
+
+def _sampling_plan(offsets: OffsetField, spec: KernelSpec, h: int, w: int) -> _SamplingPlan:
+    """The plan of ``offsets`` under ``spec`` on an ``h x w`` input, cached on the field."""
+    key = (spec, h, w)
+    plan = offsets._plans.get(key)
+    if plan is None:
+        u, v = _sample_positions(spec, offsets)
+        idx = np.empty((4,) + u.shape, dtype=np.int64)
+        wgt = np.empty((4,) + u.shape, dtype=np.float64)
+        for n in range(spec.tap_count):  # tap by tap keeps the builder's temporaries small
+            idx[:, n], wgt[:, n] = _bilinear_scatter_weights(h, w, u[n], v[n])
+        for a in (idx, wgt):
+            a.setflags(write=False)
+        plan = offsets._plans[key] = _SamplingPlan(idx, wgt, *_oob_stats(h, w, u, v))
+    return plan
 
 
 def standard_conv(x: FeatureTensor, w: ConvWeights, spec: KernelSpec) -> FeatureTensor:
@@ -203,16 +231,16 @@ def za_conv_forward(
     t0 = time.perf_counter()
     out_h, out_w = _check_conv_shapes(x, w, spec)
     _check_offsets(offsets, spec, out_h, out_w)
-    u, v = _sample_positions(spec, offsets)
+    plan = _sampling_plan(offsets, spec, x.height, x.width)
+    data = x.data.astype(np.float64).reshape(x.channels, -1)
     w2 = w.data.astype(np.float64).reshape(w.out_channels, w.in_channels, spec.tap_count)
 
     out = np.zeros((w.out_channels, out_h, out_w), dtype=np.float64)
     for n in range(spec.tap_count):
-        samp = _bilinear_gather(x.data, u[n], v[n])
+        samp = _bilinear_gather(data, plan.idx[:, n], plan.wgt[:, n])
         out += np.einsum("oi,ihw->ohw", w2[:, :, n], samp)
 
-    degenerate, frac = _oob_stats(x.height, x.width, u, v)
-    summary = OpSummary(degenerate, frac, time.perf_counter() - t0)
+    summary = OpSummary(plan.degenerate, plan.oob_fraction, time.perf_counter() - t0)
     return FeatureTensor(out.astype(np.float32)), summary
 
 
@@ -237,20 +265,22 @@ def za_conv_backward(
             f"grad_out shape {grad_out.data.shape} does not match output "
             f"({w.out_channels}, {out_h}, {out_w})"
         )
-    u, v = _sample_positions(spec, offsets)
+    plan = _sampling_plan(offsets, spec, x.height, x.width)
     g = grad_out.data.astype(np.float64)
     w2 = w.data.astype(np.float64).reshape(w.out_channels, w.in_channels, spec.tap_count)
 
-    samp = _bilinear_gather(x.data, u, v)  # (ci, n2, oh, ow)
-    grad_w = np.einsum("ohw,inhw->oin", g, samp).reshape(w.data.shape)
+    data = x.data.astype(np.float64).reshape(x.channels, -1)
+    # the (ci, n2, oh, ow) samples are freed before the scatter below
+    grad_w = np.einsum("ohw,inhw->oin", g, _bilinear_gather(data, plan.idx, plan.wgt))
+    grad_w = grad_w.reshape(w.data.shape)
 
     # Per-tap upstream gradient for each input channel, then bilinear scatter.
     gpix = np.einsum("oin,ohw->inhw", w2, g)  # (ci, n2, oh, ow)
-    idx, wgt, _ = _bilinear_scatter_weights(x.height, x.width, u, v)  # (4, n2, oh, ow)
-    flat_idx = idx.ravel()
+    flat_idx = plan.idx.ravel()
     grad_x = np.empty((x.channels, x.height * x.width), dtype=np.float64)
+    contrib = np.empty_like(plan.wgt)
     for i in range(x.channels):
-        contrib = gpix[i][None, ...] * wgt
+        np.multiply(gpix[i], plan.wgt, out=contrib)
         grad_x[i] = np.bincount(
             flat_idx, weights=contrib.ravel(), minlength=x.height * x.width
         )
@@ -278,9 +308,11 @@ def za_avg_pool(
     t0 = time.perf_counter()
     out_h, out_w = spec.output_shape(x.height, x.width)
     _check_offsets(offsets, spec, out_h, out_w)
-    u, v = _sample_positions(spec, offsets)
-    samp = _bilinear_gather(x.data, u, v)
-    out = samp.sum(axis=1) / spec.tap_count
-    degenerate, frac = _oob_stats(x.height, x.width, u, v)
-    summary = OpSummary(degenerate, frac, time.perf_counter() - t0)
+    plan = _sampling_plan(offsets, spec, x.height, x.width)
+    data = x.data.astype(np.float64).reshape(x.channels, -1)
+    out = np.zeros((x.channels, out_h, out_w), dtype=np.float64)
+    for n in range(spec.tap_count):
+        out += _bilinear_gather(data, plan.idx[:, n], plan.wgt[:, n])
+    out /= spec.tap_count
+    summary = OpSummary(plan.degenerate, plan.oob_fraction, time.perf_counter() - t0)
     return FeatureTensor(out.astype(np.float32)), summary

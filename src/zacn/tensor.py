@@ -80,9 +80,15 @@ class OffsetField:
     """
 
     data: np.ndarray = field(repr=False)
+    # ``zacn.ops`` sampling plans by (KernelSpec, input H, W); ``data`` is
+    # owned and read-only, so they never go stale.
+    _plans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         arr = _as_float32(self.data, 3, "offset field")
+        if arr.base is not None:  # a view: writes through its base would change the field
+            arr = arr.copy()
+            arr.setflags(write=False)
         c = arr.shape[0]
         if c % 2 != 0:
             raise ConfigError(f"offset field channel count {c} is not 2*N*N")
@@ -148,7 +154,8 @@ def bilinear_sample(x: FeatureTensor, c: int, u: float, v: float) -> float:
         raise ConfigError(f"channel {c} out of range for {x.channels} channels")
     if not (math.isfinite(u) and math.isfinite(v)):
         raise ConfigError(f"sampling position ({u}, {v}) is not finite")
-    val = _bilinear_gather(x.data[c : c + 1], np.asarray([u]), np.asarray([v]))[0, 0]
+    idx, wgt = _bilinear_scatter_weights(x.height, x.width, np.asarray([u]), np.asarray([v]))
+    val = _bilinear_gather(x.data[c].reshape(1, -1).astype(np.float64), idx, wgt)[0, 0]
     return float(np.float32(val))
 
 
@@ -158,108 +165,62 @@ def bilinear_sample_grad(x: FeatureTensor, c: int, u: float, v: float):
     Returns ``(dval_du, dval_dv, weights)`` where ``weights`` is the
     length-4 distribution onto neighbors ordered (top-left, top-right,
     bottom-left, bottom-right); out-of-bounds neighbors get weight 0.
-    Weights sum to 1 when the position is fully in-bounds.
+    Weights sum to 1 when the position is fully in-bounds.  The sample is
+    linear along each axis inside a grid cell, so each partial is the
+    difference of two samples on the cell's edges.
     """
     if not (0 <= c < x.channels):
         raise ConfigError(f"channel {c} out of range for {x.channels} channels")
-    h, w = x.height, x.width
-    u0 = math.floor(u)
-    v0 = math.floor(v)
-    du = u - u0
-    dv = v - v0
-
-    vals = np.zeros((2, 2))  # [row 0/1][col 0/1], zero outside the image
-    for i in (0, 1):
-        for j in (0, 1):
-            vi, ui = v0 + i, u0 + j
-            if 0 <= vi < h and 0 <= ui < w:
-                vals[i, j] = float(x.data[c, vi, ui])
-    inb = np.zeros((2, 2))
-    for i in (0, 1):
-        for j in (0, 1):
-            inb[i, j] = 1.0 if (0 <= v0 + i < h and 0 <= u0 + j < w) else 0.0
-
-    weights = np.array(
-        [
-            (1 - dv) * (1 - du) * inb[0, 0],
-            (1 - dv) * du * inb[0, 1],
-            dv * (1 - du) * inb[1, 0],
-            dv * du * inb[1, 1],
-        ]
-    )
-    dval_du = (1 - dv) * (vals[0, 1] - vals[0, 0]) + dv * (vals[1, 1] - vals[1, 0])
-    dval_dv = (1 - du) * (vals[1, 0] - vals[0, 0]) + du * (vals[1, 1] - vals[0, 1])
-    return float(dval_du), float(dval_dv), weights
+    u0, v0 = math.floor(u), math.floor(v)
+    us = np.asarray([u, u0 + 1, u0, u, u], dtype=np.float64)
+    vs = np.asarray([v, v, v, v0 + 1, v0], dtype=np.float64)
+    idx, wgt = _bilinear_scatter_weights(x.height, x.width, us, vs)
+    s = _bilinear_gather(x.data[c].reshape(1, -1).astype(np.float64), idx, wgt)[0]
+    return float(s[1] - s[2]), float(s[3] - s[4]), wgt[:, 0]
 
 
-def _bilinear_gather(data: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Vectorized zero-padded bilinear gather.
+def _bilinear_gather(data: np.ndarray, idx: np.ndarray, wgt: np.ndarray) -> np.ndarray:
+    """Zero-padded bilinear samples through a 4-neighbor plan.
 
-    ``data`` is ``(C, H, W)``; ``u``/``v`` are broadcast-compatible arrays
-    of fractional positions.  Returns float64 samples of shape
-    ``(C,) + u.shape``.
+    ``data`` is float64 ``(C, H*W)``; ``idx``/``wgt`` come from
+    :func:`_bilinear_scatter_weights`.  Returns float64 samples of shape
+    ``(C,) + idx.shape[1:]``, summed over the neighbors in plan order.
     """
-    c, h, w = data.shape
+    out = np.zeros((data.shape[0],) + idx.shape[1:], dtype=np.float64)
+    tmp = np.empty_like(out)
+    for k in range(4):
+        np.take(data, idx[k], axis=1, out=tmp, mode="clip")  # idx is in range
+        tmp *= wgt[k]
+        out += tmp
+    return out
+
+
+def _bilinear_scatter_weights(h: int, w: int, u: np.ndarray, v: np.ndarray):
+    """The 4-neighbor bilinear plan of fractional positions on an (H, W) grid.
+
+    Returns ``(flat_idx, weights)`` of shape ``(4,) + u.shape``, neighbors
+    ordered (top-left, top-right, bottom-left, bottom-right): indices into
+    the flattened grid (clipped onto it) and float64 weights, 0 for
+    neighbors off the image.  Gathers and gradient scatters both use it.
+    """
     # Past these bounds all four neighbors lie off the image, as they did
-    # before clipping, so samples are unchanged; clipping only keeps the
+    # before clipping, so weights are unchanged; clipping only keeps the
     # int64 casts below defined for positions far off the image.
     u = np.clip(np.asarray(u, dtype=np.float64), -2.0, w + 1.0)
     v = np.clip(np.asarray(v, dtype=np.float64), -2.0, h + 1.0)
     u0 = np.floor(u)
     v0 = np.floor(v)
-    du = u - u0
-    dv = v - v0
+    du = np.subtract(u, u0, out=u)  # the clipped copies are ours to overwrite
+    dv = np.subtract(v, v0, out=v)
     u0 = u0.astype(np.int64)
     v0 = v0.astype(np.int64)
 
-    out = np.zeros((c,) + u.shape, dtype=np.float64)
-    for i, j, wgt in (
-        (0, 0, (1 - dv) * (1 - du)),
-        (0, 1, (1 - dv) * du),
-        (1, 0, dv * (1 - du)),
-        (1, 1, dv * du),
-    ):
+    idx = np.empty((4,) + u.shape, dtype=np.int64)
+    wgt = np.empty((4,) + u.shape, dtype=np.float64)
+    for k, (i, j) in enumerate(((0, 0), (0, 1), (1, 0), (1, 1))):
         vi = v0 + i
         ui = u0 + j
-        mask = (vi >= 0) & (vi < h) & (ui >= 0) & (ui < w)
-        vic = np.clip(vi, 0, h - 1)
-        uic = np.clip(ui, 0, w - 1)
-        out += (wgt * mask) * data[:, vic, uic]
-    return out
-
-
-def _bilinear_scatter_weights(h: int, w: int, u: np.ndarray, v: np.ndarray):
-    """Neighbor indices/weights used to scatter gradients back onto a grid.
-
-    Returns ``(flat_idx, weights, inbounds)`` arrays of shape
-    ``(4,) + u.shape`` where ``flat_idx`` indexes a flattened (H, W) grid.
-    """
-    u = np.clip(np.asarray(u, dtype=np.float64), -2.0, w + 1.0)  # as in _bilinear_gather
-    v = np.clip(np.asarray(v, dtype=np.float64), -2.0, h + 1.0)
-    u0 = np.floor(u)
-    v0 = np.floor(v)
-    du = u - u0
-    dv = v - v0
-    u0 = u0.astype(np.int64)
-    v0 = v0.astype(np.int64)
-
-    idx = np.zeros((4,) + u.shape, dtype=np.int64)
-    wgt = np.zeros((4,) + u.shape, dtype=np.float64)
-    inb = np.zeros((4,) + u.shape, dtype=bool)
-    for k, (i, j, ww) in enumerate(
-        (
-            (0, 0, (1 - dv) * (1 - du)),
-            (0, 1, (1 - dv) * du),
-            (1, 0, dv * (1 - du)),
-            (1, 1, dv * du),
-        )
-    ):
-        vi = v0 + i
-        ui = u0 + j
-        mask = (vi >= 0) & (vi < h) & (ui >= 0) & (ui < w)
-        vic = np.clip(vi, 0, h - 1)
-        uic = np.clip(ui, 0, w - 1)
-        idx[k] = vic * w + uic
-        wgt[k] = ww * mask
-        inb[k] = mask
-    return idx, wgt, inb
+        np.multiply(dv if i else 1 - dv, du if j else 1 - du, out=wgt[k])
+        wgt[k] *= (vi >= 0) & (vi < h) & (ui >= 0) & (ui < w)
+        idx[k] = np.clip(vi, 0, h - 1) * w + np.clip(ui, 0, w - 1)
+    return idx, wgt

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -133,6 +134,14 @@ class TestFitPlane:
         pts = [(0.0, 0.0, 1.0), (1.0, 0.0, 1.0), (float("nan"),) * 3, (0.0, 1.0, 1.0)]
         n = fit_plane(pts, (0.0, 0.0, 1.0))
         np.testing.assert_allclose(n, [0.0, 0.0, 1.0], atol=1e-12)
+
+    @pytest.mark.parametrize("center", [(math.nan, 0.0, 1.0), (0.0, math.inf, 1.0)])
+    def test_non_finite_center_rejected(self, center):
+        pts = [(0.0, 0.0, 1.0), (1.0, 0.0, 1.0), (0.0, 1.0, 1.0), (1.0, 1.0, 1.2)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError):
+                fit_plane(pts, center)
 
     def test_collinear_points_degenerate(self):
         pts = np.array([(t, 2.0 * t, 1.0 + t) for t in np.linspace(-1, 1, 7)])

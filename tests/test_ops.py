@@ -2,6 +2,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zacn import (
     ConfigError,
@@ -166,6 +168,83 @@ def test_far_off_sampling_positions_are_defined(rng):
 
     for far, near in zip(run(np.float32(3e19)), run(np.float32(1e4))):
         np.testing.assert_array_equal(far, near)
+
+
+def test_one_field_under_two_specs_matches_fresh_fields(rng):
+    # The sampling plan is cached on the field per (spec, input shape):
+    # reusing one field under two of them, in either order, must give the
+    # bytes of a fresh field each time.
+    off = rand_offsets(rng, 3, 5, 5, scale=2.5)
+    w = rand_weights(rng, 3, 2, 3)
+    g = rand_feature(rng, 3, 5, 5)
+    cases = [(KernelSpec.same(3), rand_feature(rng, 2, 5, 5)), (KernelSpec(3), rand_feature(rng, 2, 7, 7))]
+
+    def run(field, spec, x):
+        y, sy = za_conv_forward(x, w, field, spec)
+        p, sp = za_avg_pool(x, field, spec)
+        gx, gw = za_conv_backward(x, w, field, spec, g)
+        return [a.tobytes() for a in (y.data, p.data, gx.data, gw.data)] + [
+            sy.as_dict(include_elapsed=False), sp.as_dict(include_elapsed=False)]
+
+    fresh = [run(OffsetField(off.data.copy()), spec, x) for spec, x in cases]
+    for (spec, x), want in zip(cases + cases[::-1], fresh + fresh[::-1]):
+        assert run(off, spec, x) == want
+
+
+# Unit roundoff of float32: the operators accumulate in float64 and round
+# each output element once to float32, within a relative 2**-24.
+F32_UNIT = 2.0**-24
+
+
+@st.composite
+def adjoint_cases(draw):
+    size = draw(st.sampled_from([1, 3, 5]))
+    dilation = draw(st.integers(1, 3))
+    stride = draw(st.integers(1, 3))
+    padding = draw(st.integers(0, dilation * (size - 1) // 2 + 1))
+    span = dilation * (size - 1) + 1
+    least = max(1, span - 2 * padding)  # smallest input the kernel fits
+    h, w = draw(st.integers(least, least + 8)), draw(st.integers(least, least + 8))
+    ci, co = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    # up to far past the border; integral offsets put taps on lattice lines
+    reach = draw(st.sampled_from([0.0, 0.7, 3.0, 2.0 * max(h, w), 1e6]))
+    integral = draw(st.booleans())
+    seed = draw(st.integers(0, 2**32 - 1))
+    spec = KernelSpec(size, dilation, stride, padding)
+    oh, ow = spec.output_shape(h, w)
+    r = np.random.default_rng(seed)
+    off = r.uniform(-reach, reach, (2 * size * size, oh, ow))
+    if integral:
+        off = np.round(off)
+    return (spec, rand_feature(r, ci, h, w), rand_weights(r, co, ci, size),
+            OffsetField(off.astype(np.float32)), rand_feature(r, co, oh, ow))
+
+
+def _dot(a, b):
+    return float(np.sum(a.astype(np.float64) * b.astype(np.float64)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(adjoint_cases())
+def test_adjoint_identity(case):
+    """<za_conv(x), g> == <x, grad_x(g)> == <w, grad_w(g)> for fixed offsets.
+
+    All three pairings sum the same product terms g * w * bilinear weight
+    * x; let S be the sum of their absolute values, which is the forward
+    of |x| and |w| paired with |g| (bilinear weights are >= 0).  Rounding
+    y, grad_x and grad_w to float32 moves each pairing by at most
+    F32_UNIT * S, so two pairings differ by at most 2 * F32_UNIT * S.  A
+    third F32_UNIT * S covers the float64 accumulation (fewer than 2**11
+    terms per sum, so below 2**-42 * S) and the float32 rounding of S.
+    """
+    spec, x, w, off, g = case
+    y, _ = za_conv_forward(x, w, off, spec)
+    gx, gw = za_conv_backward(x, w, off, spec, g)
+    ax, aw = FeatureTensor(np.abs(x.data)), ConvWeights(np.abs(w.data))
+    s = _dot(za_conv_forward(ax, aw, off, spec)[0].data, np.abs(g.data))
+    tol = 3 * F32_UNIT * s
+    assert abs(_dot(y.data, g.data) - _dot(x.data, gx.data)) <= tol
+    assert abs(_dot(y.data, g.data) - _dot(w.data, gw.data)) <= tol
 
 
 class TestZaConvBackward:

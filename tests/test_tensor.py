@@ -33,6 +33,17 @@ class TestContainers:
         assert f.tap_count == 9
         assert f.kernel_size == 3
 
+    def test_offset_field_owns_its_data(self):
+        # a field built from a view must not see later writes through the
+        # view's base: the adapted operators cache sampling plans on it
+        base = np.zeros((2, 18, 3, 3), np.float32)
+        f = OffsetField(base[0])
+        base[0, 0, 0, 0] = 5.0
+        assert f.data[0, 0, 0] == 0.0
+        assert not f.data.flags.writeable
+        owned = np.zeros((18, 3, 3), np.float32)
+        assert OffsetField(owned).data is owned  # owned input is not copied
+
     def test_depth_map_valid_mask(self):
         d = DepthMap(np.array([[1.0, -1.0], [np.nan, np.inf]], np.float32))
         assert d.valid_mask().tolist() == [[True, False], [False, False]]
