@@ -148,7 +148,7 @@ def cmd_conv(args) -> int:
     zio.write_tensor(y.data, args.out)
     payload = {"standard": bool(args.standard)}
     if summary is not None:
-        payload.update(summary.as_dict(include_elapsed=False))
+        payload.update(summary.as_dict())
     _write_json(_summary_path(args), payload)
     return 0
 
@@ -167,7 +167,7 @@ def cmd_pool(args) -> int:
     zio.write_tensor(y.data, args.out)
     payload = {"standard": bool(args.standard)}
     if summary is not None:
-        payload.update(summary.as_dict(include_elapsed=False))
+        payload.update(summary.as_dict())
     _write_json(_summary_path(args), payload)
     return 0
 

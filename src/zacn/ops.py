@@ -3,16 +3,20 @@
 The adapted operators consume a precomputed offset field: each kernel tap
 samples the input at ``regular position + offset`` with zero-padded
 bilinear interpolation, so a zero offset field reproduces the standard
-operator exactly.  Offsets never receive gradients; backward only
-produces gradients for the input and the weights.
+operator exactly.  The standard convolution and pooling are that: the
+adapted operator on a zero field.  Offsets never receive gradients;
+backward only produces gradients for the input and the weights.
 
 Accumulation happens in float64 and is cast to float32 at the end.  The
 adapted operators sample through one bilinear plan per (offset field,
 kernel spec, input shape), cached on the field: the flat indices and
-float64 weights (0 off the image) of the 4 neighbors of every tap sample,
-plus the border statistics.  Forward and pooling stream it one tap at a
-time; backward gathers every tap and scatters gradients with the same
-indices and weights.  Positions far off the image sample zero padding.
+float64 weights (0 off the image) of the bilinear neighbors of every tap
+sample, plus the border statistics.  The plan keeps only the neighbor
+slots that carry weight somewhere, so zero and integer fields read one
+neighbor per sample, fields fractional only in x two, and others four.
+Forward and pooling stream it one tap at a time; backward gathers every
+tap and scatters gradients with the same indices and weights.  Positions
+far off the image sample zero padding.
 
 Every kernel here is vectorized single-threaded numpy with a fixed
 accumulation order (einsum without BLAS dispatch, sequential bincount
@@ -55,12 +59,11 @@ class ConvWeights:
     data: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        arr = np.asarray(self.data, dtype=np.float32)
+        arr = np.array(self.data, dtype=np.float32, order="C")  # owned, as in tensor._as_float32
         if arr.ndim != 4 or arr.shape[2] != arr.shape[3]:
             raise ConfigError(f"weights must be (co, ci, N, N), got shape {arr.shape}")
         if not np.all(np.isfinite(arr)):
             raise ConfigError("weights contain non-finite values")
-        arr = np.ascontiguousarray(arr)
         arr.setflags(write=False)
         object.__setattr__(self, "data", arr)
 
@@ -101,14 +104,12 @@ class OpSummary:
                 f"out-of-bounds fraction {self.oob_sample_fraction} outside [0, 1]"
             )
 
-    def as_dict(self, include_elapsed: bool = True) -> dict:
-        d = {
+    def as_dict(self) -> dict:
+        """The reproducible fields; ``elapsed_seconds`` is left out."""
+        return {
             "degenerate_pixels": self.degenerate_pixels,
             "oob_sample_fraction": self.oob_sample_fraction,
         }
-        if include_elapsed:
-            d["elapsed_seconds"] = self.elapsed_seconds
-        return d
 
 
 def conv_param_count(in_channels: int, out_channels: int, size: int) -> int:
@@ -141,24 +142,6 @@ def _check_offsets(offsets: OffsetField, spec: KernelSpec, out_h: int, out_w: in
         )
 
 
-def _padded_tap_slices(x: FeatureTensor, spec: KernelSpec, out_h: int, out_w: int) -> np.ndarray:
-    """Regular-grid tap values, shape (ci, N*N, out_h, out_w), float64."""
-    p = spec.padding
-    data = x.data.astype(np.float64)
-    if p > 0:
-        data = np.pad(data, ((0, 0), (p, p), (p, p)))
-    di, dj = spec.tap_grid()
-    start_v = di + spec.dilation * spec.center  # first input row read by tap
-    start_u = dj + spec.dilation * spec.center
-    taps = np.empty((x.channels, spec.tap_count, out_h, out_w), dtype=np.float64)
-    s = spec.stride
-    for n in range(spec.tap_count):
-        v0 = int(start_v[n])
-        u0 = int(start_u[n])
-        taps[:, n] = data[:, v0 : v0 + out_h * s : s, u0 : u0 + out_w * s : s]
-    return taps
-
-
 def _sample_positions(spec: KernelSpec, offsets: OffsetField):
     """Deformed sampling positions (u, v), each (N*N, out_h, out_w) float64."""
     oh, ow = offsets.height, offsets.width
@@ -184,8 +167,8 @@ def _oob_stats(h: int, w: int, u: np.ndarray, v: np.ndarray) -> tuple[int, float
 
 @dataclass(frozen=True)
 class _SamplingPlan:
-    idx: np.ndarray  # (4, N*N, out_h, out_w) flat neighbor indices into (H*W)
-    wgt: np.ndarray  # (4, N*N, out_h, out_w) float64 weights, 0 off the image
+    idx: np.ndarray  # (K, N*N, out_h, out_w) flat neighbor indices into (H*W)
+    wgt: np.ndarray  # (K, N*N, out_h, out_w) float64 weights, 0 off the image
     degenerate: int  # the border statistics of OpSummary
     oob_fraction: float
 
@@ -200,6 +183,11 @@ def _sampling_plan(offsets: OffsetField, spec: KernelSpec, h: int, w: int) -> _S
         wgt = np.empty((4,) + u.shape, dtype=np.float64)
         for n in range(spec.tap_count):  # tap by tap keeps the builder's temporaries small
             idx[:, n], wgt[:, n] = _bilinear_scatter_weights(h, w, u[n], v[n])
+        # A neighbor slot whose weight is 0 everywhere only adds exact zeros
+        # to accumulators that start at +0.0, so dropping it changes no bit.
+        keep = [k for k in range(4) if wgt[k].any()]
+        if len(keep) < 4:  # a full plan is kept as is: a copy would double its memory
+            idx, wgt = idx[keep], wgt[keep]
         for a in (idx, wgt):
             a.setflags(write=False)
         plan = offsets._plans[key] = _SamplingPlan(idx, wgt, *_oob_stats(h, w, u, v))
@@ -207,14 +195,10 @@ def _sampling_plan(offsets: OffsetField, spec: KernelSpec, h: int, w: int) -> _S
 
 
 def standard_conv(x: FeatureTensor, w: ConvWeights, spec: KernelSpec) -> FeatureTensor:
-    """Direct convolution over the regular dilated grid with zero padding."""
-    out_h, out_w = _check_conv_shapes(x, w, spec)
-    w2 = w.data.astype(np.float64).reshape(w.out_channels, w.in_channels, spec.tap_count)
-    out = np.zeros((w.out_channels, out_h, out_w), dtype=np.float64)
-    taps = _padded_tap_slices(x, spec, out_h, out_w)
-    for n in range(spec.tap_count):
-        out += np.einsum("oi,ihw->ohw", w2[:, :, n], taps[:, n])
-    return FeatureTensor(out.astype(np.float32))
+    """Convolution over the regular dilated grid with zero padding: the
+    adapted convolution on a zero offset field."""
+    out_h, out_w = spec.output_shape(x.height, x.width)
+    return za_conv_forward(x, w, OffsetField.zeros(spec.size, out_h, out_w), spec)[0]
 
 
 def za_conv_forward(
@@ -241,7 +225,7 @@ def za_conv_forward(
         out += np.einsum("oi,ihw->ohw", w2[:, :, n], samp)
 
     summary = OpSummary(plan.degenerate, plan.oob_fraction, time.perf_counter() - t0)
-    return FeatureTensor(out.astype(np.float32)), summary
+    return FeatureTensor(out), summary
 
 
 def za_conv_backward(
@@ -285,15 +269,14 @@ def za_conv_backward(
             flat_idx, weights=contrib.ravel(), minlength=x.height * x.width
         )
     grad_x = grad_x.reshape(x.channels, x.height, x.width)
-    return FeatureTensor(grad_x.astype(np.float32)), ConvWeights(grad_w.astype(np.float32))
+    return FeatureTensor(grad_x), ConvWeights(grad_w)
 
 
 def standard_avg_pool(x: FeatureTensor, spec: KernelSpec) -> FeatureTensor:
-    """Average pooling over the regular grid; divisor is always N*N."""
+    """Average pooling over the regular grid, divisor N*N: the adapted
+    pooling on a zero offset field."""
     out_h, out_w = spec.output_shape(x.height, x.width)
-    taps = _padded_tap_slices(x, spec, out_h, out_w)
-    out = taps.sum(axis=1) / spec.tap_count
-    return FeatureTensor(out.astype(np.float32))
+    return za_avg_pool(x, OffsetField.zeros(spec.size, out_h, out_w), spec)[0]
 
 
 def za_avg_pool(
@@ -315,4 +298,4 @@ def za_avg_pool(
         out += _bilinear_gather(data, plan.idx[:, n], plan.wgt[:, n])
     out /= spec.tap_count
     summary = OpSummary(plan.degenerate, plan.oob_fraction, time.perf_counter() - t0)
-    return FeatureTensor(out.astype(np.float32)), summary
+    return FeatureTensor(out), summary

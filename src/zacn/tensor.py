@@ -11,8 +11,8 @@ Layout conventions used everywhere in this package:
   * pixel coordinates are ``(u, v)`` = (column, row); fractional values
     are sampled bilinearly with zero padding outside the image.
 
-All containers store 32-bit floats and are frozen after construction so
-they can be shared read-only across workers.
+All containers store a read-only 32-bit float copy of their input, so
+they can be shared across workers and no caller's array can change them.
 """
 
 from __future__ import annotations
@@ -34,12 +34,14 @@ __all__ = [
 
 
 def _as_float32(data, ndim: int, what: str) -> np.ndarray:
-    arr = np.asarray(data, dtype=np.float32)
+    """A read-only float32 copy of ``data``: the container owns its memory,
+    so neither the caller's array nor any view of it can change it, and the
+    caller's array stays writable."""
+    arr = np.array(data, dtype=np.float32, order="C")
     if arr.ndim != ndim:
         raise ConfigError(f"{what} must be {ndim}-dimensional, got shape {arr.shape}")
     if any(s <= 0 for s in arr.shape):
         raise ConfigError(f"{what} has an empty dimension: shape {arr.shape}")
-    arr = np.ascontiguousarray(arr)
     arr.setflags(write=False)
     return arr
 
@@ -86,9 +88,6 @@ class OffsetField:
 
     def __post_init__(self):
         arr = _as_float32(self.data, 3, "offset field")
-        if arr.base is not None:  # a view: writes through its base would change the field
-            arr = arr.copy()
-            arr.setflags(write=False)
         c = arr.shape[0]
         if c % 2 != 0:
             raise ConfigError(f"offset field channel count {c} is not 2*N*N")
@@ -180,15 +179,16 @@ def bilinear_sample_grad(x: FeatureTensor, c: int, u: float, v: float):
 
 
 def _bilinear_gather(data: np.ndarray, idx: np.ndarray, wgt: np.ndarray) -> np.ndarray:
-    """Zero-padded bilinear samples through a 4-neighbor plan.
+    """Zero-padded bilinear samples through a plan of up to 4 neighbors.
 
     ``data`` is float64 ``(C, H*W)``; ``idx``/``wgt`` come from
-    :func:`_bilinear_scatter_weights`.  Returns float64 samples of shape
+    :func:`_bilinear_scatter_weights`, possibly without the neighbor slots
+    that carry no weight.  Returns float64 samples of shape
     ``(C,) + idx.shape[1:]``, summed over the neighbors in plan order.
     """
     out = np.zeros((data.shape[0],) + idx.shape[1:], dtype=np.float64)
     tmp = np.empty_like(out)
-    for k in range(4):
+    for k in range(len(idx)):
         np.take(data, idx[k], axis=1, out=tmp, mode="clip")  # idx is in range
         tmp *= wgt[k]
         out += tmp

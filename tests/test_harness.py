@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from zacn import ConfigError, TrainingError, conv_param_count
+from zacn import ConfigError, TrainingError, conv_param_count, harness
 from zacn.harness import (
     BenchRow,
     TrainConfig,
     bench,
+    evaluate,
     generate_scene,
     scene_plane_residuals,
     segmentation_metrics,
@@ -126,6 +127,18 @@ class TestTrainToy:
         assert results["adapted"].param_count == results["standard"].param_count
         expected = conv_param_count(3, 6, 3) + conv_param_count(6, 3, 1)
         assert results["adapted"].param_count == expected
+
+    def test_training_scene_offsets_built_once(self, monkeypatch):
+        # without eval_scenes the trained (scene, field) pairs are evaluated,
+        # giving the metrics of fresh fields
+        train, _ = self._scenes()
+        calls = []
+        real = harness.compute_offsets
+        monkeypatch.setattr(harness, "compute_offsets", lambda *a, **k: calls.append(1) or real(*a, **k))
+        cfg = TrainConfig(epochs=1, seed=0, operator="adapted", hidden=4)
+        result = train_toy(train, cfg)
+        assert len(calls) == 2
+        assert (result.miou, result.pixel_acc) == evaluate(train, result.weights, cfg)
 
     def test_empty_scene_list_rejected(self):
         with pytest.raises(ConfigError):

@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -18,6 +19,8 @@ from zacn import (
     za_conv_backward,
     za_conv_forward,
 )
+from zacn.ops import _sample_positions, _sampling_plan
+from zacn.tensor import _bilinear_scatter_weights
 
 from conftest import rand_feature, rand_offsets, rand_weights
 from oracles import naive_standard_conv, naive_za_conv, naive_za_pool
@@ -184,11 +187,62 @@ def test_one_field_under_two_specs_matches_fresh_fields(rng):
         p, sp = za_avg_pool(x, field, spec)
         gx, gw = za_conv_backward(x, w, field, spec, g)
         return [a.tobytes() for a in (y.data, p.data, gx.data, gw.data)] + [
-            sy.as_dict(include_elapsed=False), sp.as_dict(include_elapsed=False)]
+            sy.as_dict(), sp.as_dict()]
 
     fresh = [run(OffsetField(off.data.copy()), spec, x) for spec, x in cases]
     for (spec, x), want in zip(cases + cases[::-1], fresh + fresh[::-1]):
         assert run(off, spec, x) == want
+
+
+# (field kind, neighbor slots its sampling plan keeps)
+FIELD_KINDS = [("zero", 1), ("integer", 1), ("x-fractional", 2), ("general", 4), ("off-image", 0)]
+
+
+def kind_field(rng, kind, spec, h, w):
+    oh, ow = spec.output_shape(h, w)
+    off = np.zeros((2 * spec.tap_count, oh, ow))
+    if kind == "integer":
+        off = rng.integers(-2, 3, off.shape).astype(np.float64)
+    elif kind == "x-fractional":  # integral dy, dx half-way between columns
+        off[1::2] = rng.integers(-2, 3, off[1::2].shape) + 0.5
+    elif kind == "general":
+        off = rng.uniform(-2.0, 2.0, off.shape)
+    elif kind == "off-image":
+        off[:] = 50.0
+    return OffsetField(off.astype(np.float32))
+
+
+class TestSamplingPlan:
+    @pytest.mark.parametrize("kind, slots", FIELD_KINDS)
+    def test_keeps_only_weighted_neighbors(self, rng, kind, slots):
+        spec = KernelSpec.same(3)
+        plan = _sampling_plan(kind_field(rng, kind, spec, 6, 7), spec, 6, 7)
+        assert plan.idx.shape == plan.wgt.shape == (slots, 9, 6, 7)
+
+    @pytest.mark.parametrize("kind", [k for k, _ in FIELD_KINDS])
+    @pytest.mark.parametrize("spec", [KernelSpec(1), KernelSpec.same(3), KernelSpec(3, dilation=2, stride=2, padding=2)])
+    def test_trimmed_plan_matches_full_plan(self, rng, kind, spec):
+        # dropped slots only ever added exact zeros: forward, pooling,
+        # backward and the summaries keep every bit of the 4-slot plan
+        h, w = 7, 8
+        oh, ow = spec.output_shape(h, w)
+        x, g = rand_feature(rng, 2, h, w), rand_feature(rng, 3, oh, ow)
+        wts = rand_weights(rng, 3, 2, spec.size)
+        trimmed = kind_field(rng, kind, spec, h, w)
+        full = OffsetField(trimmed.data)
+        u, v = _sample_positions(spec, full)
+        idx, wgt = _bilinear_scatter_weights(h, w, u, v)
+        plan = _sampling_plan(trimmed, spec, h, w)
+        full._plans[(spec, h, w)] = dataclasses.replace(plan, idx=idx, wgt=wgt)
+
+        def run(field):
+            y, sy = za_conv_forward(x, wts, field, spec)
+            p, sp = za_avg_pool(x, field, spec)
+            gx, gw = za_conv_backward(x, wts, field, spec, g)
+            return [a.tobytes() for a in (y.data, p.data, gx.data, gw.data)] + [sy.as_dict(), sp.as_dict()]
+
+        assert run(trimmed) == run(full)
+        assert len(full._plans[(spec, h, w)].idx) == 4
 
 
 # Unit roundoff of float32: the operators accumulate in float64 and round
@@ -323,13 +377,13 @@ class TestAvgPool:
         assert y.data.shape == (1, 1, 1)
         assert y.data[0, 0, 0] == pytest.approx(5.0)
 
-    def test_standard_matches_naive(self, rng):
-        spec = KernelSpec(3, dilation=2, stride=2, padding=2)
+    @pytest.mark.parametrize("spec", [KernelSpec.same(3), KernelSpec(3, dilation=2, stride=2, padding=2), KernelSpec(5, padding=0)])
+    def test_standard_matches_naive(self, rng, spec):
         x = rand_feature(rng, 3, 9, 11)
         y = standard_avg_pool(x, spec)
         oh, ow = spec.output_shape(9, 11)
         ref = naive_za_pool(
-            x.data.astype(np.float64), np.zeros((18, oh, ow)),
+            x.data.astype(np.float64), np.zeros((2 * spec.tap_count, oh, ow)),
             spec.size, spec.dilation, spec.stride, spec.padding,
         )
         np.testing.assert_allclose(y.data, ref, atol=1e-6)

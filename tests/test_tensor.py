@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
 
-from zacn import ConfigError, DepthMap, FeatureTensor, OffsetField, bilinear_sample, bilinear_sample_grad
+from zacn import (
+    ConfigError,
+    ConvWeights,
+    DepthMap,
+    FeatureTensor,
+    OffsetField,
+    bilinear_sample,
+    bilinear_sample_grad,
+)
 
 from conftest import rand_feature
 from oracles import naive_bilinear
@@ -41,8 +49,23 @@ class TestContainers:
         base[0, 0, 0, 0] = 5.0
         assert f.data[0, 0, 0] == 0.0
         assert not f.data.flags.writeable
-        owned = np.zeros((18, 3, 3), np.float32)
-        assert OffsetField(owned).data is owned  # owned input is not copied
+
+    @pytest.mark.parametrize("make, shape", [
+        (FeatureTensor, (2, 3, 3)),
+        (OffsetField, (18, 3, 3)),
+        (DepthMap, (3, 3)),
+        (ConvWeights, (2, 2, 3, 3)),
+    ])
+    def test_container_copies_caller_array(self, make, shape):
+        # the container neither freezes the caller's array nor sees writes
+        # through a view of it taken before construction
+        a = np.ones(shape, np.float32)
+        v = a.view()
+        c = make(a)
+        v[(0,) * len(shape)] = 5.0
+        a[(1,) * len(shape)] = 7.0  # still writable
+        np.testing.assert_array_equal(c.data, np.ones(shape, np.float32))
+        assert not c.data.flags.writeable
 
     def test_depth_map_valid_mask(self):
         d = DepthMap(np.array([[1.0, -1.0], [np.nan, np.inf]], np.float32))
