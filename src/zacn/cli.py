@@ -40,6 +40,9 @@ USAGE_AT = "expected --at 'u,v' or --at 'u,v;u,v;...' with integer pixel coordin
 def _workers() -> int:
     env = os.environ.get("ZACN_THREADS")
     if env is None:
+        # the CPUs this process may run on, not all of the machine's
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0))
         return os.cpu_count() or 1
     try:
         n = int(env)
@@ -109,8 +112,9 @@ def cmd_offsets(args) -> int:
     out_h, out_w = spec.output_shape(depth.height, depth.width)
     field, summary = compute_offsets(depth, K, spec, out_h, out_w, workers=_workers())
     zio.write_offsets(field, args.out)
-    mags = np.abs(field.data.astype(np.float64))
-    p50, p90, p99 = np.percentile(mags, [50, 90, 99])
+    mags = np.abs(field.data, dtype=np.float64)
+    mag_max = mags.max()
+    p50, p90, p99 = np.percentile(mags, [50, 90, 99], overwrite_input=True)
     payload = {
         **summary.as_dict(),
         "kernel": spec.size,
@@ -122,7 +126,7 @@ def cmd_offsets(args) -> int:
         "offset_abs_p50": float(p50),
         "offset_abs_p90": float(p90),
         "offset_abs_p99": float(p99),
-        "offset_abs_max": float(mags.max()),
+        "offset_abs_max": float(mag_max),
     }
     _write_json(_summary_path(args), payload)
     if args.verbose:

@@ -8,7 +8,9 @@ Coordinate conventions (standard computer vision):
     ``X = (u - cu) * Z / fu``, ``Y = (v - cv) * Z / fv``.
 
 The offset pipeline, per output pixel ``p``, is one batch stage per
-formula, run by ``_offset_block`` over a block of output rows:
+formula, run by ``_offset_block`` over a tile of output rows;
+``compute_offsets`` sizes the tiles by a byte budget and shares them
+among its worker threads:
 
   1. gather the regular receptive field on the depth map (coordinates
      clamped to the image),
@@ -69,6 +71,11 @@ _RANK_TOL = 1e-9
 # |n1|, |n3| <= 1e-3) so every normal in that zone tie-breaks to n2 >= 0
 # and the fallback frame is constant there instead of flipping on noise.
 _SIGN_TOL = 1e-3
+# Byte budget of one float64 (taps, rows, out_w) temporary of a
+# ``compute_offsets`` row tile.  A tile makes a few dozen such arrays; at
+# 480x640 budgets of 0.75-1.5 MiB ran fastest, and peak memory grows with
+# the budget above that.
+_TILE_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -392,11 +399,15 @@ def _offset_block(
     valid_depth: np.ndarray,
     K: CameraIntrinsics,
     spec: KernelSpec,
-    row_start: int,
-    row_stop: int,
-    out_w: int,
-):
-    """Offsets for output rows ``[row_start, row_stop)``; pure function."""
+    rows: tuple[int, int],
+    out: np.ndarray,
+) -> tuple[int, int]:
+    """Write the offsets of output rows ``[row_start, row_stop)`` into
+    ``out[:, row_start:row_stop]``; returns the degenerate and fallback-basis
+    pixel counts of those rows.  Tiles that do not overlap touch disjoint
+    parts of ``out``, so they can run concurrently."""
+    row_start, row_stop = rows
+    out_w = out.shape[2]
     h, w = depth64.shape
     c = spec.center
     center_tap = c * spec.size + c
@@ -407,7 +418,7 @@ def _offset_block(
     base_v = oy * spec.stride - spec.padding + spec.dilation * c
     base_u = ox * spec.stride - spec.padding + spec.dilation * c
 
-    # Nominal (unclamped) tap coordinates p + p_n, shape (n2, bh, ow).
+    # Nominal (unclamped) tap coordinates p + p_n, shape (n2, rows, ow).
     tv = base_v[None, :, None] + di[:, None, None]
     tu = base_u[None, None, :] + dj[:, None, None]
     tv, tu = np.broadcast_arrays(tv, tu)
@@ -440,13 +451,10 @@ def _offset_block(
             | ~((tz > 0.0) & np.isfinite(tz)).all(axis=0)  # grid behind the camera
         )
         keep = ~degenerate
-        off_dy = np.where(keep, proj_v - tv, 0.0)
-        off_dx = np.where(keep, proj_u - tu, 0.0)
+        out[0::2, row_start:row_stop] = np.where(keep, proj_v - tv, 0.0)
+        out[1::2, row_start:row_stop] = np.where(keep, proj_u - tu, 0.0)
 
-    block = np.stack([off_dy, off_dx], axis=1).reshape(2 * spec.tap_count, len(oy), out_w)
-    degenerate_count = int(np.count_nonzero(degenerate))
-    fallback_count = int(np.count_nonzero(fallback & keep))
-    return block.astype(np.float32), degenerate_count, fallback_count
+    return int(np.count_nonzero(degenerate)), int(np.count_nonzero(fallback & keep))
 
 
 def compute_offsets(
@@ -466,8 +474,11 @@ def compute_offsets(
     dimensions; output centers sit at ``stride * p_out - padding +
     dilation * (N-1)/2`` on the input grid.
 
-    ``workers`` > 1 partitions output rows across a thread pool; results
-    are bit-identical for any worker count.
+    Output rows are processed in tiles of as many rows as keep one float64
+    ``(N*N, rows, out_w)`` temporary within ``_TILE_BYTES``, so the working
+    set stays cache-sized whatever the image size.  ``workers`` > 1 shares
+    the tiles among a thread pool.  The tiles depend only on the shapes, so
+    results are bit-identical for any worker count.
     """
     expected = spec.output_shape(depth.height, depth.width)
     if expected != (out_h, out_w):
@@ -475,26 +486,22 @@ def compute_offsets(
             f"output dims ({out_h}, {out_w}) inconsistent with depth "
             f"{depth.height}x{depth.width} under {spec}; expected {expected}"
         )
-    nworkers = 1 if workers is None else max(1, min(int(workers), out_h))
-
     depth64 = depth.data.astype(np.float64)
     valid = depth.valid_mask()
+    out = np.empty((spec.offset_channels, out_h, out_w), dtype=np.float32)
+
+    tile_rows = max(1, _TILE_BYTES // (spec.tap_count * out_w * 8))
+    tiles = [(r, min(r + tile_rows, out_h)) for r in range(0, out_h, tile_rows)]
+    nworkers = 1 if workers is None else max(1, min(int(workers), len(tiles)))
+
+    def run(rows):
+        return _offset_block(depth64, valid, K, spec, rows, out)
 
     if nworkers == 1:
-        block, deg, fb = _offset_block(depth64, valid, K, spec, 0, out_h, out_w)
-        field = OffsetField(block)
-        return field, OffsetSummary(out_h * out_w, deg, fb)
-
-    bounds = np.linspace(0, out_h, nworkers + 1, dtype=int)
-    jobs = [(int(b0), int(b1)) for b0, b1 in zip(bounds[:-1], bounds[1:]) if b1 > b0]
-    with ThreadPoolExecutor(max_workers=len(jobs)) as pool:
-        results = list(
-            pool.map(
-                lambda rows: _offset_block(depth64, valid, K, spec, rows[0], rows[1], out_w),
-                jobs,
-            )
-        )
-    field = OffsetField(np.concatenate([r[0] for r in results], axis=1))
-    deg = sum(r[1] for r in results)
-    fb = sum(r[2] for r in results)
-    return field, OffsetSummary(out_h * out_w, deg, fb)
+        counts = list(map(run, tiles))
+    else:
+        with ThreadPoolExecutor(max_workers=nworkers) as pool:
+            counts = list(pool.map(run, tiles))
+    deg = sum(d for d, _ in counts)
+    fb = sum(f for _, f in counts)
+    return OffsetField(out), OffsetSummary(out_h * out_w, deg, fb)

@@ -92,8 +92,9 @@ def _read_pfm(buf: bytes, path) -> DepthMap:
         )
     dt = "<f4" if scale < 0 else ">f4"
     rows = np.frombuffer(payload, dtype=dt).reshape(height, width)
-    # PFM stores rows bottom-up; normalize to top-down.
-    return DepthMap(np.flipud(rows).astype(np.float32))
+    # PFM stores rows bottom-up; normalize to top-down.  DepthMap makes the
+    # one native-endian float32 copy.
+    return DepthMap(np.flipud(rows))
 
 
 def write_depth(depth: DepthMap, path) -> None:
@@ -136,7 +137,7 @@ def write_tensor(array: np.ndarray, path) -> None:
         f.write(struct.pack("<I", VERSION))
         f.write(struct.pack("<BB", DTYPE_F32, arr.ndim))
         f.write(struct.pack(f"<{arr.ndim}Q", *arr.shape))
-        f.write(arr.astype("<f4").tobytes())
+        f.write(arr.astype("<f4", copy=False).data)
 
 
 def _parse_container(buf: bytes, path) -> np.ndarray:

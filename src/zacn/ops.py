@@ -220,9 +220,13 @@ def za_conv_forward(
     w2 = w.data.astype(np.float64).reshape(w.out_channels, w.in_channels, spec.tap_count)
 
     out = np.zeros((w.out_channels, out_h, out_w), dtype=np.float64)
+    # per-tap buffers, reused: fresh ones would fault in new pages each tap
+    samp = np.empty((x.channels, out_h, out_w), dtype=np.float64)
+    tmp = np.empty_like(samp)
+    prod = np.empty_like(out)
     for n in range(spec.tap_count):
-        samp = _bilinear_gather(data, plan.idx[:, n], plan.wgt[:, n])
-        out += np.einsum("oi,ihw->ohw", w2[:, :, n], samp)
+        _bilinear_gather(data, plan.idx[:, n], plan.wgt[:, n], samp, tmp)
+        out += np.einsum("oi,ihw->ohw", w2[:, :, n], samp, out=prod)
 
     summary = OpSummary(plan.degenerate, plan.oob_fraction, time.perf_counter() - t0)
     return FeatureTensor(out), summary
@@ -294,8 +298,10 @@ def za_avg_pool(
     plan = _sampling_plan(offsets, spec, x.height, x.width)
     data = x.data.astype(np.float64).reshape(x.channels, -1)
     out = np.zeros((x.channels, out_h, out_w), dtype=np.float64)
+    samp = np.empty_like(out)
+    tmp = np.empty_like(out)
     for n in range(spec.tap_count):
-        out += _bilinear_gather(data, plan.idx[:, n], plan.wgt[:, n])
+        out += _bilinear_gather(data, plan.idx[:, n], plan.wgt[:, n], samp, tmp)
     out /= spec.tap_count
     summary = OpSummary(plan.degenerate, plan.oob_fraction, time.perf_counter() - t0)
     return FeatureTensor(out), summary

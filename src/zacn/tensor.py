@@ -178,16 +178,27 @@ def bilinear_sample_grad(x: FeatureTensor, c: int, u: float, v: float):
     return float(s[1] - s[2]), float(s[3] - s[4]), wgt[:, 0]
 
 
-def _bilinear_gather(data: np.ndarray, idx: np.ndarray, wgt: np.ndarray) -> np.ndarray:
+def _bilinear_gather(
+    data: np.ndarray,
+    idx: np.ndarray,
+    wgt: np.ndarray,
+    out: np.ndarray | None = None,
+    tmp: np.ndarray | None = None,
+) -> np.ndarray:
     """Zero-padded bilinear samples through a plan of up to 4 neighbors.
 
     ``data`` is float64 ``(C, H*W)``; ``idx``/``wgt`` come from
     :func:`_bilinear_scatter_weights`, possibly without the neighbor slots
     that carry no weight.  Returns float64 samples of shape
     ``(C,) + idx.shape[1:]``, summed over the neighbors in plan order.
+    ``out`` and ``tmp``, if given, are float64 buffers of that shape which
+    the gather overwrites, so that a loop over taps allocates nothing per
+    tap; ``out`` is returned.
     """
-    out = np.zeros((data.shape[0],) + idx.shape[1:], dtype=np.float64)
-    tmp = np.empty_like(out)
+    shape = (data.shape[0],) + idx.shape[1:]
+    out = np.empty(shape, dtype=np.float64) if out is None else out
+    tmp = np.empty(shape, dtype=np.float64) if tmp is None else tmp
+    out.fill(0.0)
     for k in range(len(idx)):
         np.take(data, idx[k], axis=1, out=tmp, mode="clip")  # idx is in range
         tmp *= wgt[k]

@@ -1,4 +1,5 @@
 import json
+import os
 import re
 import subprocess
 import sys
@@ -21,7 +22,7 @@ from zacn import (
     write_tensor,
     za_conv_forward,
 )
-from zacn.cli import main
+from zacn.cli import _workers, main
 from zacn.harness import generate_scene
 
 
@@ -107,6 +108,16 @@ class TestOffsetsCommand:
         )
         assert rc == 0
         assert (workdir / "o1.zacn").read_bytes() == (workdir / "o2.zacn").read_bytes()
+
+    def test_default_workers_follow_cpu_affinity(self, monkeypatch):
+        monkeypatch.delenv("ZACN_THREADS", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3}, raising=False)
+        assert _workers() == 2
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert _workers() == 8
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert _workers() == 1
 
     def test_bad_thread_override(self, workdir, monkeypatch):
         monkeypatch.setenv("ZACN_THREADS", "many")

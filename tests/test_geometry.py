@@ -1,4 +1,6 @@
 import math
+import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -19,6 +21,7 @@ from zacn import (
     fit_plane,
     project,
 )
+from zacn import geometry
 from zacn.geometry import _plane_basis, _plane_grid
 
 from conftest import nyu_like_intrinsics, smooth_depth
@@ -309,16 +312,44 @@ class TestComputeOffsets:
                 scaled, _ = compute_offsets(DepthMap(depth * np.float32(s)), K, spec, 16, 20)
                 np.testing.assert_allclose(scaled.data, base.data, atol=1e-5)
 
-    def test_bit_identical_across_runs_and_workers(self, rng):
-        depth = DepthMap(smooth_depth(rng, 30, 40))
+    def test_bit_identical_across_runs_and_workers(self, rng, monkeypatch):
+        depth_arr = smooth_depth(rng, 30, 40)
+        depth_arr[rng.random((30, 40)) < 0.05] = 0.0  # holes give nonzero counts
+        depth = DepthMap(depth_arr)
         K = nyu_like_intrinsics(30, 40)
         spec = KernelSpec.same(3)
-        a, _ = compute_offsets(depth, K, spec, 30, 40)
-        b, _ = compute_offsets(depth, K, spec, 30, 40)
-        assert np.array_equal(a.data, b.data)
-        for workers in (2, 3, 8):
-            c, _ = compute_offsets(depth, K, spec, 30, 40, workers=workers)
-            assert np.array_equal(a.data, c.data)
+        row_bytes = spec.tap_count * 40 * 8  # one float64 (taps, 1, out_w) row
+        monkeypatch.setattr(geometry, "_TILE_BYTES", 30 * row_bytes)  # one tile
+        a, sa = compute_offsets(depth, K, spec, 30, 40)
+        b, sb = compute_offsets(depth, K, spec, 30, 40)
+        assert np.array_equal(a.data, b.data) and sa == sb
+        assert sa.degenerate_pixels > 0
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # interleave the worker threads often
+        try:
+            # 1 and 3 rows divide the 30 rows; 7 leaves an uneven 2-row last tile
+            for rows in (1, 3, 7):
+                monkeypatch.setattr(geometry, "_TILE_BYTES", rows * row_bytes)
+                for workers in (1, 2, 3, 8):  # 8 exceeds the 5 tiles of 7 rows
+                    c, sc = compute_offsets(depth, K, spec, 30, 40, workers=workers)
+                    assert a.data.tobytes() == c.data.tobytes()
+                    assert sa == sc
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_peak_memory_is_bounded_by_tiles(self, rng):
+        h, w = 480, 640
+        depth = DepthMap(smooth_depth(rng, h, w))
+        K = nyu_like_intrinsics(h, w)
+        tracemalloc.start()
+        try:
+            compute_offsets(depth, K, KernelSpec.same(3), h, w, workers=2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the float32 result and the OffsetField's own copy are 2 x 21 MiB;
+        # whole-image float64 temporaries would take over 300 MiB
+        assert peak < 96 * 2**20
 
     def test_shape_mismatch_rejected(self, rng):
         depth = DepthMap(smooth_depth(rng, 16, 16))
