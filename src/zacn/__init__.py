@@ -43,6 +43,7 @@ from .ops import (
     ConvWeights,
     OpSummary,
     conv_param_count,
+    gather_samples,
     standard_avg_pool,
     standard_conv,
     za_avg_pool,
@@ -82,6 +83,7 @@ __all__ = [
     "standard_conv",
     "za_conv_forward",
     "za_conv_backward",
+    "gather_samples",
     "standard_avg_pool",
     "za_avg_pool",
     "read_depth",

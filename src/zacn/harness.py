@@ -13,9 +13,14 @@ the label recoverable through geometry rather than photometry alone.
 The toy model is two layers: a 3x3 convolution (standard grid or
 depth-adapted), a ReLU, and a 1x1 convolution into per-pixel class
 logits trained with softmax cross-entropy and plain full-batch gradient
-descent.  Both operator choices run through the adapted kernels (the
-standard one with an all-zero offset field, which is exactly the
-standard convolution), so parameter counts match by construction.
+descent.  Both operator choices of the 3x3 layer run through the adapted
+kernels (the standard one with an all-zero offset field, which is
+exactly the standard convolution), so parameter counts match by
+construction.  The 1x1 head is a plain per-pixel contraction over the
+hidden channels (logits and both gradients), which is bit for bit the
+adapted 1x1 convolution on a zero field.  Offsets never change, so
+training gathers each scene's layer-1 samples once and never forms the
+layer-1 input gradient, which nothing reads.
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ from .geometry import CameraIntrinsics, KernelSpec, compute_offsets
 from .ops import (
     ConvWeights,
     conv_param_count,
+    gather_samples,
     standard_avg_pool,
     standard_conv,
     za_avg_pool,
@@ -292,26 +298,34 @@ def _scene_offsets(scene: SyntheticScene, cfg: TrainConfig, spec: KernelSpec) ->
     return field
 
 
-def _softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray):
-    """Mean cross-entropy and its gradient w.r.t. the logits."""
+def _one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
+    """float64 ``(num_classes, H, W)`` indicator of ``labels``."""
+    return (np.arange(num_classes)[:, None, None] == labels[None]).astype(np.float64)
+
+
+def _softmax_cross_entropy(logits: np.ndarray, onehot: np.ndarray):
+    """Mean cross-entropy against one-hot labels and its gradient w.r.t. the logits."""
     z = logits.astype(np.float64)
     z = z - z.max(axis=0, keepdims=True)
     ez = np.exp(z)
     p = ez / ez.sum(axis=0, keepdims=True)
-    npix = labels.size
-    onehot = np.zeros_like(p)
-    ks = np.arange(p.shape[0])[:, None, None]
-    onehot[:] = (ks == labels[None]).astype(np.float64)
+    npix = onehot[0].size
     eps = 1e-12
     loss = float(-(onehot * np.log(p + eps)).sum() / npix)
     grad = ((p - onehot) / npix).astype(np.float32)
     return loss, grad
 
 
-def _forward(x, w1, w2, offsets, zero1, spec):
-    pre, _ = za_conv_forward(x, w1, offsets, spec)
-    hidden = FeatureTensor(np.maximum(pre.data, 0.0))
-    logits, _ = za_conv_forward(hidden, w2, zero1, KernelSpec(1))
+def _head(w2: ConvWeights) -> np.ndarray:
+    """The 1x1 head's float64 (classes, hidden) matrix."""
+    return w2.data[:, :, 0, 0].astype(np.float64)
+
+
+def _forward(x, w1, head, offsets, spec, samples=None):
+    """Layer-1 pre-activation, float64 hidden activations, and logits."""
+    pre, _ = za_conv_forward(x, w1, offsets, spec, samples=samples)
+    hidden = np.maximum(pre.data, 0.0).astype(np.float64)
+    logits = FeatureTensor(np.einsum("oi,ihw->ohw", head, hidden))
     return pre, hidden, logits
 
 
@@ -340,29 +354,32 @@ def train_toy(scenes, cfg: TrainConfig, eval_scenes=None) -> TrainResult:
          * np.sqrt(2.0 / cfg.hidden)).astype(np.float32)
     )
 
-    prepared = [(s, _scene_offsets(s, cfg, spec)) for s in scenes]
-    zero1 = {
-        (s.depth.height, s.depth.width): OffsetField.zeros(1, s.depth.height, s.depth.width)
-        for s, _ in prepared
-    }
+    # Offsets are fixed, so each scene's layer-1 samples and one-hot labels
+    # are the same in every epoch: build them once.
+    prepared = []
+    for s in scenes:
+        offsets = _scene_offsets(s, cfg, spec)
+        samples = gather_samples(s.features, offsets, spec)
+        prepared.append((s, offsets, samples, _one_hot(s.labels, num_classes)))
 
     losses: list[float] = []
     for epoch in range(cfg.epochs):
         total_loss = 0.0
         gw1 = np.zeros_like(w1.data, dtype=np.float64)
         gw2 = np.zeros_like(w2.data, dtype=np.float64)
-        for scene, offsets in prepared:
+        head = _head(w2)
+        for scene, offsets, samples, onehot in prepared:
             x = scene.features
-            z1 = zero1[(scene.depth.height, scene.depth.width)]
             try:
-                pre, hidden, logits = _forward(x, w1, w2, offsets, z1, spec)
-                loss, dlogits = _softmax_cross_entropy(logits.data, scene.labels)
+                pre, hidden, logits = _forward(x, w1, head, offsets, spec, samples)
+                loss, dlogits = _softmax_cross_entropy(logits.data, onehot)
                 total_loss += loss
-                dhidden, dw2 = za_conv_backward(
-                    hidden, w2, z1, KernelSpec(1), FeatureTensor(dlogits)
-                )
-                dpre = FeatureTensor(dhidden.data * (pre.data > 0))
-                _, dw1 = za_conv_backward(x, w1, offsets, spec, dpre)
+                g = dlogits.astype(np.float64)
+                dw2 = np.einsum("ohw,ihw->oi", g, hidden).astype(np.float32)
+                dhidden = np.einsum("oi,ohw->ihw", head, g).astype(np.float32)
+                dpre = FeatureTensor(dhidden * (pre.data > 0))
+                _, dw1 = za_conv_backward(x, w1, offsets, spec, dpre,
+                                          samples=samples, need_grad_x=False)
             except ConfigError as exc:
                 if "non-finite" in str(exc):
                     raise TrainingError(
@@ -370,7 +387,7 @@ def train_toy(scenes, cfg: TrainConfig, eval_scenes=None) -> TrainResult:
                     ) from exc
                 raise
             gw1 += dw1.data
-            gw2 += dw2.data
+            gw2 += dw2[:, :, None, None]
         total_loss /= len(prepared)
         if not np.isfinite(total_loss):
             raise TrainingError(f"loss became non-finite at epoch {epoch}", epoch=epoch)
@@ -384,9 +401,9 @@ def train_toy(scenes, cfg: TrainConfig, eval_scenes=None) -> TrainResult:
             w2 = ConvWeights(new2)
 
     if eval_scenes is None:  # the training fields, plans included, serve again
-        miou, acc = _evaluate_fields(prepared, (w1, w2), spec)
+        miou, acc = _evaluate_fields([p[:2] for p in prepared], (w1, w2), spec)
     else:
-        del prepared, zero1  # free the fields' cached sampling plans; evaluate builds its own
+        del prepared  # free the fields' cached sampling plans; evaluate builds its own
         miou, acc = evaluate(eval_scenes, (w1, w2), cfg)
     params = w1.param_count + w2.param_count
     return TrainResult(weights=(w1, w2), losses=losses, miou=miou, pixel_acc=acc, param_count=params)
@@ -401,11 +418,11 @@ def evaluate(scenes, weights, cfg: TrainConfig):
 def _evaluate_fields(prepared, weights, spec: KernelSpec):
     """Mean (mIoU, pixel accuracy) over ``(scene, offset field)`` pairs."""
     w1, w2 = weights
+    head = _head(w2)
     mious = []
     accs = []
     for scene, offsets in prepared:
-        zero1 = OffsetField.zeros(1, scene.depth.height, scene.depth.width)
-        _, _, logits = _forward(scene.features, w1, w2, offsets, zero1, spec)
+        _, _, logits = _forward(scene.features, w1, head, offsets, spec)
         pred = np.argmax(logits.data, axis=0)
         miou, acc = segmentation_metrics(pred, scene.labels, w2.out_channels)
         mious.append(miou)

@@ -141,6 +141,7 @@ def write_tensor(array: np.ndarray, path) -> None:
 
 
 def _parse_container(buf: bytes, path) -> np.ndarray:
+    """The payload of a container as a read-only little-endian view of ``buf``."""
     if len(buf) < 4 or buf[:4] != MAGIC:
         raise ParseError(f"bad magic {buf[:4]!r}, expected {MAGIC!r}", path=path, offset=0)
     if len(buf) < 10:
@@ -169,22 +170,25 @@ def _parse_container(buf: bytes, path) -> np.ndarray:
             raise ParseError(f"implausible dimension {d}", path=path, offset=10)
         count *= d
     expected = count * 4
-    payload = buf[dims_end:]
-    if len(payload) != expected:
+    if len(buf) - dims_end != expected:
         raise ParseError(
-            f"payload length mismatch: expected {expected} bytes, got {len(payload)}",
+            f"payload length mismatch: expected {expected} bytes, got {len(buf) - dims_end}",
             path=path,
             offset=dims_end,
         )
-    return np.frombuffer(payload, dtype="<f4").reshape(dims).astype(np.float32)
+    return np.frombuffer(buf, dtype="<f4", count=count, offset=dims_end).reshape(dims)
 
 
-def read_tensor(path) -> np.ndarray:
-    """Read a float32 ndarray from the ZACN container format."""
+def _read_container(path) -> np.ndarray:
     buf = Path(path).read_bytes()
     if len(buf) == 0:
         raise ParseError("empty file", path=path, offset=0)
     return _parse_container(buf, path)
+
+
+def read_tensor(path) -> np.ndarray:
+    """Read a float32 ndarray from the ZACN container format."""
+    return _read_container(path).astype(np.float32)  # one writable native copy
 
 
 def write_offsets(field: OffsetField, path) -> None:
@@ -193,7 +197,7 @@ def write_offsets(field: OffsetField, path) -> None:
 
 def read_offsets(path) -> OffsetField:
     """Read an offset field; dims must be (2*N*N, H, W)."""
-    arr = read_tensor(path)
+    arr = _read_container(path)  # a view of the file bytes: OffsetField makes the one copy
     if arr.ndim != 3:
         raise FormatError(
             f"offset container must be 3-dimensional, got {arr.ndim} dims", path=path

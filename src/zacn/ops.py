@@ -18,6 +18,14 @@ Forward and pooling stream it one tap at a time; backward gathers every
 tap and scatters gradients with the same indices and weights.  Positions
 far off the image sample zero padding.
 
+Gathering is split from contracting: :func:`gather_samples` returns the
+all-tap samples that backward gathers, and forward and backward accept
+them as ``samples`` in place of their own gather, with the same bits.  A
+caller that convolves one input over one fixed field many times, as
+training with geometry-fixed offsets does, gathers once.  Backward with
+``need_grad_x=False`` skips the scatter and returns only the weight
+gradient.
+
 Every kernel here is vectorized single-threaded numpy with a fixed
 accumulation order (einsum without BLAS dispatch, sequential bincount
 scatter), so outputs are bit-identical across runs and unaffected by
@@ -47,6 +55,7 @@ __all__ = [
     "standard_conv",
     "za_conv_forward",
     "za_conv_backward",
+    "gather_samples",
     "standard_avg_pool",
     "za_avg_pool",
 ]
@@ -201,32 +210,63 @@ def standard_conv(x: FeatureTensor, w: ConvWeights, spec: KernelSpec) -> Feature
     return za_conv_forward(x, w, OffsetField.zeros(spec.size, out_h, out_w), spec)[0]
 
 
+def _check_samples(samples: np.ndarray, x: FeatureTensor, spec: KernelSpec, out_h: int, out_w: int):
+    want = (x.channels, spec.tap_count, out_h, out_w)
+    if samples.shape != want or samples.dtype != np.float64:
+        raise ConfigError(
+            f"samples are {samples.dtype} {samples.shape}, expected float64 {want}"
+        )
+
+
+def gather_samples(x: FeatureTensor, offsets: OffsetField, spec: KernelSpec) -> np.ndarray:
+    """The read-only float64 ``(ci, taps, oh, ow)`` bilinear samples of ``x``
+    at every tap position of ``offsets``, read through the cached plan: the
+    ``samples`` that :func:`za_conv_forward` and :func:`za_conv_backward`
+    accept in place of their own gather."""
+    out_h, out_w = spec.output_shape(x.height, x.width)
+    _check_offsets(offsets, spec, out_h, out_w)
+    plan = _sampling_plan(offsets, spec, x.height, x.width)
+    samples = _bilinear_gather(x.data.astype(np.float64).reshape(x.channels, -1), plan.idx, plan.wgt)
+    samples.setflags(write=False)
+    return samples
+
+
 def za_conv_forward(
     x: FeatureTensor,
     w: ConvWeights,
     offsets: OffsetField,
     spec: KernelSpec,
+    samples: np.ndarray | None = None,
 ) -> tuple[FeatureTensor, OpSummary]:
     """Depth-adapted convolution: taps read ``regular grid + offset``.
 
     Accumulates one tap at a time in float64: each tap's bilinear samples
-    are contracted with that tap's weights and added to the output.
+    are contracted with that tap's weights and added to the output.  Taps
+    are gathered one at a time unless ``samples``, the
+    :func:`gather_samples` of ``x``, are given.
     """
     t0 = time.perf_counter()
     out_h, out_w = _check_conv_shapes(x, w, spec)
     _check_offsets(offsets, spec, out_h, out_w)
+    if samples is not None:
+        _check_samples(samples, x, spec, out_h, out_w)
     plan = _sampling_plan(offsets, spec, x.height, x.width)
-    data = x.data.astype(np.float64).reshape(x.channels, -1)
     w2 = w.data.astype(np.float64).reshape(w.out_channels, w.in_channels, spec.tap_count)
 
+    if samples is None:
+        data = x.data.astype(np.float64).reshape(x.channels, -1)
+        # per-tap buffers, reused: fresh ones would fault in new pages each tap
+        samp = np.empty((x.channels, out_h, out_w), dtype=np.float64)
+        tmp = np.empty_like(samp)
+        taps = (_bilinear_gather(data, plan.idx[:, n], plan.wgt[:, n], samp, tmp)
+                for n in range(spec.tap_count))
+    else:
+        taps = (samples[:, n] for n in range(spec.tap_count))
+
     out = np.zeros((w.out_channels, out_h, out_w), dtype=np.float64)
-    # per-tap buffers, reused: fresh ones would fault in new pages each tap
-    samp = np.empty((x.channels, out_h, out_w), dtype=np.float64)
-    tmp = np.empty_like(samp)
     prod = np.empty_like(out)
-    for n in range(spec.tap_count):
-        _bilinear_gather(data, plan.idx[:, n], plan.wgt[:, n], samp, tmp)
-        out += np.einsum("oi,ihw->ohw", w2[:, :, n], samp, out=prod)
+    for n, tap in enumerate(taps):
+        out += np.einsum("oi,ihw->ohw", w2[:, :, n], tap, out=prod)
 
     summary = OpSummary(plan.degenerate, plan.oob_fraction, time.perf_counter() - t0)
     return FeatureTensor(out), summary
@@ -238,13 +278,17 @@ def za_conv_backward(
     offsets: OffsetField,
     spec: KernelSpec,
     grad_out: FeatureTensor,
-) -> tuple[FeatureTensor, ConvWeights]:
+    samples: np.ndarray | None = None,
+    need_grad_x: bool = True,
+) -> tuple[FeatureTensor | None, ConvWeights]:
     """Gradients of the adapted convolution w.r.t. input and weights.
 
     ``grad_w[o,i,n] = sum_p grad_out[o,p] * sample(x, i, pos_n(p))`` and
     ``grad_x`` distributes ``grad_out * w`` through the bilinear weights
     onto the four integer neighbors of each sample.  The offsets receive
-    no gradient.
+    no gradient.  ``samples``, the :func:`gather_samples` of ``x``, spares
+    the gather; with ``need_grad_x=False`` the scatter is skipped too and
+    ``grad_x`` is returned as ``None``.
     """
     out_h, out_w = _check_conv_shapes(x, w, spec)
     _check_offsets(offsets, spec, out_h, out_w)
@@ -253,16 +297,19 @@ def za_conv_backward(
             f"grad_out shape {grad_out.data.shape} does not match output "
             f"({w.out_channels}, {out_h}, {out_w})"
         )
-    plan = _sampling_plan(offsets, spec, x.height, x.width)
+    if samples is None:
+        samples = gather_samples(x, offsets, spec)
+    else:
+        _check_samples(samples, x, spec, out_h, out_w)
     g = grad_out.data.astype(np.float64)
-    w2 = w.data.astype(np.float64).reshape(w.out_channels, w.in_channels, spec.tap_count)
-
-    data = x.data.astype(np.float64).reshape(x.channels, -1)
-    # the (ci, n2, oh, ow) samples are freed before the scatter below
-    grad_w = np.einsum("ohw,inhw->oin", g, _bilinear_gather(data, plan.idx, plan.wgt))
-    grad_w = grad_w.reshape(w.data.shape)
+    grad_w = np.einsum("ohw,inhw->oin", g, samples).reshape(w.data.shape)
+    del samples  # a gathered copy is freed before the scatter below
+    if not need_grad_x:
+        return None, ConvWeights(grad_w)
 
     # Per-tap upstream gradient for each input channel, then bilinear scatter.
+    plan = _sampling_plan(offsets, spec, x.height, x.width)
+    w2 = w.data.astype(np.float64).reshape(w.out_channels, w.in_channels, spec.tap_count)
     gpix = np.einsum("oin,ohw->inhw", w2, g)  # (ci, n2, oh, ow)
     flat_idx = plan.idx.ravel()
     grad_x = np.empty((x.channels, x.height * x.width), dtype=np.float64)

@@ -46,6 +46,12 @@ def _as_float32(data, ndim: int, what: str) -> np.ndarray:
     return arr
 
 
+def _all_finite(arr: np.ndarray) -> bool:
+    """Whether a non-empty array holds no NaN or infinity, without a
+    full-size mask: min and max propagate NaN, and an infinity is one of them."""
+    return bool(np.isfinite(arr.min()) and np.isfinite(arr.max()))
+
+
 @dataclass(frozen=True)
 class FeatureTensor:
     """A dense (channels, height, width) grid of finite 32-bit floats."""
@@ -54,7 +60,7 @@ class FeatureTensor:
 
     def __post_init__(self):
         arr = _as_float32(self.data, 3, "feature tensor")
-        if not np.all(np.isfinite(arr)):
+        if not _all_finite(arr):
             raise ConfigError("feature tensor contains non-finite values")
         object.__setattr__(self, "data", arr)
 
@@ -94,7 +100,7 @@ class OffsetField:
         n = math.isqrt(c // 2)
         if 2 * n * n != c:
             raise ConfigError(f"offset field channel count {c} is not 2*N*N")
-        if not np.all(np.isfinite(arr)):
+        if not _all_finite(arr):
             raise ConfigError("offset field contains non-finite values")
         object.__setattr__(self, "data", arr)
 

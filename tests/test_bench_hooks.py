@@ -1,0 +1,57 @@
+"""The benchmark's trace hooks still find their targets in the package.
+
+``perfbench/tracing.py`` wraps package functions by (module, attribute)
+name and reads their arguments and results; a renamed function or a
+changed return type would only show up as a missing or failing benchmark
+metric.  The file is loaded by path and only read.
+"""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+from zacn import harness
+
+TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+
+
+@pytest.fixture(scope="module")
+def tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _hooked_modules(tracing):
+    return {mod: importlib.import_module(mod) for mod, *_ in tracing.HOOKS}
+
+
+def test_every_hook_target_exists(tracing):
+    modules = _hooked_modules(tracing)
+    missing = [f"{mod}.{attr}" for mod, attr, *_ in tracing.HOOKS if not hasattr(modules[mod], attr)]
+    assert missing == []
+
+
+def test_traced_toy_run_records_spans_and_counts(tracing, monkeypatch):
+    modules = _hooked_modules(tracing)
+    for mod, attr, *_ in tracing.HOOKS:  # monkeypatch restores the originals afterwards
+        monkeypatch.setattr(modules[mod], attr, getattr(modules[mod], attr))
+    tracer = tracing.Tracer()
+    assert tracer.install(modules) == []
+    tracer.item = 0
+    rows = harness.paired_toy_runs([0], epochs=2)  # a count function that raises fails here
+    assert [r["epochs"] for r in rows] == [2, 2]
+
+    names = {s["name"] for s in tracer.spans}
+    assert {"ops.za_conv_forward", "ops.za_conv_backward", "tensor.gather"} <= names
+    for s in tracer.spans:
+        if s["name"] == "ops.za_conv_forward":
+            assert s["macs"] > 0 and s["samples"] > 0 and 0.0 <= s["oob"] <= 1.0
+        elif s["name"] == "tensor.gather":
+            assert s["samples"] > 0
+    metrics = tracing.layer_metrics(tracer.spans, [], 1)
+    for name in ("tensor.gather_ms", "ops.za_conv_backward_ms", "ops.macs", "harness.epochs_per_s"):
+        assert metrics[name] > 0, name

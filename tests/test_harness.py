@@ -1,7 +1,19 @@
 import numpy as np
 import pytest
 
-from zacn import ConfigError, TrainingError, conv_param_count, harness
+from zacn import (
+    ConfigError,
+    ConvWeights,
+    FeatureTensor,
+    KernelSpec,
+    OffsetField,
+    TrainingError,
+    compute_offsets,
+    conv_param_count,
+    harness,
+    za_conv_backward,
+    za_conv_forward,
+)
 from zacn.harness import (
     BenchRow,
     TrainConfig,
@@ -79,6 +91,52 @@ class TestMetrics:
         assert miou == 1.0
 
 
+def _reference_train(scenes, cfg):
+    """The toy training loop through the public ops alone: every call
+    gathers its own layer-1 samples, layer-1 backward builds the unused
+    input gradient, and the 1x1 head is the adapted conv on a zero field."""
+    spec, head = KernelSpec.same(cfg.kernel, dilation=cfg.dilation), KernelSpec(1)
+    classes = max(s.num_classes for s in scenes)
+    c_in, k = scenes[0].features.channels, cfg.kernel
+    rng = np.random.default_rng(cfg.seed)
+    w1 = ConvWeights((rng.standard_normal((cfg.hidden, c_in, k, k))
+                      * np.sqrt(2.0 / (c_in * k * k))).astype(np.float32))
+    w2 = ConvWeights((rng.standard_normal((classes, cfg.hidden, 1, 1))
+                      * np.sqrt(2.0 / cfg.hidden)).astype(np.float32))
+    fields = []
+    for s in scenes:
+        h, w = s.depth.height, s.depth.width
+        if cfg.operator == "adapted":
+            field, _ = compute_offsets(s.depth, s.intrinsics, spec, h, w)
+        else:
+            field = OffsetField.zeros(k, h, w)
+        fields.append((s, field, OffsetField.zeros(1, h, w)))
+    losses = []
+    for _ in range(cfg.epochs):
+        total = 0.0
+        gw1, gw2 = np.zeros(w1.data.shape), np.zeros(w2.data.shape)
+        for s, field, zero1 in fields:
+            pre, _ = za_conv_forward(s.features, w1, field, spec)
+            hidden = FeatureTensor(np.maximum(pre.data, 0.0))
+            logits, _ = za_conv_forward(hidden, w2, zero1, head)
+            z = logits.data.astype(np.float64)
+            z = z - z.max(axis=0, keepdims=True)
+            ez = np.exp(z)
+            p = ez / ez.sum(axis=0, keepdims=True)
+            onehot = (np.arange(classes)[:, None, None] == s.labels[None]).astype(np.float64)
+            total += float(-(onehot * np.log(p + 1e-12)).sum() / s.labels.size)
+            dlogits = FeatureTensor(((p - onehot) / s.labels.size).astype(np.float32))
+            dhidden, dw2 = za_conv_backward(hidden, w2, zero1, head, dlogits)
+            dpre = FeatureTensor(dhidden.data * (pre.data > 0))
+            _, dw1 = za_conv_backward(s.features, w1, field, spec, dpre)
+            gw1 += dw1.data
+            gw2 += dw2.data
+        losses.append(total / len(fields))
+        w1 = ConvWeights((w1.data - cfg.learning_rate * gw1 / len(fields)).astype(np.float32))
+        w2 = ConvWeights((w2.data - cfg.learning_rate * gw2 / len(fields)).astype(np.float32))
+    return losses, w1, w2
+
+
 class TestTrainToy:
     def _scenes(self):
         train = [generate_scene("corridor", 32, 48, seed=41), generate_scene("corridor", 32, 48, seed=42)]
@@ -139,6 +197,16 @@ class TestTrainToy:
         result = train_toy(train, cfg)
         assert len(calls) == 2
         assert (result.miou, result.pixel_acc) == evaluate(train, result.weights, cfg)
+
+    @pytest.mark.parametrize("operator", ["adapted", "standard"])
+    def test_matches_reference_loop_bitwise(self, operator):
+        train = [generate_scene("corridor", 24, 32, seed=s) for s in (51, 52)]
+        cfg = TrainConfig(epochs=10, seed=5, operator=operator, hidden=6)
+        result = train_toy(train, cfg)
+        losses, w1, w2 = _reference_train(train, cfg)
+        assert result.losses == losses
+        assert result.weights[0].data.tobytes() == w1.data.tobytes()
+        assert result.weights[1].data.tobytes() == w2.data.tobytes()
 
     def test_empty_scene_list_rejected(self):
         with pytest.raises(ConfigError):

@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -151,6 +152,29 @@ class TestContainer:
         with pytest.raises(ParseError) as exc:
             read_tensor(path)
         assert "48" in str(exc.value) and "40" in str(exc.value)
+
+    def test_read_tensor_returns_writable_copy(self, rng, tmp_path):
+        arr = rng.standard_normal((2, 3, 4)).astype(np.float32)
+        path = tmp_path / "t.zacn"
+        write_tensor(arr, path)
+        back = read_tensor(path)
+        assert back.dtype == np.float32 and back.flags.writeable and back.flags.owndata
+        back[0, 0, 0] = 1.0
+
+    def test_read_offsets_copies_payload_once(self, tmp_path):
+        # the file bytes plus the field's one owned copy; a 4 MiB allowance
+        # covers everything else, far below a third copy of the payload
+        path = tmp_path / "o.zacn"
+        write_tensor(np.ones((18, 480, 640), np.float32), path)
+        size = path.stat().st_size
+        tracemalloc.start()
+        try:
+            field = read_offsets(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert field.data.shape == (18, 480, 640)
+        assert peak < 2 * size + 4 * 2**20, f"peak {peak / 2**20:.1f} MiB for a {size / 2**20:.1f} MiB file"
 
 
 class TestIntrinsics:

@@ -13,6 +13,7 @@ from zacn import (
     KernelSpec,
     OffsetField,
     conv_param_count,
+    gather_samples,
     standard_avg_pool,
     standard_conv,
     za_avg_pool,
@@ -243,6 +244,54 @@ class TestSamplingPlan:
 
         assert run(trimmed) == run(full)
         assert len(full._plans[(spec, h, w)].idx) == 4
+
+
+SPLIT_SPECS = [KernelSpec(1), KernelSpec.same(3), KernelSpec(3, dilation=2, stride=2, padding=2)]
+
+
+class TestGatheredSamples:
+    @pytest.mark.parametrize("kind", [k for k, _ in FIELD_KINDS])
+    @pytest.mark.parametrize("spec", SPLIT_SPECS)
+    def test_samples_and_skipped_grad_x_keep_every_bit(self, rng, kind, spec):
+        h, w = 7, 8
+        oh, ow = spec.output_shape(h, w)
+        x, g = rand_feature(rng, 2, h, w), rand_feature(rng, 3, oh, ow)
+        wts = rand_weights(rng, 3, 2, spec.size)
+        field = kind_field(rng, kind, spec, h, w)
+        samples = gather_samples(x, field, spec)
+        assert samples.shape == (2, spec.tap_count, oh, ow) and samples.dtype == np.float64
+        assert not samples.flags.writeable
+
+        y, sy = za_conv_forward(x, wts, field, spec)
+        ys, sys_ = za_conv_forward(x, wts, field, spec, samples=samples)
+        assert ys.data.tobytes() == y.data.tobytes()
+        assert sys_.as_dict() == sy.as_dict()
+
+        gx, gw = za_conv_backward(x, wts, field, spec, g)
+        for kwargs in ({"samples": samples}, {"need_grad_x": False},
+                       {"samples": samples, "need_grad_x": False}):
+            gx2, gw2 = za_conv_backward(x, wts, field, spec, g, **kwargs)
+            assert gw2.data.tobytes() == gw.data.tobytes()
+            if kwargs.get("need_grad_x", True):
+                assert gx2.data.tobytes() == gx.data.tobytes()
+            else:
+                assert gx2 is None
+
+    def test_wrong_samples_rejected(self, rng):
+        spec = KernelSpec.same(3)
+        x, g = rand_feature(rng, 2, 5, 6), rand_feature(rng, 3, 5, 6)
+        wts = rand_weights(rng, 3, 2, 3)
+        field = rand_offsets(rng, 3, 5, 6)
+        samples = gather_samples(x, field, spec)
+        bad = [samples[:, :8], samples[:1], samples[..., :5], samples.reshape(2, 3, 3, 5, 6),
+               samples.astype(np.float32)]
+        for s in bad:
+            with pytest.raises(ConfigError):
+                za_conv_forward(x, wts, field, spec, samples=s)
+            with pytest.raises(ConfigError):
+                za_conv_backward(x, wts, field, spec, g, samples=s)
+        with pytest.raises(ConfigError):
+            gather_samples(x, rand_offsets(rng, 3, 4, 6), spec)
 
 
 # Unit roundoff of float32: the operators accumulate in float64 and round
