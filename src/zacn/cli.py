@@ -2,14 +2,13 @@
 
 Subcommands: ``offsets`` (depth -> offset field container + JSON summary),
 ``conv`` / ``pool`` (run operators on tensor containers), ``viz`` (SVG of
-standard vs adapted sampling positions over the depth map), ``bench``,
-and ``toytrain``.
+standard vs adapted sampling positions over the depth map), and
+``toytrain`` (the paired toy segmentation experiment).
 
 Exit codes are a stable scripting contract: 0 success, 1 IO/parse
-failure, 2 configuration or shape mismatch.  Machine-readable outputs
-(containers, CSV, JSON) are byte-reproducible for identical inputs,
-flags, and seeds; wall-clock timings are therefore kept out of the JSON
-summaries (bench rows are measurements by nature and the one exception).
+failure, 2 configuration or shape mismatch.  Every machine-readable
+output (containers, CSV, JSON) is byte-reproducible for identical inputs,
+flags, and seeds; no output holds a wall-clock time.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ import numpy as np
 from . import io as zio
 from .errors import ConfigError, ParseError, ZacnError
 from .geometry import CameraIntrinsics, KernelSpec, compute_offsets
-from .harness import bench, paired_toy_runs
+from .harness import paired_toy_runs
 from .ops import (
     ConvWeights,
     standard_avg_pool,
@@ -134,46 +133,36 @@ def cmd_offsets(args) -> int:
     return 0
 
 
+def _run_operator(args, inputs: tuple, standard, adapted) -> int:
+    """The body of ``conv`` and ``pool``: ``standard(*inputs, spec)``, or
+    ``adapted(*inputs, offsets, spec)`` on the ``--offsets`` field, then the
+    output container and its JSON summary."""
+    spec = _spec_from_args(args)
+    if args.standard:
+        y, summary = standard(*inputs, spec), None
+    else:
+        if args.offsets is None:
+            raise ConfigError("need --offsets FILE (or pass --standard)")
+        y, summary = adapted(*inputs, zio.read_offsets(args.offsets), spec)
+    zio.write_tensor(y.data, args.out)
+    payload = {"standard": bool(args.standard)}
+    if summary is not None:
+        payload.update(summary.as_dict())
+    _write_json(_summary_path(args), payload)
+    return 0
+
+
 def cmd_conv(args) -> int:
     x = FeatureTensor(zio.read_tensor(args.input))
     warr = zio.read_tensor(args.weights)
     if warr.ndim != 4:
         raise ConfigError(f"weights container must be 4-dimensional, got {warr.ndim} dims")
-    w = ConvWeights(warr)
-    spec = _spec_from_args(args)
-    if args.standard:
-        y = standard_conv(x, w, spec)
-        summary = None
-    else:
-        if args.offsets is None:
-            raise ConfigError("need --offsets FILE (or pass --standard)")
-        offsets = zio.read_offsets(args.offsets)
-        y, summary = za_conv_forward(x, w, offsets, spec)
-    zio.write_tensor(y.data, args.out)
-    payload = {"standard": bool(args.standard)}
-    if summary is not None:
-        payload.update(summary.as_dict())
-    _write_json(_summary_path(args), payload)
-    return 0
+    return _run_operator(args, (x, ConvWeights(warr)), standard_conv, za_conv_forward)
 
 
 def cmd_pool(args) -> int:
     x = FeatureTensor(zio.read_tensor(args.input))
-    spec = _spec_from_args(args)
-    if args.standard:
-        y = standard_avg_pool(x, spec)
-        summary = None
-    else:
-        if args.offsets is None:
-            raise ConfigError("need --offsets FILE (or pass --standard)")
-        offsets = zio.read_offsets(args.offsets)
-        y, summary = za_avg_pool(x, offsets, spec)
-    zio.write_tensor(y.data, args.out)
-    payload = {"standard": bool(args.standard)}
-    if summary is not None:
-        payload.update(summary.as_dict())
-    _write_json(_summary_path(args), payload)
-    return 0
+    return _run_operator(args, (x,), standard_avg_pool, za_avg_pool)
 
 
 def _parse_at(text: str) -> list[tuple[int, int]]:
@@ -287,28 +276,14 @@ def cmd_viz(args) -> int:
     return 0
 
 
-def cmd_bench(args) -> int:
-    sizes = [int(t) for t in args.sizes.split(",") if t]
-    rows = []
-    for op in args.op:
-        rows.extend(r.as_dict() for r in bench(op, sizes, repeats=args.repeats))
-    header = ["op", "size", "param_count", "repeats", "median_ms", "p95_ms"]
-    if args.repeats == 1:
-        header = [hcol for hcol in header if hcol != "p95_ms"]
-        rows = [{k: v for k, v in r.items() if k != "p95_ms"} for r in rows]
-    if args.csv:
-        _write_csv(args.csv, header, rows)
-    if args.json:
-        _write_json(args.json, {"rows": rows})
-    if not args.csv and not args.json:
-        print(json.dumps({"rows": rows}, indent=2, sort_keys=True))
-    return 0
-
-
 def cmd_toytrain(args) -> int:
+    operators = args.operator or ["adapted", "standard"]
+    for op in operators:
+        if op not in ("adapted", "standard"):
+            raise ConfigError(f"unknown operator {op!r}")
     rows = paired_toy_runs(
-        seeds=args.seed,
-        operators=tuple(args.operator),
+        seeds=args.seed or [0],
+        operators=tuple(operators),
         epochs=args.epochs,
         learning_rate=args.lr,
         hidden=args.hidden,
@@ -320,11 +295,11 @@ def cmd_toytrain(args) -> int:
     summary = {
         "mean_miou": {
             op: float(np.mean([r["miou"] for r in rows if r["operator"] == op]))
-            for op in args.operator
+            for op in operators
         },
         "mean_pixel_acc": {
             op: float(np.mean([r["pixel_acc"] for r in rows if r["operator"] == op]))
-            for op in args.operator
+            for op in operators
         },
         "rows": rows,
     }
@@ -396,20 +371,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output SVG path")
     p.set_defaults(func=cmd_viz)
 
-    p = sub.add_parser("bench", help="time operators across sizes")
-    p.add_argument(
-        "--op",
-        action="append",
-        default=None,
-        help="operator id (repeatable): standard_conv, za_conv_direct, "
-        "standard_avg_pool, za_avg_pool, offsets",
-    )
-    p.add_argument("--sizes", default="32,64", help="comma-separated square sizes")
-    p.add_argument("--repeats", type=int, default=5)
-    p.add_argument("--csv")
-    p.add_argument("--json", dest="json")
-    p.set_defaults(func=cmd_bench)
-
     p = sub.add_parser("toytrain", help="paired toy segmentation experiment")
     p.add_argument("--operator", action="append", default=None,
                    help="standard or adapted (repeatable)")
@@ -430,17 +391,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "bench" and not args.op:
-        args.op = ["standard_conv", "za_conv_direct"]
-    if args.command == "toytrain":
-        if not args.operator:
-            args.operator = ["adapted", "standard"]
-        if not args.seed:
-            args.seed = [0]
-        for op in args.operator:
-            if op not in ("adapted", "standard"):
-                print(f"error: unknown operator {op!r}", file=sys.stderr)
-                return 2
     try:
         return args.func(args)
     except (ParseError, OSError) as exc:

@@ -1,4 +1,4 @@
-"""Synthetic RGB-D scenes, a tiny trainable network, and benchmarks.
+"""Synthetic RGB-D scenes and a tiny trainable network.
 
 The scenes are axis-aligned planes (corridor walls, floor, back wall)
 with analytically exact depth.  Surface textures are sinusoid stripes
@@ -25,37 +25,25 @@ layer-1 input gradient, which nothing reads.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigError, TrainingError
 from .geometry import CameraIntrinsics, KernelSpec, compute_offsets
-from .ops import (
-    ConvWeights,
-    conv_param_count,
-    gather_samples,
-    standard_avg_pool,
-    standard_conv,
-    za_avg_pool,
-    za_conv_backward,
-    za_conv_forward,
-)
+from .ops import ConvWeights, gather_samples, za_conv_backward, za_conv_forward
 from .tensor import DepthMap, FeatureTensor, OffsetField
 
 __all__ = [
     "SyntheticScene",
     "TrainConfig",
     "TrainResult",
-    "BenchRow",
     "generate_scene",
     "scene_plane_residuals",
     "train_toy",
     "evaluate",
     "segmentation_metrics",
     "paired_toy_runs",
-    "bench",
 ]
 
 SCENE_KINDS = ("ramp", "corridor", "frontoparallel")
@@ -127,26 +115,6 @@ class TrainResult:
     miou: float
     pixel_acc: float
     param_count: int
-
-
-@dataclass(frozen=True)
-class BenchRow:
-    op: str
-    size: int
-    param_count: int
-    repeats: int
-    median_ms: float
-    p95_ms: float | None
-
-    def as_dict(self) -> dict:
-        return {
-            "op": self.op,
-            "size": self.size,
-            "param_count": self.param_count,
-            "repeats": self.repeats,
-            "median_ms": self.median_ms,
-            "p95_ms": self.p95_ms,
-        }
 
 
 def _pixel_grid(h: int, w: int):
@@ -474,62 +442,3 @@ def paired_toy_runs(
             )
     return rows
 
-
-def bench(op: str, sizes, repeats: int = 5, channels: int = 8, kernel: int = 3) -> list[BenchRow]:
-    """Wall-time one operator across square input sizes.
-
-    Reports the median (and p95 for repeats > 1) of ``repeats`` runs and
-    the learnable parameter count, which is identical for standard and
-    adapted convolution.  The adapted ops build the offset field's
-    sampling plan in their first repeat; later repeats reuse the cache.
-    The standard ops are the adapted ones on a fresh zero field, so they
-    build its plan on every repeat.
-    """
-    known = {
-        "standard_conv",
-        "za_conv_direct",
-        "standard_avg_pool",
-        "za_avg_pool",
-        "offsets",
-    }
-    if op not in known:
-        raise ConfigError(f"unknown benchmark op {op!r}, expected one of {sorted(known)}")
-    if repeats < 1:
-        raise ConfigError(f"repeats must be >= 1, got {repeats}")
-    rng = np.random.default_rng(7)
-    rows = []
-    spec = KernelSpec.same(kernel)
-    for size in sizes:
-        x = FeatureTensor(rng.standard_normal((channels, size, size)).astype(np.float32))
-        w = ConvWeights(
-            rng.standard_normal((channels, channels, kernel, kernel)).astype(np.float32)
-        )
-        depth = DepthMap(
-            (2.0 + 0.4 * np.sin(np.arange(size) / 7.0)[None, :] * np.ones((size, 1))).astype(np.float32)
-        )
-        offsets, _ = compute_offsets(depth, CameraIntrinsics(100.0, 100.0, size / 2, size / 2), spec, size, size)
-        params = conv_param_count(channels, channels, kernel) if "conv" in op else 0
-
-        def run():
-            if op == "standard_conv":
-                standard_conv(x, w, spec)
-            elif op == "za_conv_direct":
-                za_conv_forward(x, w, offsets, spec)
-            elif op == "standard_avg_pool":
-                standard_avg_pool(x, spec)
-            elif op == "za_avg_pool":
-                za_avg_pool(x, offsets, spec)
-            else:
-                compute_offsets(depth, CameraIntrinsics(100.0, 100.0, size / 2, size / 2), spec, size, size)
-
-        times = []
-        for _ in range(repeats):
-            t0 = time.perf_counter()
-            run()
-            times.append((time.perf_counter() - t0) * 1e3)
-        times.sort()
-        median = float(np.median(times))
-        p95 = float(np.percentile(times, 95)) if repeats > 1 else None
-        rows.append(BenchRow(op=op, size=int(size), param_count=params,
-                             repeats=repeats, median_ms=median, p95_ms=p95))
-    return rows

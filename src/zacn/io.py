@@ -83,17 +83,16 @@ def _read_pfm(buf: bytes, path) -> DepthMap:
     pos += 1  # exactly one whitespace byte separates header and payload
 
     expected = width * height * 4
-    payload = buf[pos : pos + expected]
-    if len(payload) != expected:
+    if len(buf) - pos < expected:
         raise ParseError(
-            f"PFM payload truncated: expected {expected} bytes, got {len(payload)}",
+            f"PFM payload truncated: expected {expected} bytes, got {len(buf) - pos}",
             path=path,
             offset=pos,
         )
     dt = "<f4" if scale < 0 else ">f4"
-    rows = np.frombuffer(payload, dtype=dt).reshape(height, width)
-    # PFM stores rows bottom-up; normalize to top-down.  DepthMap makes the
-    # one native-endian float32 copy.
+    rows = np.frombuffer(buf, dtype=dt, count=width * height, offset=pos).reshape(height, width)
+    # PFM stores rows bottom-up; normalize to top-down.  The rows are a view
+    # of the file bytes, and DepthMap makes the one native-endian copy.
     return DepthMap(np.flipud(rows))
 
 

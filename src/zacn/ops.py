@@ -34,7 +34,6 @@ BLAS thread counts.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -95,17 +94,17 @@ class ConvWeights:
 
 @dataclass(frozen=True)
 class OpSummary:
-    """Bookkeeping for one adapted-operator invocation.
+    """Border statistics of one adapted-operator invocation.
 
     ``degenerate_pixels`` counts output pixels where at least one tap
     sampled fully outside the input (contributing nothing);
     ``oob_sample_fraction`` is the fraction of all (pixel, tap) samples
-    whose bilinear weights were clipped by the border at all.
+    whose bilinear weights were clipped by the border at all.  Both depend
+    only on the field, the spec and the input shape; no timing is kept.
     """
 
     degenerate_pixels: int
     oob_sample_fraction: float
-    elapsed_seconds: float
 
     def __post_init__(self):
         if not (0.0 <= self.oob_sample_fraction <= 1.0):
@@ -114,7 +113,7 @@ class OpSummary:
             )
 
     def as_dict(self) -> dict:
-        """The reproducible fields; ``elapsed_seconds`` is left out."""
+        """The fields as a JSON-ready dict."""
         return {
             "degenerate_pixels": self.degenerate_pixels,
             "oob_sample_fraction": self.oob_sample_fraction,
@@ -245,7 +244,6 @@ def za_conv_forward(
     are gathered one at a time unless ``samples``, the
     :func:`gather_samples` of ``x``, are given.
     """
-    t0 = time.perf_counter()
     out_h, out_w = _check_conv_shapes(x, w, spec)
     _check_offsets(offsets, spec, out_h, out_w)
     if samples is not None:
@@ -268,8 +266,7 @@ def za_conv_forward(
     for n, tap in enumerate(taps):
         out += np.einsum("oi,ihw->ohw", w2[:, :, n], tap, out=prod)
 
-    summary = OpSummary(plan.degenerate, plan.oob_fraction, time.perf_counter() - t0)
-    return FeatureTensor(out), summary
+    return FeatureTensor(out), OpSummary(plan.degenerate, plan.oob_fraction)
 
 
 def za_conv_backward(
@@ -339,7 +336,6 @@ def za_avg_pool(
     fall outside the input (they contribute zero), which darkens borders
     rather than re-weighting them.
     """
-    t0 = time.perf_counter()
     out_h, out_w = spec.output_shape(x.height, x.width)
     _check_offsets(offsets, spec, out_h, out_w)
     plan = _sampling_plan(offsets, spec, x.height, x.width)
@@ -350,5 +346,4 @@ def za_avg_pool(
     for n in range(spec.tap_count):
         out += _bilinear_gather(data, plan.idx[:, n], plan.wgt[:, n], samp, tmp)
     out /= spec.tap_count
-    summary = OpSummary(plan.degenerate, plan.oob_fraction, time.perf_counter() - t0)
-    return FeatureTensor(out), summary
+    return FeatureTensor(out), OpSummary(plan.degenerate, plan.oob_fraction)

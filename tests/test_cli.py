@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+import zacn
 from zacn import (
     CameraIntrinsics,
     ConvWeights,
@@ -259,20 +260,6 @@ class TestVizCommand:
         assert "--at" in capsys.readouterr().err
 
 
-class TestBenchCommand:
-    def test_param_columns_equal_across_operators(self, tmp_path):
-        rc = run_cli(
-            "bench", "--op", "standard_conv", "--op", "za_conv_direct",
-            "--sizes", "16", "--repeats", "1", "--csv", tmp_path / "b.csv",
-        )
-        assert rc == 0
-        lines = (tmp_path / "b.csv").read_text().strip().splitlines()
-        header = lines[0].split(",")
-        assert "p95_ms" not in header  # single measurement, no variance column
-        params = [row.split(",")[header.index("param_count")] for row in lines[1:]]
-        assert params[0] == params[1] == "576"
-
-
 class TestToytrainCommand:
     def test_seeded_runs_byte_identical(self, tmp_path):
         args = [
@@ -303,11 +290,75 @@ class TestToytrainCommand:
         payload = json.loads((tmp_path / "t.json").read_text())
         assert set(payload["mean_miou"]) == {"adapted", "standard"}
 
-    def test_unknown_operator(self, tmp_path):
+    def test_unknown_operator(self, tmp_path, capsys):
         rc = run_cli(
             "toytrain", "--operator", "quantum", "--seed", "1", "--csv", tmp_path / "t.csv"
         )
         assert rc == 2
+        assert capsys.readouterr().err == "error: unknown operator 'quantum'\n"
+        assert not (tmp_path / "t.csv").exists()
+
+
+# Runs every CLI command once per ZACN_THREADS value into its own folder.
+# BLAS reads its thread count when numpy loads, so the parent starts one
+# interpreter per OPENBLAS_NUM_THREADS value.
+_THREADS_CHILD = r"""
+import os, sys
+from zacn.cli import main
+inputs, root = sys.argv[1:]
+inp = lambda name: os.path.join(inputs, name)
+for zacn_threads in ("1", "2"):
+    os.environ["ZACN_THREADS"] = zacn_threads
+    out = os.path.join(root, f"blas{os.environ['OPENBLAS_NUM_THREADS']}-zacn{zacn_threads}")
+    os.makedirs(out)
+    res = lambda name: os.path.join(out, name)
+    commands = [
+        ["offsets", "--depth", inp("depth.pfm"), "--intrinsics", inp("K.txt"),
+         "--out", res("o.zacn")],
+        ["conv", "--input", inp("x.zacn"), "--weights", inp("w.zacn"),
+         "--offsets", res("o.zacn"), "--out", res("conv.zacn")],
+        ["conv", "--input", inp("x.zacn"), "--weights", inp("w.zacn"), "--standard",
+         "--out", res("conv_standard.zacn")],
+        ["pool", "--input", inp("x.zacn"), "--offsets", res("o.zacn"), "--padding", "same",
+         "--out", res("pool.zacn")],
+        ["pool", "--input", inp("x.zacn"), "--standard", "--out", res("pool_standard.zacn")],
+        ["toytrain", "--epochs", "2", "--hidden", "4",
+         "--csv", res("toy.csv"), "--json", res("toy.json")],
+    ]
+    for argv in commands:
+        if main(argv) != 0:
+            sys.exit(f"zacn {argv[0]} failed under ZACN_THREADS={zacn_threads}")
+"""
+
+
+class TestThreadCountReproducibility:
+    def test_outputs_byte_identical_across_thread_counts(self, tmp_path, rng):
+        # 120x160 makes two row tiles of the offset field, so two workers share them
+        scene = generate_scene("corridor", 120, 160, seed=5)
+        inputs = tmp_path / "inputs"
+        inputs.mkdir()
+        write_depth(scene.depth, inputs / "depth.pfm")
+        (inputs / "K.txt").write_text("fu=519\nfv=519\nwidth=160\nheight=120\n")
+        write_tensor(rng.standard_normal((3, 120, 160)).astype(np.float32), inputs / "x.zacn")
+        write_tensor(rng.standard_normal((4, 3, 3, 3)).astype(np.float32), inputs / "w.zacn")
+        src = os.path.dirname(os.path.dirname(zacn.__file__))
+        for blas_threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=blas_threads,
+                       PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+            proc = subprocess.run(
+                [sys.executable, "-c", _THREADS_CHILD, str(inputs), str(tmp_path / "runs")],
+                env=env, capture_output=True, text=True,
+            )
+            assert proc.returncode == 0, proc.stderr
+        runs = sorted((tmp_path / "runs").iterdir())
+        assert len(runs) == 4
+        names = sorted(p.name for p in runs[0].iterdir())
+        assert len(names) == 12  # 5 containers with a JSON summary each, the toy CSV and JSON
+        for run in runs[1:]:
+            assert sorted(p.name for p in run.iterdir()) == names
+            for name in names:
+                assert (run / name).read_bytes() == (runs[0] / name).read_bytes(), \
+                    f"{run.name}/{name} differs from {runs[0].name}/{name}"
 
 
 class TestEntryPoint:

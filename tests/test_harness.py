@@ -15,9 +15,7 @@ from zacn import (
     za_conv_forward,
 )
 from zacn.harness import (
-    BenchRow,
     TrainConfig,
-    bench,
     evaluate,
     generate_scene,
     scene_plane_residuals,
@@ -219,37 +217,3 @@ class TestTrainToy:
             TrainConfig(epochs=0)
         with pytest.raises(ConfigError):
             TrainConfig(operator="zigzag")
-
-
-class TestBench:
-    def test_parameter_parity(self):
-        rows_std = bench("standard_conv", [16], repeats=1)
-        rows_za = bench("za_conv_direct", [16], repeats=1)
-        assert rows_std[0].param_count == rows_za[0].param_count == conv_param_count(8, 8, 3)
-
-    def test_single_repeat_has_no_variance_column(self):
-        rows = bench("za_conv_direct", [16], repeats=1)
-        assert rows[0].p95_ms is None
-        assert rows[0].median_ms > 0
-
-    def test_multiple_repeats(self):
-        rows = bench("offsets", [16, 24], repeats=3)
-        assert [r.size for r in rows] == [16, 24]
-        for r in rows:
-            assert isinstance(r, BenchRow)
-            assert r.p95_ms is not None and r.p95_ms >= r.median_ms
-
-    def test_unknown_op(self):
-        with pytest.raises(ConfigError):
-            bench("quantum_conv", [16])
-
-    def test_adapted_slowdown_ratio_reported(self):
-        # measured, not asserted: offsets precompute + adapted forward
-        # vs the standard forward at 64x64
-        std = bench("standard_conv", [64], repeats=3)[0]
-        ada = bench("za_conv_direct", [64], repeats=3)[0]
-        off = bench("offsets", [64], repeats=3)[0]
-        ratio = (ada.median_ms + off.median_ms) / std.median_ms
-        print(f"\nadapted+offsets vs standard at 64x64: {ratio:.2f}x "
-              f"({off.median_ms:.2f}+{ada.median_ms:.2f} vs {std.median_ms:.2f} ms)")
-        assert ratio > 0  # sanity only; the number itself is the result

@@ -176,6 +176,21 @@ class TestContainer:
         assert field.data.shape == (18, 480, 640)
         assert peak < 2 * size + 4 * 2**20, f"peak {peak / 2**20:.1f} MiB for a {size / 2**20:.1f} MiB file"
 
+    def test_read_depth_pfm_copies_payload_once(self, tmp_path):
+        # the file bytes plus the depth map's one owned copy; at 1080x1920 a
+        # second copy of the 7.9 MiB payload would exceed the 4 MiB allowance
+        path = tmp_path / "d.pfm"
+        write_depth(DepthMap(np.ones((1080, 1920), np.float32)), path)
+        size = path.stat().st_size
+        tracemalloc.start()
+        try:
+            depth = read_depth(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert depth.data.shape == (1080, 1920)
+        assert peak < 2 * size + 4 * 2**20, f"peak {peak / 2**20:.1f} MiB for a {size / 2**20:.1f} MiB file"
+
 
 class TestIntrinsics:
     def test_explicit_values(self, tmp_path):
