@@ -71,10 +71,10 @@ _RANK_TOL = 1e-9
 # |n1|, |n3| <= 1e-3) so every normal in that zone tie-breaks to n2 >= 0
 # and the fallback frame is constant there instead of flipping on noise.
 _SIGN_TOL = 1e-3
-# Byte budget of one float64 (taps, rows, out_w) temporary of a
-# ``compute_offsets`` row tile.  A tile makes a few dozen such arrays; at
-# 480x640 budgets of 0.75-1.5 MiB ran fastest, and peak memory grows with
-# the budget above that.
+# Byte budget of a row tile: one float64 (taps, rows, out_w) temporary of
+# ``compute_offsets`` (a tile makes a few dozen; 0.75-1.5 MiB ran fastest
+# at 480x640), and the float64 (ci*taps, rows, out_w) samples of a
+# ``zacn.ops`` convolution tile.  Peak memory grows with the budget.
 _TILE_BYTES = 1 << 20
 
 

@@ -16,11 +16,11 @@ logits trained with softmax cross-entropy and plain full-batch gradient
 descent.  Both operator choices of the 3x3 layer run through the adapted
 kernels (the standard one with an all-zero offset field, which is
 exactly the standard convolution), so parameter counts match by
-construction.  The 1x1 head is a plain per-pixel contraction over the
-hidden channels (logits and both gradients), which is bit for bit the
-adapted 1x1 convolution on a zero field.  Offsets never change, so
-training gathers each scene's layer-1 samples once and never forms the
-layer-1 input gradient, which nothing reads.
+construction.  The 1x1 head runs ``ops._conv_gemm``, the adapted
+convolution's matmul, for the logits and both gradients, so it is bit
+for bit the adapted 1x1 convolution on a zero field.  Offsets never
+change, so training gathers each scene's layer-1 samples once and never
+forms the layer-1 input gradient, which nothing reads.
 """
 
 from __future__ import annotations
@@ -31,8 +31,8 @@ import numpy as np
 
 from .errors import ConfigError, TrainingError
 from .geometry import CameraIntrinsics, KernelSpec, compute_offsets
-from .ops import ConvWeights, gather_samples, za_conv_backward, za_conv_forward
-from .tensor import DepthMap, FeatureTensor, OffsetField
+from .ops import ConvWeights, _conv_gemm, gather_samples, za_conv_backward, za_conv_forward
+from .tensor import DepthMap, FeatureTensor, OffsetField, _all_finite
 
 __all__ = [
     "SyntheticScene",
@@ -293,7 +293,7 @@ def _forward(x, w1, head, offsets, spec, samples=None):
     """Layer-1 pre-activation, float64 hidden activations, and logits."""
     pre, _ = za_conv_forward(x, w1, offsets, spec, samples=samples)
     hidden = np.maximum(pre.data, 0.0).astype(np.float64)
-    logits = FeatureTensor(np.einsum("oi,ihw->ohw", head, hidden))
+    logits = FeatureTensor(_conv_gemm(hidden, w2=head)[0])
     return pre, hidden, logits
 
 
@@ -343,8 +343,8 @@ def train_toy(scenes, cfg: TrainConfig, eval_scenes=None) -> TrainResult:
                 loss, dlogits = _softmax_cross_entropy(logits.data, onehot)
                 total_loss += loss
                 g = dlogits.astype(np.float64)
-                dw2 = np.einsum("ohw,ihw->oi", g, hidden).astype(np.float32)
-                dhidden = np.einsum("oi,ohw->ihw", head, g).astype(np.float32)
+                dw2 = _conv_gemm(hidden, g=g)[1].astype(np.float32)
+                dhidden = _conv_gemm(g, w2=head.T)[0].astype(np.float32)
                 dpre = FeatureTensor(dhidden * (pre.data > 0))
                 _, dw1 = za_conv_backward(x, w1, offsets, spec, dpre,
                                           samples=samples, need_grad_x=False)
@@ -363,7 +363,7 @@ def train_toy(scenes, cfg: TrainConfig, eval_scenes=None) -> TrainResult:
         if cfg.learning_rate > 0:
             new1 = (w1.data - cfg.learning_rate * gw1 / len(prepared)).astype(np.float32)
             new2 = (w2.data - cfg.learning_rate * gw2 / len(prepared)).astype(np.float32)
-            if not (np.all(np.isfinite(new1)) and np.all(np.isfinite(new2))):
+            if not (_all_finite(new1) and _all_finite(new2)):
                 raise TrainingError(f"weights became non-finite at epoch {epoch}", epoch=epoch)
             w1 = ConvWeights(new1)
             w2 = ConvWeights(new2)

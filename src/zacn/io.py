@@ -83,9 +83,9 @@ def _read_pfm(buf: bytes, path) -> DepthMap:
     pos += 1  # exactly one whitespace byte separates header and payload
 
     expected = width * height * 4
-    if len(buf) - pos < expected:
+    if len(buf) - pos != expected:  # short, or with bytes after the payload
         raise ParseError(
-            f"PFM payload truncated: expected {expected} bytes, got {len(buf) - pos}",
+            f"PFM payload length mismatch: expected {expected} bytes, got {len(buf) - pos}",
             path=path,
             offset=pos,
         )

@@ -14,22 +14,20 @@ float64 weights (0 off the image) of the bilinear neighbors of every tap
 sample, plus the border statistics.  The plan keeps only the neighbor
 slots that carry weight somewhere, so zero and integer fields read one
 neighbor per sample, fields fractional only in x two, and others four.
-Forward and pooling stream it one tap at a time; backward gathers every
-tap and scatters gradients with the same indices and weights.  Positions
-far off the image sample zero padding.
+Positions far off the image sample zero padding.
 
-Gathering is split from contracting: :func:`gather_samples` returns the
-all-tap samples that backward gathers, and forward and backward accept
-them as ``samples`` in place of their own gather, with the same bits.  A
-caller that convolves one input over one fixed field many times, as
-training with geometry-fixed offsets does, gathers once.  Backward with
-``need_grad_x=False`` skips the scatter and returns only the weight
-gradient.
+The plan is a deformable im2col: every convolution contraction, forward
+and backward, is one float64 matmul over the joint ``ci*taps`` axis per
+row tile of the output (:func:`_conv_gemm`), gathered tile by tile.
+Pooling sums the plan one tap at a time, and backward scatters the input
+gradient through it.  :func:`gather_samples` returns the all-tap samples,
+which forward and backward accept as ``samples`` in place of their own
+gather, with the same bits, so training over a fixed field gathers once.
+Backward with ``need_grad_x=False`` skips the scatter.
 
-Every kernel here is vectorized single-threaded numpy with a fixed
-accumulation order (einsum without BLAS dispatch, sequential bincount
-scatter), so outputs are bit-identical across runs and unaffected by
-BLAS thread counts.
+The tiles depend only on the shapes and the scatter is a sequential
+bincount, so outputs are bit-identical across runs and across BLAS thread
+counts (OpenBLAS never splits the contracted axis over threads).
 """
 
 from __future__ import annotations
@@ -38,11 +36,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import geometry
 from .errors import ConfigError
 from .geometry import KernelSpec
 from .tensor import (
     FeatureTensor,
     OffsetField,
+    _all_finite,
     _bilinear_gather,
     _bilinear_scatter_weights,
 )
@@ -68,9 +68,9 @@ class ConvWeights:
 
     def __post_init__(self):
         arr = np.array(self.data, dtype=np.float32, order="C")  # owned, as in tensor._as_float32
-        if arr.ndim != 4 or arr.shape[2] != arr.shape[3]:
+        if arr.ndim != 4 or arr.shape[2] != arr.shape[3] or arr.size == 0:
             raise ConfigError(f"weights must be (co, ci, N, N), got shape {arr.shape}")
-        if not np.all(np.isfinite(arr)):
+        if not _all_finite(arr):
             raise ConfigError("weights contain non-finite values")
         arr.setflags(write=False)
         object.__setattr__(self, "data", arr)
@@ -202,6 +202,48 @@ def _sampling_plan(offsets: OffsetField, spec: KernelSpec, h: int, w: int) -> _S
     return plan
 
 
+def _conv_gemm(src, w2=None, g=None):
+    """The contractions of a convolution over its samples: one float64
+    matmul over the joint ``k = ci*taps`` axis per row tile of the output.
+
+    ``src`` is either the float64 ``(..., oh, ow)`` samples, whose leading
+    axes hold ``k`` values, or an ``(x, plan)`` pair whose samples are
+    gathered here one tile at a time into two reused buffers.  A tile is a
+    run of output rows whose samples fit ``geometry._TILE_BYTES``.  Returns
+    ``(out, grad_w)``: with ``w2`` of shape ``(co, k)`` the ``(co, oh, ow)``
+    output ``w2 @ samples``, and with ``g`` of shape ``(co, oh, ow)`` the
+    ``(co, k)`` weight gradient ``g @ samples.T``, summed over the tiles in
+    order.  The tiles and the matmul shapes depend only on the shapes, so
+    either ``src`` gives the same bits.
+    """
+    if isinstance(src, tuple):
+        x, plan = src
+        data = x.data.astype(np.float64).reshape(x.channels, -1)
+        *lead, oh, ow = (x.channels,) + plan.idx.shape[1:]
+    else:
+        data, (*lead, oh, ow) = None, src.shape
+    k = int(np.prod(lead))
+    rows = min(oh, max(1, geometry._TILE_BYTES // (k * ow * 8)))
+    buf = None if data is None else np.empty((2, k * rows * ow))
+    out = None if w2 is None else np.empty((len(w2), oh, ow))
+    grad_w = None if g is None else np.zeros((len(g), k))
+    for r0 in range(0, oh, rows):
+        r1 = min(r0 + rows, oh)
+        if data is None:
+            t = src[..., r0:r1, :]
+        else:
+            t = _bilinear_gather(data, plan.idx[..., r0:r1, :], plan.wgt[..., r0:r1, :],
+                                 *(b[:k * (r1 - r0) * ow].reshape(*lead, -1, ow) for b in buf))
+        t = t.reshape(k, -1)
+        if out is not None:
+            # one output row makes a gemv, whose bits follow the tile's strides
+            np.matmul(w2, t if len(w2) > 1 else np.ascontiguousarray(t),
+                      out=out[:, r0:r1].reshape(len(w2), -1))
+        if grad_w is not None:
+            grad_w += g[:, r0:r1].reshape(len(g), -1) @ t.T
+    return out, grad_w
+
+
 def standard_conv(x: FeatureTensor, w: ConvWeights, spec: KernelSpec) -> FeatureTensor:
     """Convolution over the regular dilated grid with zero padding: the
     adapted convolution on a zero offset field."""
@@ -211,7 +253,7 @@ def standard_conv(x: FeatureTensor, w: ConvWeights, spec: KernelSpec) -> Feature
 
 def _check_samples(samples: np.ndarray, x: FeatureTensor, spec: KernelSpec, out_h: int, out_w: int):
     want = (x.channels, spec.tap_count, out_h, out_w)
-    if samples.shape != want or samples.dtype != np.float64:
+    if samples is not None and (samples.shape != want or samples.dtype != np.float64):
         raise ConfigError(
             f"samples are {samples.dtype} {samples.shape}, expected float64 {want}"
         )
@@ -239,33 +281,16 @@ def za_conv_forward(
 ) -> tuple[FeatureTensor, OpSummary]:
     """Depth-adapted convolution: taps read ``regular grid + offset``.
 
-    Accumulates one tap at a time in float64: each tap's bilinear samples
-    are contracted with that tap's weights and added to the output.  Taps
-    are gathered one at a time unless ``samples``, the
-    :func:`gather_samples` of ``x``, are given.
+    Each row tile of the output is one float64 matmul of the ``(co,
+    ci*taps)`` weights with the tile's bilinear samples, gathered one tile
+    at a time unless ``samples``, the :func:`gather_samples` of ``x``, are given.
     """
     out_h, out_w = _check_conv_shapes(x, w, spec)
     _check_offsets(offsets, spec, out_h, out_w)
-    if samples is not None:
-        _check_samples(samples, x, spec, out_h, out_w)
+    _check_samples(samples, x, spec, out_h, out_w)
     plan = _sampling_plan(offsets, spec, x.height, x.width)
-    w2 = w.data.astype(np.float64).reshape(w.out_channels, w.in_channels, spec.tap_count)
-
-    if samples is None:
-        data = x.data.astype(np.float64).reshape(x.channels, -1)
-        # per-tap buffers, reused: fresh ones would fault in new pages each tap
-        samp = np.empty((x.channels, out_h, out_w), dtype=np.float64)
-        tmp = np.empty_like(samp)
-        taps = (_bilinear_gather(data, plan.idx[:, n], plan.wgt[:, n], samp, tmp)
-                for n in range(spec.tap_count))
-    else:
-        taps = (samples[:, n] for n in range(spec.tap_count))
-
-    out = np.zeros((w.out_channels, out_h, out_w), dtype=np.float64)
-    prod = np.empty_like(out)
-    for n, tap in enumerate(taps):
-        out += np.einsum("oi,ihw->ohw", w2[:, :, n], tap, out=prod)
-
+    w2 = w.data.astype(np.float64).reshape(w.out_channels, -1)
+    out, _ = _conv_gemm((x, plan) if samples is None else samples, w2=w2)
     return FeatureTensor(out), OpSummary(plan.degenerate, plan.oob_fraction)
 
 
@@ -294,20 +319,16 @@ def za_conv_backward(
             f"grad_out shape {grad_out.data.shape} does not match output "
             f"({w.out_channels}, {out_h}, {out_w})"
         )
-    if samples is None:
-        samples = gather_samples(x, offsets, spec)
-    else:
-        _check_samples(samples, x, spec, out_h, out_w)
+    _check_samples(samples, x, spec, out_h, out_w)
+    plan = _sampling_plan(offsets, spec, x.height, x.width)
     g = grad_out.data.astype(np.float64)
-    grad_w = np.einsum("ohw,inhw->oin", g, samples).reshape(w.data.shape)
-    del samples  # a gathered copy is freed before the scatter below
+    grad_w = _conv_gemm((x, plan) if samples is None else samples, g=g)[1].reshape(w.data.shape)
     if not need_grad_x:
         return None, ConvWeights(grad_w)
 
     # Per-tap upstream gradient for each input channel, then bilinear scatter.
-    plan = _sampling_plan(offsets, spec, x.height, x.width)
-    w2 = w.data.astype(np.float64).reshape(w.out_channels, w.in_channels, spec.tap_count)
-    gpix = np.einsum("oin,ohw->inhw", w2, g)  # (ci, n2, oh, ow)
+    w2 = w.data.astype(np.float64).reshape(w.out_channels, -1)
+    gpix = _conv_gemm(g, w2=w2.T)[0].reshape(x.channels, spec.tap_count, out_h, out_w)
     flat_idx = plan.idx.ravel()
     grad_x = np.empty((x.channels, x.height * x.width), dtype=np.float64)
     contrib = np.empty_like(plan.wgt)

@@ -74,6 +74,13 @@ class TestPFM:
             read_depth(path)
         assert "64" in str(exc.value) and "10" in str(exc.value)
 
+    def test_trailing_bytes_name_lengths(self, tmp_path):
+        path = tmp_path / "t.pfm"
+        path.write_bytes(b"Pf\n2 2\n-1.0\n" + b"\x00" * 16 + b"garbage-trailing-bytes")
+        with pytest.raises(ParseError) as exc:
+            read_depth(path)
+        assert "16" in str(exc.value) and "38" in str(exc.value)
+
     def test_garbage_header(self, tmp_path):
         for body in (b"Pf\nx y\n-1.0\n", b"Pf\n2 2\nzz\n", b"Pf\n-3 2\n-1.0\n", b"Pf\n2 2\n0.0\n"):
             path = tmp_path / "g.pfm"

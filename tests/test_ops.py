@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -20,7 +21,8 @@ from zacn import (
     za_conv_backward,
     za_conv_forward,
 )
-from zacn.ops import _sample_positions, _sampling_plan
+from zacn import geometry
+from zacn.ops import _conv_gemm, _sample_positions, _sampling_plan
 from zacn.tensor import _bilinear_scatter_weights
 
 from conftest import rand_feature, rand_offsets, rand_weights
@@ -294,6 +296,56 @@ class TestGatheredSamples:
             gather_samples(x, rand_offsets(rng, 3, 4, 6), spec)
 
 
+# (input h, w, spec): a 1-wide output, a 1-row output and stride 2
+TILE_CASES = [(13, 1, KernelSpec.same(3)), (1, 9, KernelSpec.same(3)),
+              (15, 11, KernelSpec(3, dilation=2, stride=2, padding=2))]
+
+
+class TestRowTiles:
+    @pytest.mark.parametrize("h, w, spec", TILE_CASES)
+    @pytest.mark.parametrize("co", [1, 3])
+    def test_samples_keep_every_bit_for_any_tile(self, rng, monkeypatch, h, w, spec, co):
+        oh, ow = spec.output_shape(h, w)
+        x, g = rand_feature(rng, 2, h, w), rand_feature(rng, co, oh, ow)
+        wts = rand_weights(rng, co, 2, spec.size)
+        field = kind_field(rng, "general", spec, h, w)
+        samples = gather_samples(x, field, spec)
+        # the float64 sums, before the float32 rounding that hides most last-bit moves
+        gathered = (x, _sampling_plan(field, spec, h, w))
+        w2, g64 = wts.data.astype(np.float64).reshape(co, -1), g.data.astype(np.float64)
+        row_bytes = 2 * spec.tap_count * ow * 8  # the float64 samples of one output row
+        whole, _ = za_conv_forward(x, wts, field, spec)
+        for rows in (1, 3, 7, oh):
+            monkeypatch.setattr(geometry, "_TILE_BYTES", rows * row_bytes)
+            for a, b in zip(_conv_gemm(gathered, w2, g64), _conv_gemm(samples, w2, g64)):
+                assert a.tobytes() == b.tobytes()
+            y, _ = za_conv_forward(x, wts, field, spec)
+            assert za_conv_forward(x, wts, field, spec, samples=samples)[0].data.tobytes() == y.data.tobytes()
+            np.testing.assert_allclose(y.data, whole.data, rtol=1e-6, atol=1e-6)
+            gx, gw = za_conv_backward(x, wts, field, spec, g)
+            gx2, gw2 = za_conv_backward(x, wts, field, spec, g, samples=samples)
+            assert gx2.data.tobytes() == gx.data.tobytes()
+            assert gw2.data.tobytes() == gw.data.tobytes()
+
+    def test_forward_memory_is_tiled(self, rng):
+        # 480x640, 16 -> 16 channels, plan cached by a first call: what is
+        # left is the float64 output, the float64 copy of the input and a few
+        # tiles; gathering all 9 taps at once would take 338 MiB
+        spec = KernelSpec.same(3)
+        x, wts = rand_feature(rng, 16, 480, 640), rand_weights(rng, 16, 16, 3)
+        field = kind_field(rng, "integer", spec, 480, 640)
+        za_conv_forward(x, wts, field, spec)
+        tracemalloc.start()
+        try:
+            y, _ = za_conv_forward(x, wts, field, spec)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        out64 = 16 * 480 * 640 * 8
+        assert y.data.shape == (16, 480, 640)
+        assert peak < 2 * out64 + 4 * geometry._TILE_BYTES, f"peak {peak / 2**20:.1f} MiB"
+
+
 # Unit roundoff of float32: the operators accumulate in float64 and round
 # each output element once to float32, within a relative 2**-24.
 F32_UNIT = 2.0**-24
@@ -481,3 +533,9 @@ class TestParamCount:
         assert conv_param_count(8, 8, 3) == 576
         w = ConvWeights(np.zeros((8, 8, 3, 3), np.float32))
         assert w.param_count == conv_param_count(8, 8, 3)
+
+    @pytest.mark.parametrize("bad", [np.zeros((0, 2, 3, 3)), np.zeros((2, 2, 3, 2)),
+                                     np.full((2, 2, 3, 3), np.nan), np.full((1, 1, 1, 1), -np.inf)])
+    def test_malformed_weights_rejected(self, bad):
+        with pytest.raises(ConfigError):
+            ConvWeights(bad)
