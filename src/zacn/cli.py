@@ -154,10 +154,8 @@ def _run_operator(args, inputs: tuple, standard, adapted) -> int:
 
 def cmd_conv(args) -> int:
     x = FeatureTensor(zio.read_tensor(args.input))
-    warr = zio.read_tensor(args.weights)
-    if warr.ndim != 4:
-        raise ConfigError(f"weights container must be 4-dimensional, got {warr.ndim} dims")
-    return _run_operator(args, (x, ConvWeights(warr)), standard_conv, za_conv_forward)
+    w = ConvWeights(zio.read_tensor(args.weights))
+    return _run_operator(args, (x, w), standard_conv, za_conv_forward)
 
 
 def cmd_pool(args) -> int:
@@ -208,8 +206,6 @@ def render_sampling_svg(depth: DepthMap, K: CameraIntrinsics, spec: KernelSpec,
     h, w = depth.height, depth.width
     out_h, out_w = spec.output_shape(h, w)
     field, _ = compute_offsets(depth, K, spec, out_h, out_w, workers=_workers())
-    n = spec.size
-    c = spec.center
     s = scale
 
     parts = [
@@ -226,27 +222,25 @@ def render_sampling_svg(depth: DepthMap, K: CameraIntrinsics, spec: KernelSpec,
             )
     half = 0.22 * s
     for u0, v0 in points:
-        off = field.data[:, v0, u0].astype(np.float64).reshape(n * n, 2)
-        for ki in range(n):
-            for kj in range(n):
-                tap = ki * n + kj
-                su = u0 + spec.dilation * (kj - c)
-                sv = v0 + spec.dilation * (ki - c)
-                x = (su + 0.5) * s
-                y = (sv + 0.5) * s
-                parts.append(
-                    f'<rect class="standard-tap" x="{_num(x - half)}" y="{_num(y - half)}" '
-                    f'width="{_num(2 * half)}" height="{_num(2 * half)}" '
-                    f'fill="none" stroke="#1f77b4" stroke-width="1"/>'
-                )
-                au = su + off[tap, 1]
-                av = sv + off[tap, 0]
-                cx = (au + 0.5) * s
-                cy = (av + 0.5) * s
-                parts.append(
-                    f'<circle class="adapted-tap" cx="{_num(cx)}" cy="{_num(cy)}" '
-                    f'r="{_num(0.18 * s)}" fill="#ff7f0e" fill-opacity="0.85"/>'
-                )
+        off = field.data[:, v0, u0].astype(np.float64).reshape(-1, 2)
+        # the query pixel is its own output pixel: unit stride, "same" padding
+        tv, tu = spec.tap_positions([v0], [u0])
+        for tap, (sv, su) in enumerate(zip(tv.ravel().tolist(), tu.ravel().tolist())):
+            x = (su + 0.5) * s
+            y = (sv + 0.5) * s
+            parts.append(
+                f'<rect class="standard-tap" x="{_num(x - half)}" y="{_num(y - half)}" '
+                f'width="{_num(2 * half)}" height="{_num(2 * half)}" '
+                f'fill="none" stroke="#1f77b4" stroke-width="1"/>'
+            )
+            au = su + off[tap, 1]
+            av = sv + off[tap, 0]
+            cx = (au + 0.5) * s
+            cy = (av + 0.5) * s
+            parts.append(
+                f'<circle class="adapted-tap" cx="{_num(cx)}" cy="{_num(cy)}" '
+                f'r="{_num(0.18 * s)}" fill="#ff7f0e" fill-opacity="0.85"/>'
+            )
         parts.append(
             f'<circle class="query-center" cx="{_num((u0 + 0.5) * s)}" '
             f'cy="{_num((v0 + 0.5) * s)}" r="{_num(0.3 * s)}" '
@@ -257,6 +251,8 @@ def render_sampling_svg(depth: DepthMap, K: CameraIntrinsics, spec: KernelSpec,
 
 
 def cmd_viz(args) -> int:
+    if args.scale < 1:
+        raise ConfigError(f"--scale must be >= 1, got {args.scale}")
     depth = zio.read_depth(args.depth)
     K = _load_intrinsics(args, depth)
     points = _parse_at(args.at)

@@ -71,10 +71,10 @@ _RANK_TOL = 1e-9
 # |n1|, |n3| <= 1e-3) so every normal in that zone tie-breaks to n2 >= 0
 # and the fallback frame is constant there instead of flipping on noise.
 _SIGN_TOL = 1e-3
-# Byte budget of a row tile: one float64 (taps, rows, out_w) temporary of
-# ``compute_offsets`` (a tile makes a few dozen; 0.75-1.5 MiB ran fastest
-# at 480x640), and the float64 (ci*taps, rows, out_w) samples of a
-# ``zacn.ops`` convolution tile.  Peak memory grows with the budget.
+# Byte budget of a ``_row_tiles`` run: one float64 (taps, rows, out_w)
+# temporary of ``compute_offsets`` (a tile makes a few dozen; 0.75-1.5 MiB
+# ran fastest at 480x640), and the float64 (ci*taps, rows, out_w) samples
+# of a ``zacn.ops`` convolution or pooling tile.  Peak memory grows with it.
 _TILE_BYTES = 1 << 20
 
 
@@ -101,8 +101,7 @@ class KernelSpec:
     """Kernel geometry of the regular sampling grid.
 
     ``size`` must be odd so a center tap exists; taps are enumerated
-    row-major, tap ``(i, j)`` sitting at displacement
-    ``(dilation * (i - c), dilation * (j - c))`` with ``c = (size-1)//2``.
+    row-major and placed by :meth:`tap_positions`.
     """
 
     size: int
@@ -151,11 +150,14 @@ class KernelSpec:
             )
         return oh, ow
 
-    def tap_grid(self) -> tuple[np.ndarray, np.ndarray]:
-        """Row/column displacements of all taps, row-major, shape (N*N,)."""
-        c = self.center
-        ii, jj = np.meshgrid(np.arange(self.size), np.arange(self.size), indexing="ij")
-        return (self.dilation * (ii.ravel() - c), self.dilation * (jj.ravel() - c))
+    def tap_positions(self, rows, cols) -> tuple[np.ndarray, np.ndarray]:
+        """Regular int64 input positions ``(v, u)`` of every tap of the output
+        pixels ``rows`` x ``cols``, ``stride * (y, x) - padding + dilation *
+        (i, j)`` for tap ``(i, j)``: ``(N*N, len(rows), len(cols))`` broadcast views."""
+        i, j = np.divmod(np.arange(self.tap_count)[:, None, None], self.size)
+        v = np.asarray(rows, dtype=np.int64)[:, None] * self.stride - self.padding
+        u = np.asarray(cols, dtype=np.int64) * self.stride - self.padding
+        return np.broadcast_arrays(v + self.dilation * i, u + self.dilation * j)
 
 
 @dataclass(frozen=True)
@@ -394,6 +396,13 @@ def basis_from_normal(n) -> tuple[np.ndarray, np.ndarray]:
     return x, y
 
 
+def _row_tiles(rows: int, row_bytes: int) -> list[tuple[int, int]]:
+    """Runs ``(r0, r1)`` of ``rows`` rows of ``row_bytes`` bytes each, as many
+    rows as fit ``_TILE_BYTES`` (at least one) in every run but the last."""
+    step = max(1, _TILE_BYTES // row_bytes)
+    return [(r, min(r + step, rows)) for r in range(0, rows, step)]
+
+
 def _offset_block(
     depth64: np.ndarray,
     valid_depth: np.ndarray,
@@ -407,21 +416,11 @@ def _offset_block(
     pixel counts of those rows.  Tiles that do not overlap touch disjoint
     parts of ``out``, so they can run concurrently."""
     row_start, row_stop = rows
-    out_w = out.shape[2]
     h, w = depth64.shape
-    c = spec.center
-    center_tap = c * spec.size + c
-    di, dj = spec.tap_grid()
-
-    oy = np.arange(row_start, row_stop, dtype=np.int64)
-    ox = np.arange(out_w, dtype=np.int64)
-    base_v = oy * spec.stride - spec.padding + spec.dilation * c
-    base_u = ox * spec.stride - spec.padding + spec.dilation * c
+    center_tap = spec.center * spec.size + spec.center
 
     # Nominal (unclamped) tap coordinates p + p_n, shape (n2, rows, ow).
-    tv = base_v[None, :, None] + di[:, None, None]
-    tu = base_u[None, None, :] + dj[:, None, None]
-    tv, tu = np.broadcast_arrays(tv, tu)
+    tv, tu = spec.tap_positions(range(row_start, row_stop), range(out.shape[2]))
     tvc = np.clip(tv, 0, h - 1)
     tuc = np.clip(tu, 0, w - 1)
 
@@ -469,10 +468,9 @@ def compute_offsets(
 
     The output has ``2 * N * N`` channels of shape ``(out_h, out_w)``:
     channel ``2n`` is the row displacement and ``2n + 1`` the column
-    displacement of tap ``n`` (row-major taps).  ``(out_h, out_w)`` must
-    match the convolution output shape implied by ``spec`` on the depth
-    dimensions; output centers sit at ``stride * p_out - padding +
-    dilation * (N-1)/2`` on the input grid.
+    displacement of tap ``n`` from :meth:`KernelSpec.tap_positions`.
+    ``(out_h, out_w)`` must match the convolution output shape implied by
+    ``spec`` on the depth dimensions.
 
     Output rows are processed in tiles of as many rows as keep one float64
     ``(N*N, rows, out_w)`` temporary within ``_TILE_BYTES``, so the working
@@ -490,8 +488,7 @@ def compute_offsets(
     valid = depth.valid_mask()
     out = np.empty((spec.offset_channels, out_h, out_w), dtype=np.float32)
 
-    tile_rows = max(1, _TILE_BYTES // (spec.tap_count * out_w * 8))
-    tiles = [(r, min(r + tile_rows, out_h)) for r in range(0, out_h, tile_rows)]
+    tiles = _row_tiles(out_h, spec.tap_count * out_w * 8)
     nworkers = 1 if workers is None else max(1, min(int(workers), len(tiles)))
 
     def run(rows):

@@ -76,8 +76,8 @@ def _read_pfm(buf: bytes, path) -> DepthMap:
         scale = float(stok)
     except ValueError as exc:
         raise ParseError(f"bad PFM scale factor {stok!r}", path=path, offset=pos) from exc
-    if scale == 0.0:
-        raise ParseError("PFM scale factor must be nonzero", path=path, offset=pos)
+    if scale == 0.0 or not np.isfinite(scale):  # its sign picks the byte order
+        raise ParseError("PFM scale factor must be finite and nonzero", path=path, offset=pos)
     if pos >= len(buf) or buf[pos : pos + 1] not in _WHITESPACE:
         raise ParseError("missing whitespace after PFM scale", path=path, offset=pos)
     pos += 1  # exactly one whitespace byte separates header and payload

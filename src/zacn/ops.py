@@ -18,12 +18,12 @@ Positions far off the image sample zero padding.
 
 The plan is a deformable im2col: every convolution contraction, forward
 and backward, is one float64 matmul over the joint ``ci*taps`` axis per
-row tile of the output (:func:`_conv_gemm`), gathered tile by tile.
-Pooling sums the plan one tap at a time, and backward scatters the input
-gradient through it.  :func:`gather_samples` returns the all-tap samples,
-which forward and backward accept as ``samples`` in place of their own
-gather, with the same bits, so training over a fixed field gathers once.
-Backward with ``need_grad_x=False`` skips the scatter.
+row tile of the output (:func:`_conv_gemm`), gathered tile by tile;
+pooling sums the same tiles' taps in plan order.  Backward scatters the
+input gradient through the plan.  :func:`gather_samples` returns the
+all-tap samples, which forward and backward accept as ``samples`` in
+place of their own gather, with the same bits, so training over a fixed
+field gathers once.  Backward with ``need_grad_x=False`` skips the scatter.
 
 The tiles depend only on the shapes and the scatter is a sequential
 bincount, so outputs are bit-identical across runs and across BLAS thread
@@ -32,6 +32,7 @@ counts (OpenBLAS never splits the contracted axis over threads).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -153,14 +154,9 @@ def _check_offsets(offsets: OffsetField, spec: KernelSpec, out_h: int, out_w: in
 def _sample_positions(spec: KernelSpec, offsets: OffsetField):
     """Deformed sampling positions (u, v), each (N*N, out_h, out_w) float64."""
     oh, ow = offsets.height, offsets.width
-    c = spec.center
-    di, dj = spec.tap_grid()
-    base_v = np.arange(oh, dtype=np.float64) * spec.stride - spec.padding + spec.dilation * c
-    base_u = np.arange(ow, dtype=np.float64) * spec.stride - spec.padding + spec.dilation * c
+    v, u = spec.tap_positions(range(oh), range(ow))
     off = offsets.data.reshape(spec.tap_count, 2, oh, ow)  # float32, added exactly in float64
-    v = base_v[None, :, None] + di[:, None, None] + off[:, 0]
-    u = base_u[None, None, :] + dj[:, None, None] + off[:, 1]
-    return u, v
+    return u + off[:, 1], v + off[:, 0]
 
 
 def _oob_stats(h: int, w: int, u: np.ndarray, v: np.ndarray) -> tuple[int, float]:
@@ -202,38 +198,43 @@ def _sampling_plan(offsets: OffsetField, spec: KernelSpec, h: int, w: int) -> _S
     return plan
 
 
-def _conv_gemm(src, w2=None, g=None):
-    """The contractions of a convolution over its samples: one float64
-    matmul over the joint ``k = ci*taps`` axis per row tile of the output.
+def _samples_shape(src) -> tuple[int, int, int]:
+    """``(k, oh, ow)``: ``k`` samples per output pixel of a :func:`_sample_tiles` source."""
+    shape = (src[0].channels,) + src[1].idx.shape[1:] if isinstance(src, tuple) else src.shape
+    return math.prod(shape[:-2]), *shape[-2:]
 
-    ``src`` is either the float64 ``(..., oh, ow)`` samples, whose leading
-    axes hold ``k`` values, or an ``(x, plan)`` pair whose samples are
-    gathered here one tile at a time into two reused buffers.  A tile is a
-    run of output rows whose samples fit ``geometry._TILE_BYTES``.  Returns
-    ``(out, grad_w)``: with ``w2`` of shape ``(co, k)`` the ``(co, oh, ow)``
-    output ``w2 @ samples``, and with ``g`` of shape ``(co, oh, ow)`` the
-    ``(co, k)`` weight gradient ``g @ samples.T``, summed over the tiles in
-    order.  The tiles and the matmul shapes depend only on the shapes, so
-    either ``src`` gives the same bits.
-    """
-    if isinstance(src, tuple):
-        x, plan = src
-        data = x.data.astype(np.float64).reshape(x.channels, -1)
-        *lead, oh, ow = (x.channels,) + plan.idx.shape[1:]
-    else:
-        data, (*lead, oh, ow) = None, src.shape
-    k = int(np.prod(lead))
-    rows = min(oh, max(1, geometry._TILE_BYTES // (k * ow * 8)))
-    buf = None if data is None else np.empty((2, k * rows * ow))
+
+def _sample_tiles(src):
+    """Yield ``(r0, r1, samples[..., r0:r1, :])`` for the row tiles of the
+    float64 samples ``src``, or of an ``(x, plan)`` pair's ``(ci, taps, oh,
+    ow)`` samples gathered into two buffers that the next tile overwrites.
+    A tile is a run of rows whose samples fit ``geometry._TILE_BYTES``."""
+    k, oh, ow = _samples_shape(src)
+    tiles = geometry._row_tiles(oh, k * ow * 8)
+    if not isinstance(src, tuple):
+        yield from ((r0, r1, src[..., r0:r1, :]) for r0, r1 in tiles)
+        return
+    x, plan = src
+    data = x.data.astype(np.float64).reshape(x.channels, -1)
+    buf = np.empty((2, k * tiles[0][1] * ow))
+    for r0, r1 in tiles:
+        rows = np.s_[..., r0:r1, :]
+        bufs = (b[:k * (r1 - r0) * ow].reshape(x.channels, -1, r1 - r0, ow) for b in buf)
+        yield r0, r1, _bilinear_gather(data, plan.idx[rows], plan.wgt[rows], *bufs)
+
+
+def _conv_gemm(src, w2=None, g=None):
+    """One float64 matmul per row tile over the joint ``k = ci*taps`` axis
+    of the ``(k, oh, ow)`` samples of ``src``, a :func:`_sample_tiles`
+    source.  Returns ``(out, grad_w)``: for ``w2`` of shape ``(co, k)`` the
+    ``(co, oh, ow)`` output ``w2 @ samples``, and for ``g`` of shape ``(co,
+    oh, ow)`` the ``(co, k)`` weight gradient ``g @ samples.T``, summed over
+    the tiles in order.  The tiles and the matmul shapes depend only on the
+    shapes, so either source gives the same bits."""
+    k, oh, ow = _samples_shape(src)
     out = None if w2 is None else np.empty((len(w2), oh, ow))
     grad_w = None if g is None else np.zeros((len(g), k))
-    for r0 in range(0, oh, rows):
-        r1 = min(r0 + rows, oh)
-        if data is None:
-            t = src[..., r0:r1, :]
-        else:
-            t = _bilinear_gather(data, plan.idx[..., r0:r1, :], plan.wgt[..., r0:r1, :],
-                                 *(b[:k * (r1 - r0) * ow].reshape(*lead, -1, ow) for b in buf))
+    for r0, r1, t in _sample_tiles(src):
         t = t.reshape(k, -1)
         if out is not None:
             # one output row makes a gemv, whose bits follow the tile's strides
@@ -242,6 +243,16 @@ def _conv_gemm(src, w2=None, g=None):
         if grad_w is not None:
             grad_w += g[:, r0:r1].reshape(len(g), -1) @ t.T
     return out, grad_w
+
+
+def _pool_sum(x: FeatureTensor, plan: _SamplingPlan) -> np.ndarray:
+    """The float64 ``(ci, oh, ow)`` sum of all taps of ``x`` through ``plan``,
+    added in plan order within each row tile, so the tiles change no bit."""
+    out = np.zeros((x.channels,) + plan.idx.shape[2:])
+    for r0, r1, t in _sample_tiles((x, plan)):
+        for n in range(t.shape[1]):
+            out[:, r0:r1] += t[:, n]
+    return out
 
 
 def standard_conv(x: FeatureTensor, w: ConvWeights, spec: KernelSpec) -> FeatureTensor:
@@ -360,11 +371,6 @@ def za_avg_pool(
     out_h, out_w = spec.output_shape(x.height, x.width)
     _check_offsets(offsets, spec, out_h, out_w)
     plan = _sampling_plan(offsets, spec, x.height, x.width)
-    data = x.data.astype(np.float64).reshape(x.channels, -1)
-    out = np.zeros((x.channels, out_h, out_w), dtype=np.float64)
-    samp = np.empty_like(out)
-    tmp = np.empty_like(out)
-    for n in range(spec.tap_count):
-        out += _bilinear_gather(data, plan.idx[:, n], plan.wgt[:, n], samp, tmp)
+    out = _pool_sum(x, plan)
     out /= spec.tap_count
     return FeatureTensor(out), OpSummary(plan.degenerate, plan.oob_fraction)

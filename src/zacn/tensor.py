@@ -198,7 +198,7 @@ def _bilinear_gather(
     that carry no weight.  Returns float64 samples of shape
     ``(C,) + idx.shape[1:]``, summed over the neighbors in plan order.
     ``out`` and ``tmp``, if given, are float64 buffers of that shape which
-    the gather overwrites, so that a loop over taps or row tiles allocates
+    the gather overwrites, so that a loop over row tiles allocates
     nothing per step; ``out`` is returned.
     """
     shape = (data.shape[0],) + idx.shape[1:]

@@ -153,6 +153,15 @@ class TestConvPoolCommands:
         )
         assert rc == 2
 
+    def test_weights_of_wrong_rank_exit_2(self, workdir, rng, capsys):
+        write_tensor(rng.standard_normal((4, 3, 9)).astype(np.float32), workdir / "w3.zacn")
+        rc = run_cli(
+            "conv", "--input", workdir / "x.zacn", "--weights", workdir / "w3.zacn",
+            "--standard", "--out", workdir / "y.zacn",
+        )
+        assert rc == 2
+        assert "(4, 3, 9)" in capsys.readouterr().err
+
     def test_pipeline_matches_library(self, workdir, rng):
         # offsets command then conv command == direct library composition
         assert run_cli(
@@ -258,6 +267,16 @@ class TestVizCommand:
         )
         assert rc == 2
         assert "--at" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("scale", [0, -3])
+    def test_scale_below_one_exit_2(self, workdir, capsys, scale):
+        rc = run_cli(
+            "viz", "--depth", workdir / "depth.pfm", "--intrinsics", workdir / "K.txt",
+            "--at", "3,4", "--scale", scale, "--out", workdir / "v.svg",
+        )
+        assert rc == 2
+        assert "--scale" in capsys.readouterr().err
+        assert not (workdir / "v.svg").exists()
 
 
 class TestToytrainCommand:

@@ -22,6 +22,7 @@ from zacn import (
     write_offsets,
     write_tensor,
 )
+from zacn.cli import main
 
 from conftest import smooth_depth
 
@@ -80,6 +81,17 @@ class TestPFM:
         with pytest.raises(ParseError) as exc:
             read_depth(path)
         assert "16" in str(exc.value) and "38" in str(exc.value)
+
+    @pytest.mark.parametrize("scale", [b"nan", b"inf", b"-inf"])
+    def test_non_finite_scale_rejected(self, tmp_path, scale):
+        # the scale's sign picks the byte order: a NaN scale read this
+        # payload as big-endian garbage and -inf as little-endian
+        path = tmp_path / "s.pfm"
+        path.write_bytes(b"Pf\n2 2\n" + scale + b"\n" + struct.pack("<4f", 1.0, 2.0, 3.0, 4.0))
+        with pytest.raises(ParseError, match="finite"):
+            read_depth(path)
+        argv = ["offsets", "--depth", path, "--fu", 1, "--fv", 1, "--out", tmp_path / "o"]
+        assert main([str(a) for a in argv]) == 1
 
     def test_garbage_header(self, tmp_path):
         for body in (b"Pf\nx y\n-1.0\n", b"Pf\n2 2\nzz\n", b"Pf\n-3 2\n-1.0\n", b"Pf\n2 2\n0.0\n"):

@@ -22,7 +22,7 @@ from zacn import (
     za_conv_forward,
 )
 from zacn import geometry
-from zacn.ops import _conv_gemm, _sample_positions, _sampling_plan
+from zacn.ops import _conv_gemm, _pool_sum, _sample_positions, _sampling_plan
 from zacn.tensor import _bilinear_scatter_weights
 
 from conftest import rand_feature, rand_offsets, rand_weights
@@ -315,10 +315,18 @@ class TestRowTiles:
         w2, g64 = wts.data.astype(np.float64).reshape(co, -1), g.data.astype(np.float64)
         row_bytes = 2 * spec.tap_count * ow * 8  # the float64 samples of one output row
         whole, _ = za_conv_forward(x, wts, field, spec)
+        # pooling adds the taps in plan order; a reduction over the tap axis
+        # pairs the terms of a 1x1 tile and moves the float64 sums
+        pool_sum = np.zeros((2, oh, ow))
+        for n in range(spec.tap_count):
+            pool_sum += samples[:, n]
+        pooled, _ = za_avg_pool(x, field, spec)
         for rows in (1, 3, 7, oh):
             monkeypatch.setattr(geometry, "_TILE_BYTES", rows * row_bytes)
             for a, b in zip(_conv_gemm(gathered, w2, g64), _conv_gemm(samples, w2, g64)):
                 assert a.tobytes() == b.tobytes()
+            assert _pool_sum(*gathered).tobytes() == pool_sum.tobytes()
+            assert za_avg_pool(x, field, spec)[0].data.tobytes() == pooled.data.tobytes()
             y, _ = za_conv_forward(x, wts, field, spec)
             assert za_conv_forward(x, wts, field, spec, samples=samples)[0].data.tobytes() == y.data.tobytes()
             np.testing.assert_allclose(y.data, whole.data, rtol=1e-6, atol=1e-6)
@@ -338,6 +346,24 @@ class TestRowTiles:
         tracemalloc.start()
         try:
             y, _ = za_conv_forward(x, wts, field, spec)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        out64 = 16 * 480 * 640 * 8
+        assert y.data.shape == (16, 480, 640)
+        assert peak < 2 * out64 + 4 * geometry._TILE_BYTES, f"peak {peak / 2**20:.1f} MiB"
+
+    def test_pool_memory_is_tiled(self, rng):
+        # as for the forward: the float64 sums, the float64 copy of the input
+        # and a few tiles; whole-image sample and temporary buffers per tap
+        # would take 169 MiB
+        spec = KernelSpec.same(3)
+        x = rand_feature(rng, 16, 480, 640)
+        field = kind_field(rng, "integer", spec, 480, 640)
+        za_avg_pool(x, field, spec)
+        tracemalloc.start()
+        try:
+            y, _ = za_avg_pool(x, field, spec)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
