@@ -14,6 +14,7 @@ flags, and seeds; no output holds a wall-clock time.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import os
 import sys
@@ -52,23 +53,14 @@ def _workers() -> int:
     return n
 
 
-def _parse_padding(value: str, size: int, dilation: int) -> int:
-    if value == "same":
-        return dilation * (size - 1) // 2
-    try:
-        pad = int(value)
-    except ValueError as exc:
-        raise ConfigError(f"--padding must be an integer or 'same', got {value!r}") from exc
-    return pad
-
-
 def _spec_from_args(args) -> KernelSpec:
-    return KernelSpec(
-        size=args.kernel,
-        dilation=args.dilation,
-        stride=args.stride,
-        padding=_parse_padding(args.padding, args.kernel, args.dilation),
-    )
+    if args.padding == "same":
+        return KernelSpec.same(args.kernel, args.dilation, args.stride)
+    try:
+        padding = int(args.padding)
+    except ValueError as exc:
+        raise ConfigError(f"--padding must be an integer or 'same', got {args.padding!r}") from exc
+    return KernelSpec(args.kernel, args.dilation, args.stride, padding)
 
 
 def _load_intrinsics(args, depth: DepthMap) -> CameraIntrinsics:
@@ -88,15 +80,11 @@ def _write_json(path, payload: dict) -> None:
 
 
 def _write_csv(path, header: list[str], rows: list[dict]) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        cells = []
-        for key in header:
-            val = row[key]
-            cells.append(repr(val) if isinstance(val, float) else str(val))
-        lines.append(",".join(cells))
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write("\n".join(lines) + "\n")
+    # csv writes str(value), and str(float) is the shortest round-trip repr
+    with open(path, "w", encoding="utf-8", newline="") as f:
+        writer = csv.DictWriter(f, header, lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(rows)
 
 
 def _summary_path(args) -> str:
@@ -289,16 +277,12 @@ def cmd_toytrain(args) -> int:
     if args.csv:
         _write_csv(args.csv, header, rows)
     summary = {
-        "mean_miou": {
-            op: float(np.mean([r["miou"] for r in rows if r["operator"] == op]))
-            for op in operators
-        },
-        "mean_pixel_acc": {
-            op: float(np.mean([r["pixel_acc"] for r in rows if r["operator"] == op]))
-            for op in operators
-        },
-        "rows": rows,
+        f"mean_{key}": {
+            op: float(np.mean([r[key] for r in rows if r["operator"] == op])) for op in operators
+        }
+        for key in ("miou", "pixel_acc")
     }
+    summary["rows"] = rows
     if args.json:
         _write_json(args.json, summary)
     if not args.csv and not args.json:

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -169,11 +169,8 @@ class OffsetSummary:
     basis_fallback_pixels: int
 
     def as_dict(self) -> dict:
-        return {
-            "total_pixels": self.total_pixels,
-            "degenerate_pixels": self.degenerate_pixels,
-            "basis_fallback_pixels": self.basis_fallback_pixels,
-        }
+        """The fields as a JSON-ready dict."""
+        return asdict(self)
 
 
 def _back_project(u, v, z, K: CameraIntrinsics):
@@ -188,35 +185,25 @@ def _plane_normals(dx: np.ndarray, dy: np.ndarray, dz: np.ndarray):
     Returns normals ``(h, w, 3)`` and the mask of collinear or
     single-point neighborhoods.
     """
-    scat = np.empty(dx.shape[1:] + (3, 3), dtype=np.float64)
-    scat[..., 0, 0] = np.einsum("nhw,nhw->hw", dx, dx)
-    scat[..., 1, 1] = np.einsum("nhw,nhw->hw", dy, dy)
-    scat[..., 2, 2] = np.einsum("nhw,nhw->hw", dz, dz)
-    scat[..., 0, 1] = scat[..., 1, 0] = np.einsum("nhw,nhw->hw", dx, dy)
-    scat[..., 0, 2] = scat[..., 2, 0] = np.einsum("nhw,nhw->hw", dx, dz)
-    scat[..., 1, 2] = scat[..., 2, 1] = np.einsum("nhw,nhw->hw", dy, dz)
-    (_, lam_mid, lam_max), normal = _smallest_eigenpair_sym3(scat)
+    sums = [np.einsum("nhw,nhw->hw", a, b)
+            for a, b in ((dx, dx), (dy, dy), (dz, dz), (dx, dy), (dx, dz), (dy, dz))]
+    (_, lam_mid, lam_max), normal = _smallest_eigenpair_sym3(*sums)
     return normal, (lam_max <= 0.0) | (lam_mid <= _RANK_TOL * lam_max)
 
 
-def _smallest_eigenpair_sym3(s: np.ndarray) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
-    """Closed-form eigendecomposition of symmetric 3x3 matrices.
+def _smallest_eigenpair_sym3(a00, a11, a22, a01, a02, a12):
+    """Closed-form eigendecomposition of symmetric 3x3 matrices ``S``.
 
-    ``s`` has shape ``(..., 3, 3)``.  Returns ``((lam_min, lam_mid,
-    lam_max), v_min)`` where ``v_min`` is the unit eigenvector of the
-    smallest eigenvalue with the deterministic sign convention
-    ``n3 >= 0`` (ties: ``n1 >= 0``, then ``n2 >= 0``).  Eigenvalues come
-    from the trigonometric solution of the characteristic cubic; the
-    eigenvector is the largest cross product of rows of ``S - lam*I``,
-    which is exact for the fronto-parallel (block-diagonal) case.
+    The arguments are the six distinct entries ``S[i, j]`` (``i <= j``),
+    float64 arrays of one shape ``(...)``.  Returns ``((lam_min, lam_mid,
+    lam_max), v_min)`` where ``v_min`` (shape ``(..., 3)``) is the unit
+    eigenvector of the smallest eigenvalue with the deterministic sign
+    convention ``n3 >= 0`` (ties: ``n1 >= 0``, then ``n2 >= 0``).
+    Eigenvalues come from the trigonometric solution of the characteristic
+    cubic; the eigenvector is the largest cross product of rows of
+    ``S - lam*I``, which is exact for the fronto-parallel (block-diagonal)
+    case.
     """
-    a00 = s[..., 0, 0]
-    a11 = s[..., 1, 1]
-    a22 = s[..., 2, 2]
-    a01 = s[..., 0, 1]
-    a02 = s[..., 0, 2]
-    a12 = s[..., 1, 2]
-
     q = (a00 + a11 + a22) / 3.0
     b00 = a00 - q
     b11 = a11 - q

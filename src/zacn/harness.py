@@ -21,6 +21,10 @@ convolution's matmul, for the logits and both gradients, so it is bit
 for bit the adapted 1x1 convolution on a zero field.  Offsets never
 change, so training gathers each scene's layer-1 samples once and never
 forms the layer-1 input gradient, which nothing reads.
+
+The experiment has one fixed setup: a 3x3 first layer with "same"
+padding, trained on two 48x64 corridor scenes per seed and evaluated on
+one held-out scene of the same kind.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, TrainingError
-from .geometry import CameraIntrinsics, KernelSpec, compute_offsets
+from .geometry import CameraIntrinsics, KernelSpec, _back_project, compute_offsets
 from .ops import ConvWeights, _conv_gemm, gather_samples, za_conv_backward, za_conv_forward
 from .tensor import DepthMap, FeatureTensor, OffsetField, _all_finite
 
@@ -61,6 +65,9 @@ _LEFT_DELTA = 0.45
 _RIGHT_DELTA = 0.12
 _NOISE_SIGMA = 0.1
 _BACK_FRACTION = 0.2  # halfwidth of the back wall as a fraction of image width
+# The toy model's first layer.  It is fixed: the experiment compares the
+# standard and the adapted sampling grid, not kernel shapes.
+_SPEC = KernelSpec.same(3)
 
 
 @dataclass(frozen=True)
@@ -95,8 +102,6 @@ class TrainConfig:
     seed: int = 0
     operator: str = "adapted"  # "standard" | "adapted"
     hidden: int = 24
-    kernel: int = 3
-    dilation: int = 1
     assumed_focal: float | None = None  # override scene intrinsics for offsets
 
     def __post_init__(self):
@@ -104,6 +109,10 @@ class TrainConfig:
             raise ConfigError(f"learning rate must be >= 0, got {self.learning_rate}")
         if self.epochs < 1:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        if self.hidden < 1:
+            raise ConfigError(f"hidden size must be >= 1, got {self.hidden}")
         if self.operator not in ("standard", "adapted"):
             raise ConfigError(f"operator must be 'standard' or 'adapted', got {self.operator!r}")
 
@@ -135,6 +144,8 @@ def generate_scene(kind: str, h: int, w: int, seed: int, focal: float = 519.0) -
         raise ConfigError(f"unknown scene kind {kind!r}, expected one of {SCENE_KINDS}")
     if h < 16 or w < 16:
         raise ConfigError(f"scene dims must be >= 16, got {h}x{w}")
+    if seed < 0:
+        raise ConfigError(f"scene seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     K = CameraIntrinsics(fu=focal, fv=focal, cu=(w - 1) / 2, cv=(h - 1) / 2)
     u, v = _pixel_grid(h, w)
@@ -180,9 +191,7 @@ def generate_scene(kind: str, h: int, w: int, seed: int, focal: float = 519.0) -
 
     # True back-projection of every pixel (the scene generator knows the
     # real intrinsics; the offset generator may later assume other ones).
-    points = np.stack(
-        [(u - K.cu) * depth / K.fu, (v - K.cv) * depth / K.fv, depth], axis=-1
-    )
+    points = np.stack(_back_project(u, v, depth, K), axis=-1)
 
     period_map = np.zeros((h, w))
     phase_map = np.zeros((h, w))
@@ -227,7 +236,7 @@ def scene_plane_residuals(scene: SyntheticScene) -> np.ndarray:
     u, v = _pixel_grid(h, w)
     K = scene.intrinsics
     z = scene.depth.data.astype(np.float64)
-    pts = np.stack([(u - K.cu) * z / K.fu, (v - K.cv) * z / K.fv, z], axis=-1)
+    pts = np.stack(_back_project(u, v, z, K), axis=-1)
     res = np.full((h, w), np.nan)
     for plane in scene.description["planes"]:
         n = np.asarray(plane["normal"], dtype=np.float64)  # unit by construction
@@ -255,14 +264,14 @@ def segmentation_metrics(pred: np.ndarray, labels: np.ndarray, num_classes: int)
     return miou, pixel_acc
 
 
-def _scene_offsets(scene: SyntheticScene, cfg: TrainConfig, spec: KernelSpec) -> OffsetField:
+def _scene_offsets(scene: SyntheticScene, cfg: TrainConfig) -> OffsetField:
     h, w = scene.depth.height, scene.depth.width
     if cfg.operator == "standard":
-        return OffsetField.zeros(spec.size, h, w)
+        return OffsetField.zeros(_SPEC.size, h, w)
     K = scene.intrinsics
     if cfg.assumed_focal is not None:
         K = CameraIntrinsics(cfg.assumed_focal, cfg.assumed_focal, K.cu, K.cv)
-    field, _ = compute_offsets(scene.depth, K, spec, h, w)
+    field, _ = compute_offsets(scene.depth, K, _SPEC, h, w)
     return field
 
 
@@ -289,19 +298,19 @@ def _head(w2: ConvWeights) -> np.ndarray:
     return w2.data[:, :, 0, 0].astype(np.float64)
 
 
-def _forward(x, w1, head, offsets, spec, samples=None):
+def _forward(x, w1, head, offsets, samples=None):
     """Layer-1 pre-activation, float64 hidden activations, and logits."""
-    pre, _ = za_conv_forward(x, w1, offsets, spec, samples=samples)
+    pre, _ = za_conv_forward(x, w1, offsets, _SPEC, samples=samples)
     hidden = np.maximum(pre.data, 0.0).astype(np.float64)
     logits = FeatureTensor(_conv_gemm(hidden, w2=head)[0])
     return pre, hidden, logits
 
 
-def train_toy(scenes, cfg: TrainConfig, eval_scenes=None) -> TrainResult:
+def train_toy(scenes, cfg: TrainConfig, eval_scenes) -> TrainResult:
     """Train the two-layer toy segmenter with full-batch gradient descent.
 
-    Metrics come from ``eval_scenes`` when given (held-out evaluation),
-    else from the training scenes.  Runs are bit-reproducible for a
+    The metrics are :func:`evaluate` on ``eval_scenes``; pass the training
+    scenes again to score the fit.  Runs are bit-reproducible for a
     fixed config.  Raises :class:`TrainingError` naming the epoch if the
     loss, an activation, or a weight goes non-finite.
     """
@@ -310,12 +319,12 @@ def train_toy(scenes, cfg: TrainConfig, eval_scenes=None) -> TrainResult:
         raise ConfigError("need at least one training scene")
     num_classes = max(s.num_classes for s in scenes)
     c_in = scenes[0].features.channels
-    spec = KernelSpec.same(cfg.kernel, dilation=cfg.dilation)
+    k = _SPEC.size
     rng = np.random.default_rng(cfg.seed)
 
     w1 = ConvWeights(
-        (rng.standard_normal((cfg.hidden, c_in, cfg.kernel, cfg.kernel))
-         * np.sqrt(2.0 / (c_in * cfg.kernel * cfg.kernel))).astype(np.float32)
+        (rng.standard_normal((cfg.hidden, c_in, k, k))
+         * np.sqrt(2.0 / (c_in * k * k))).astype(np.float32)
     )
     w2 = ConvWeights(
         (rng.standard_normal((num_classes, cfg.hidden, 1, 1))
@@ -326,8 +335,8 @@ def train_toy(scenes, cfg: TrainConfig, eval_scenes=None) -> TrainResult:
     # are the same in every epoch: build them once.
     prepared = []
     for s in scenes:
-        offsets = _scene_offsets(s, cfg, spec)
-        samples = gather_samples(s.features, offsets, spec)
+        offsets = _scene_offsets(s, cfg)
+        samples = gather_samples(s.features, offsets, _SPEC)
         prepared.append((s, offsets, samples, _one_hot(s.labels, num_classes)))
 
     losses: list[float] = []
@@ -339,14 +348,14 @@ def train_toy(scenes, cfg: TrainConfig, eval_scenes=None) -> TrainResult:
         for scene, offsets, samples, onehot in prepared:
             x = scene.features
             try:
-                pre, hidden, logits = _forward(x, w1, head, offsets, spec, samples)
+                pre, hidden, logits = _forward(x, w1, head, offsets, samples)
                 loss, dlogits = _softmax_cross_entropy(logits.data, onehot)
                 total_loss += loss
                 g = dlogits.astype(np.float64)
                 dw2 = _conv_gemm(hidden, g=g)[1].astype(np.float32)
                 dhidden = _conv_gemm(g, w2=head.T)[0].astype(np.float32)
                 dpre = FeatureTensor(dhidden * (pre.data > 0))
-                _, dw1 = za_conv_backward(x, w1, offsets, spec, dpre,
+                _, dw1 = za_conv_backward(x, w1, offsets, _SPEC, dpre,
                                           samples=samples, need_grad_x=False)
             except ConfigError as exc:
                 if "non-finite" in str(exc):
@@ -368,29 +377,20 @@ def train_toy(scenes, cfg: TrainConfig, eval_scenes=None) -> TrainResult:
             w1 = ConvWeights(new1)
             w2 = ConvWeights(new2)
 
-    if eval_scenes is None:  # the training fields, plans included, serve again
-        miou, acc = _evaluate_fields([p[:2] for p in prepared], (w1, w2), spec)
-    else:
-        del prepared  # free the fields' cached sampling plans; evaluate builds its own
-        miou, acc = evaluate(eval_scenes, (w1, w2), cfg)
+    del prepared  # free the fields' cached sampling plans; evaluate builds its own
+    miou, acc = evaluate(eval_scenes, (w1, w2), cfg)
     params = w1.param_count + w2.param_count
     return TrainResult(weights=(w1, w2), losses=losses, miou=miou, pixel_acc=acc, param_count=params)
 
 
 def evaluate(scenes, weights, cfg: TrainConfig):
     """Mean (mIoU, pixel accuracy) of a trained model over scenes."""
-    spec = KernelSpec.same(cfg.kernel, dilation=cfg.dilation)
-    return _evaluate_fields(((s, _scene_offsets(s, cfg, spec)) for s in scenes), weights, spec)
-
-
-def _evaluate_fields(prepared, weights, spec: KernelSpec):
-    """Mean (mIoU, pixel accuracy) over ``(scene, offset field)`` pairs."""
     w1, w2 = weights
     head = _head(w2)
     mious = []
     accs = []
-    for scene, offsets in prepared:
-        _, _, logits = _forward(scene.features, w1, head, offsets, spec)
+    for scene in scenes:
+        _, _, logits = _forward(scene.features, w1, head, _scene_offsets(scene, cfg))
         pred = np.argmax(logits.data, axis=0)
         miou, acc = segmentation_metrics(pred, scene.labels, w2.out_channels)
         mious.append(miou)
@@ -405,22 +405,18 @@ def paired_toy_runs(
     learning_rate: float = 0.5,
     hidden: int = 24,
     assumed_focal: float | None = None,
-    kind: str = "corridor",
-    h: int = 48,
-    w: int = 64,
-    train_scenes: int = 2,
 ) -> list[dict]:
     """Paired experiment rows: every operator sees identical scenes per seed.
 
-    Each seed gets its own training scenes plus one held-out evaluation
-    scene; returns one dict per (seed, operator) suitable for CSV/JSON.
+    Each seed gets two 48x64 corridor training scenes plus one held-out
+    corridor scene; returns one dict per (seed, operator) suitable for
+    CSV/JSON.  ``assumed_focal`` applies to the adapted operator only.
     """
     rows = []
     for seed in seeds:
-        train = [generate_scene(kind, h, w, seed=1000 + 10 * seed + i) for i in range(train_scenes)]
-        evals = [generate_scene(kind, h, w, seed=9000 + seed)]
-        for op in operators:
-            cfg = TrainConfig(
+        # the configs first, so a bad seed is reported as given
+        cfgs = [
+            TrainConfig(
                 learning_rate=learning_rate,
                 epochs=epochs,
                 seed=seed,
@@ -428,11 +424,16 @@ def paired_toy_runs(
                 hidden=hidden,
                 assumed_focal=assumed_focal if op == "adapted" else None,
             )
+            for op in operators
+        ]
+        train = [generate_scene("corridor", 48, 64, seed=1000 + 10 * seed + i) for i in range(2)]
+        evals = [generate_scene("corridor", 48, 64, seed=9000 + seed)]
+        for cfg in cfgs:
             result = train_toy(train, cfg, evals)
             rows.append(
                 {
                     "seed": seed,
-                    "operator": op,
+                    "operator": cfg.operator,
                     "epochs": epochs,
                     "final_loss": result.losses[-1],
                     "miou": result.miou,

@@ -12,6 +12,7 @@ object boundary would fabricate phantom depths that corrupt plane fits.
 
 from __future__ import annotations
 
+import math
 import struct
 from pathlib import Path
 
@@ -61,13 +62,11 @@ def _read_pfm(buf: bytes, path) -> DepthMap:
     if magic != b"Pf":
         raise ParseError(f"bad PFM magic {magic!r}", path=path, offset=0)
 
-    try:
-        wtok, pos = _next_token(buf, pos, path)
-        width = int(wtok)
-        htok, pos = _next_token(buf, pos, path)
-        height = int(htok)
-    except ValueError as exc:
-        raise ParseError(f"bad PFM dimensions: {exc}", path=path, offset=pos) from exc
+    wtok, pos = _next_token(buf, pos, path)
+    htok, pos = _next_token(buf, pos, path)
+    if not (wtok.isdigit() and htok.isdigit()):  # int() would also take "+2" and "1_0"
+        raise ParseError(f"bad PFM dimensions {wtok!r} x {htok!r}", path=path, offset=pos)
+    width, height = int(wtok), int(htok)
     if width <= 0 or height <= 0:
         raise ParseError(f"non-positive PFM dimensions {width}x{height}", path=path, offset=pos)
 
@@ -202,9 +201,8 @@ def read_offsets(path) -> OffsetField:
             f"offset container must be 3-dimensional, got {arr.ndim} dims", path=path
         )
     c = arr.shape[0]
-    n2, rem = divmod(c, 2)
-    root = int(np.sqrt(n2)) if rem == 0 else 0
-    if rem != 0 or root * root != n2:
+    n = math.isqrt(c // 2)
+    if 2 * n * n != c:
         raise FormatError(
             f"offset channel count {c} is not of the form 2*N*N", path=path
         )
@@ -236,6 +234,8 @@ def read_intrinsics(path) -> CameraIntrinsics:
         key = key.strip()
         if key not in _INTRINSIC_KEYS:
             raise ParseError(f"unknown key {key!r}", path=path, line=lineno)
+        if key in values:
+            raise ParseError(f"repeated key {key!r}", path=path, line=lineno)
         try:
             values[key] = float(val.strip())
         except ValueError as exc:

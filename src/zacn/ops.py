@@ -33,7 +33,7 @@ counts (OpenBLAS never splits the contracted axis over threads).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -115,10 +115,7 @@ class OpSummary:
 
     def as_dict(self) -> dict:
         """The fields as a JSON-ready dict."""
-        return {
-            "degenerate_pixels": self.degenerate_pixels,
-            "oob_sample_fraction": self.oob_sample_fraction,
-        }
+        return asdict(self)
 
 
 def conv_param_count(in_channels: int, out_channels: int, size: int) -> int:

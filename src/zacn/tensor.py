@@ -95,10 +95,8 @@ class OffsetField:
     def __post_init__(self):
         arr = _as_float32(self.data, 3, "offset field")
         c = arr.shape[0]
-        if c % 2 != 0:
-            raise ConfigError(f"offset field channel count {c} is not 2*N*N")
         n = math.isqrt(c // 2)
-        if 2 * n * n != c:
+        if 2 * n * n != c:  # odd counts fail too
             raise ConfigError(f"offset field channel count {c} is not 2*N*N")
         if not _all_finite(arr):
             raise ConfigError("offset field contains non-finite values")

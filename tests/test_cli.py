@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import re
@@ -23,7 +24,7 @@ from zacn import (
     write_tensor,
     za_conv_forward,
 )
-from zacn.cli import _workers, main
+from zacn.cli import _spec_from_args, _workers, _write_csv, main
 from zacn.harness import generate_scene
 
 
@@ -316,6 +317,50 @@ class TestToytrainCommand:
         assert rc == 2
         assert capsys.readouterr().err == "error: unknown operator 'quantum'\n"
         assert not (tmp_path / "t.csv").exists()
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--hidden", "-1", "hidden size must be >= 1, got -1"),
+        ("--hidden", "0", "hidden size must be >= 1, got 0"),
+        ("--seed", "-1", "seed must be >= 0, got -1"),
+        ("--seed", "-101", "seed must be >= 0, got -101"),  # scene seed -10, named as given
+    ])
+    def test_negative_hidden_or_seed_exit_2(self, tmp_path, capsys, flag, value, message):
+        rc = run_cli("toytrain", "--epochs", "1", flag, value, "--csv", tmp_path / "t.csv")
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "t.csv").exists()
+
+    def test_csv_bytes(self, tmp_path):
+        row = {"seed": 3, "operator": "adapted", "loss": 0.1 + 0.2, "delta": -1.5}
+        _write_csv(tmp_path / "t.csv", list(row), [row])
+        assert (tmp_path / "t.csv").read_bytes() == (
+            b"seed,operator,loss,delta\n3,adapted,0.30000000000000004,-1.5\n"
+        )
+
+
+class TestKernelFlags:
+    @pytest.mark.parametrize("size", [1, 3, 5])
+    @pytest.mark.parametrize("dilation", [1, 2])
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_same_padding(self, size, dilation, stride):
+        args = argparse.Namespace(kernel=size, dilation=dilation, stride=stride, padding="same")
+        want = KernelSpec(size, dilation, stride, dilation * (size - 1) // 2)
+        assert _spec_from_args(args) == want
+
+    @pytest.mark.parametrize("padding", [0, 1, 4])
+    def test_integer_padding_passes_through(self, padding):
+        args = argparse.Namespace(kernel=3, dilation=2, stride=2, padding=str(padding))
+        assert _spec_from_args(args) == KernelSpec(3, 2, 2, padding)
+
+    def test_bad_padding_exit_2(self, workdir, capsys):
+        rc = run_cli(
+            "offsets", "--depth", workdir / "depth.pfm", "--intrinsics", workdir / "K.txt",
+            "--padding", "x", "--out", workdir / "o.zacn",
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == "error: --padding must be an integer or 'same', got 'x'\n"
+        assert not (workdir / "o.zacn").exists()
 
 
 # Runs every CLI command once per ZACN_THREADS value into its own folder.

@@ -93,6 +93,14 @@ class TestPFM:
         argv = ["offsets", "--depth", path, "--fu", 1, "--fv", 1, "--out", tmp_path / "o"]
         assert main([str(a) for a in argv]) == 1
 
+    @pytest.mark.parametrize("dims, payload", [(b"1_0 1", 40), (b"+2 2", 16), (b"2 +2", 16)])
+    def test_dimensions_are_ascii_digits(self, tmp_path, dims, payload):
+        # int() reads "1_0" as 10 and "+2" as 2; each payload fits that misreading
+        path = tmp_path / "d.pfm"
+        path.write_bytes(b"Pf\n" + dims + b"\n-1.0\n" + b"\x00" * payload)
+        with pytest.raises(ParseError, match="bad PFM dimensions"):
+            read_depth(path)
+
     def test_garbage_header(self, tmp_path):
         for body in (b"Pf\nx y\n-1.0\n", b"Pf\n2 2\nzz\n", b"Pf\n-3 2\n-1.0\n", b"Pf\n2 2\n0.0\n"):
             path = tmp_path / "g.pfm"
@@ -255,6 +263,16 @@ class TestIntrinsics:
         path.write_text("fu=1\nfv=1\nfocal=3\n")
         with pytest.raises(ParseError):
             read_intrinsics(path)
+
+    def test_repeated_key_names_line(self, tmp_path):
+        path = tmp_path / "k.txt"
+        path.write_text("fu=500\nfv=500\nfu=600\ncu=1\ncv=1\n")
+        with pytest.raises(ParseError, match="line 3: repeated key 'fu'"):
+            read_intrinsics(path)
+        write_depth(DepthMap(np.ones((4, 4), np.float32)), tmp_path / "d.pfm")
+        argv = ["offsets", "--depth", tmp_path / "d.pfm", "--intrinsics", path,
+                "--out", tmp_path / "o"]
+        assert main([str(a) for a in argv]) == 1
 
     def test_missing_equals(self, tmp_path):
         path = tmp_path / "k.txt"
