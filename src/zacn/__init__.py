@@ -50,7 +50,7 @@ from .ops import (
     za_conv_backward,
     za_conv_forward,
 )
-from .tensor import DepthMap, FeatureTensor, OffsetField, bilinear_sample, bilinear_sample_grad
+from .tensor import DepthMap, FeatureTensor, OffsetField, bilinear_sample
 
 __version__ = "0.1.0"
 
@@ -76,7 +76,6 @@ __all__ = [
     "FeatureTensor",
     "OffsetField",
     "bilinear_sample",
-    "bilinear_sample_grad",
     "ConvWeights",
     "OpSummary",
     "conv_param_count",

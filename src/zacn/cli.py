@@ -116,8 +116,6 @@ def cmd_offsets(args) -> int:
         "offset_abs_max": float(mag_max),
     }
     _write_json(_summary_path(args), payload)
-    if args.verbose:
-        print(json.dumps(payload, indent=2, sort_keys=True))
     return 0
 
 
@@ -262,9 +260,6 @@ def cmd_viz(args) -> int:
 
 def cmd_toytrain(args) -> int:
     operators = args.operator or ["adapted", "standard"]
-    for op in operators:
-        if op not in ("adapted", "standard"):
-            raise ConfigError(f"unknown operator {op!r}")
     rows = paired_toy_runs(
         seeds=args.seed or [0],
         operators=tuple(operators),
@@ -319,7 +314,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_kernel_flags(p, "same")
     p.add_argument("--out", required=True, help="output offset container")
     p.add_argument("--summary", help="JSON summary path (default: OUT.json)")
-    p.add_argument("--verbose", action="store_true")
     p.set_defaults(func=cmd_offsets)
 
     p = sub.add_parser("conv", help="run standard or depth-adapted convolution")

@@ -29,6 +29,7 @@ one held-out scene of the same kind.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,7 +51,7 @@ __all__ = [
     "paired_toy_runs",
 ]
 
-SCENE_KINDS = ("ramp", "corridor", "frontoparallel")
+SCENE_KINDS = ("ramp", "corridor")
 
 # Corridor layout: the back wall occupies the central band of the image,
 # side walls recede toward it.  Stripe frequencies are set in units of
@@ -105,16 +106,16 @@ class TrainConfig:
     assumed_focal: float | None = None  # override scene intrinsics for offsets
 
     def __post_init__(self):
-        if self.learning_rate < 0:
-            raise ConfigError(f"learning rate must be >= 0, got {self.learning_rate}")
+        if self.operator not in ("standard", "adapted"):
+            raise ConfigError(f"unknown operator {self.operator!r}")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0):
+            raise ConfigError(f"learning rate must be finite and >= 0, got {self.learning_rate}")
         if self.epochs < 1:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.hidden < 1:
             raise ConfigError(f"hidden size must be >= 1, got {self.hidden}")
-        if self.operator not in ("standard", "adapted"):
-            raise ConfigError(f"operator must be 'standard' or 'adapted', got {self.operator!r}")
 
 
 @dataclass(frozen=True)
@@ -138,7 +139,6 @@ def generate_scene(kind: str, h: int, w: int, seed: int, focal: float = 519.0) -
     ``corridor``: left/right walls receding to a fronto-parallel back
     wall (3 classes, depths symmetric about the vertical centerline).
     ``ramp``: a floor receding to a back wall (2 classes).
-    ``frontoparallel``: one constant-depth plane (1 class).
     """
     if kind not in SCENE_KINDS:
         raise ConfigError(f"unknown scene kind {kind!r}, expected one of {SCENE_KINDS}")
@@ -151,14 +151,7 @@ def generate_scene(kind: str, h: int, w: int, seed: int, focal: float = 519.0) -
     u, v = _pixel_grid(h, w)
     zb = 4.0
 
-    if kind == "frontoparallel":
-        z0 = 2.5
-        depth = np.full((h, w), z0)
-        labels = np.zeros((h, w), dtype=np.int64)
-        period = z0 / (focal * _BACK_DELTA)
-        planes = [{"label": 0, "name": "plane", "normal": (0.0, 0.0, 1.0), "offset": z0,
-                   "period": period, "axis": (0.0, 1.0, 0.0)}]
-    elif kind == "corridor":
+    if kind == "corridor":
         half = _BACK_FRACTION * w * zb / focal  # corridor halfwidth in meters
         du = u - K.cu
         with np.errstate(divide="ignore"):
@@ -369,13 +362,12 @@ def train_toy(scenes, cfg: TrainConfig, eval_scenes) -> TrainResult:
         if not np.isfinite(total_loss):
             raise TrainingError(f"loss became non-finite at epoch {epoch}", epoch=epoch)
         losses.append(total_loss)
-        if cfg.learning_rate > 0:
-            new1 = (w1.data - cfg.learning_rate * gw1 / len(prepared)).astype(np.float32)
-            new2 = (w2.data - cfg.learning_rate * gw2 / len(prepared)).astype(np.float32)
-            if not (_all_finite(new1) and _all_finite(new2)):
-                raise TrainingError(f"weights became non-finite at epoch {epoch}", epoch=epoch)
-            w1 = ConvWeights(new1)
-            w2 = ConvWeights(new2)
+        new1 = (w1.data - cfg.learning_rate * gw1 / len(prepared)).astype(np.float32)
+        new2 = (w2.data - cfg.learning_rate * gw2 / len(prepared)).astype(np.float32)
+        if not (_all_finite(new1) and _all_finite(new2)):
+            raise TrainingError(f"weights became non-finite at epoch {epoch}", epoch=epoch)
+        w1 = ConvWeights(new1)
+        w2 = ConvWeights(new2)
 
     del prepared  # free the fields' cached sampling plans; evaluate builds its own
     miou, acc = evaluate(eval_scenes, (w1, w2), cfg)

@@ -44,6 +44,7 @@ from .tensor import (
     FeatureTensor,
     OffsetField,
     _all_finite,
+    _as_float32,
     _bilinear_gather,
     _bilinear_scatter_weights,
 )
@@ -68,12 +69,11 @@ class ConvWeights:
     data: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        arr = np.array(self.data, dtype=np.float32, order="C")  # owned, as in tensor._as_float32
-        if arr.ndim != 4 or arr.shape[2] != arr.shape[3] or arr.size == 0:
+        arr = _as_float32(self.data, 4, "weights")
+        if arr.shape[2] != arr.shape[3]:
             raise ConfigError(f"weights must be (co, ci, N, N), got shape {arr.shape}")
         if not _all_finite(arr):
             raise ConfigError("weights contain non-finite values")
-        arr.setflags(write=False)
         object.__setattr__(self, "data", arr)
 
     @property
@@ -133,19 +133,6 @@ def _check_conv_shapes(x: FeatureTensor, w: ConvWeights, spec: KernelSpec):
         raise ConfigError(
             f"weights expect {w.in_channels} input channels, tensor has {x.channels}"
         )
-    return spec.output_shape(x.height, x.width)
-
-
-def _check_offsets(offsets: OffsetField, spec: KernelSpec, out_h: int, out_w: int):
-    if offsets.tap_count != spec.tap_count:
-        raise ConfigError(
-            f"offset field has {offsets.tap_count} taps, spec needs {spec.tap_count}"
-        )
-    if (offsets.height, offsets.width) != (out_h, out_w):
-        raise ConfigError(
-            f"offset field is {offsets.height}x{offsets.width}, "
-            f"output is {out_h}x{out_w}"
-        )
 
 
 def _sample_positions(spec: KernelSpec, offsets: OffsetField):
@@ -174,8 +161,21 @@ class _SamplingPlan:
     oob_fraction: float
 
 
-def _sampling_plan(offsets: OffsetField, spec: KernelSpec, h: int, w: int) -> _SamplingPlan:
-    """The plan of ``offsets`` under ``spec`` on an ``h x w`` input, cached on the field."""
+def _sampling_plan(x: FeatureTensor, offsets: OffsetField, spec: KernelSpec) -> _SamplingPlan:
+    """The plan of ``offsets`` under ``spec`` on the input ``x``, cached on the
+    field.  Raises :class:`ConfigError` unless the field has the spec's tap
+    count and the output shape of ``spec`` on ``x``."""
+    if offsets.tap_count != spec.tap_count:
+        raise ConfigError(
+            f"offset field has {offsets.tap_count} taps, spec needs {spec.tap_count}"
+        )
+    out_h, out_w = spec.output_shape(x.height, x.width)
+    if (offsets.height, offsets.width) != (out_h, out_w):
+        raise ConfigError(
+            f"offset field is {offsets.height}x{offsets.width}, "
+            f"output is {out_h}x{out_w}"
+        )
+    h, w = x.height, x.width
     key = (spec, h, w)
     plan = offsets._plans.get(key)
     if plan is None:
@@ -259,8 +259,8 @@ def standard_conv(x: FeatureTensor, w: ConvWeights, spec: KernelSpec) -> Feature
     return za_conv_forward(x, w, OffsetField.zeros(spec.size, out_h, out_w), spec)[0]
 
 
-def _check_samples(samples: np.ndarray, x: FeatureTensor, spec: KernelSpec, out_h: int, out_w: int):
-    want = (x.channels, spec.tap_count, out_h, out_w)
+def _check_samples(samples: np.ndarray | None, x: FeatureTensor, plan: _SamplingPlan):
+    want = (x.channels,) + plan.idx.shape[1:]
     if samples is not None and (samples.shape != want or samples.dtype != np.float64):
         raise ConfigError(
             f"samples are {samples.dtype} {samples.shape}, expected float64 {want}"
@@ -272,9 +272,7 @@ def gather_samples(x: FeatureTensor, offsets: OffsetField, spec: KernelSpec) -> 
     at every tap position of ``offsets``, read through the cached plan: the
     ``samples`` that :func:`za_conv_forward` and :func:`za_conv_backward`
     accept in place of their own gather."""
-    out_h, out_w = spec.output_shape(x.height, x.width)
-    _check_offsets(offsets, spec, out_h, out_w)
-    plan = _sampling_plan(offsets, spec, x.height, x.width)
+    plan = _sampling_plan(x, offsets, spec)
     samples = _bilinear_gather(x.data.astype(np.float64).reshape(x.channels, -1), plan.idx, plan.wgt)
     samples.setflags(write=False)
     return samples
@@ -293,10 +291,9 @@ def za_conv_forward(
     ci*taps)`` weights with the tile's bilinear samples, gathered one tile
     at a time unless ``samples``, the :func:`gather_samples` of ``x``, are given.
     """
-    out_h, out_w = _check_conv_shapes(x, w, spec)
-    _check_offsets(offsets, spec, out_h, out_w)
-    _check_samples(samples, x, spec, out_h, out_w)
-    plan = _sampling_plan(offsets, spec, x.height, x.width)
+    _check_conv_shapes(x, w, spec)
+    plan = _sampling_plan(x, offsets, spec)
+    _check_samples(samples, x, plan)
     w2 = w.data.astype(np.float64).reshape(w.out_channels, -1)
     out, _ = _conv_gemm((x, plan) if samples is None else samples, w2=w2)
     return FeatureTensor(out), OpSummary(plan.degenerate, plan.oob_fraction)
@@ -320,15 +317,12 @@ def za_conv_backward(
     the gather; with ``need_grad_x=False`` the scatter is skipped too and
     ``grad_x`` is returned as ``None``.
     """
-    out_h, out_w = _check_conv_shapes(x, w, spec)
-    _check_offsets(offsets, spec, out_h, out_w)
-    if grad_out.data.shape != (w.out_channels, out_h, out_w):
-        raise ConfigError(
-            f"grad_out shape {grad_out.data.shape} does not match output "
-            f"({w.out_channels}, {out_h}, {out_w})"
-        )
-    _check_samples(samples, x, spec, out_h, out_w)
-    plan = _sampling_plan(offsets, spec, x.height, x.width)
+    _check_conv_shapes(x, w, spec)
+    plan = _sampling_plan(x, offsets, spec)
+    want = (w.out_channels,) + plan.idx.shape[2:]
+    if grad_out.data.shape != want:
+        raise ConfigError(f"grad_out shape {grad_out.data.shape} does not match output {want}")
+    _check_samples(samples, x, plan)
     g = grad_out.data.astype(np.float64)
     grad_w = _conv_gemm((x, plan) if samples is None else samples, g=g)[1].reshape(w.data.shape)
     if not need_grad_x:
@@ -336,7 +330,7 @@ def za_conv_backward(
 
     # Per-tap upstream gradient for each input channel, then bilinear scatter.
     w2 = w.data.astype(np.float64).reshape(w.out_channels, -1)
-    gpix = _conv_gemm(g, w2=w2.T)[0].reshape(x.channels, spec.tap_count, out_h, out_w)
+    gpix = _conv_gemm(g, w2=w2.T)[0].reshape((x.channels,) + plan.idx.shape[1:])
     flat_idx = plan.idx.ravel()
     grad_x = np.empty((x.channels, x.height * x.width), dtype=np.float64)
     contrib = np.empty_like(plan.wgt)
@@ -365,9 +359,7 @@ def za_avg_pool(
     fall outside the input (they contribute zero), which darkens borders
     rather than re-weighting them.
     """
-    out_h, out_w = spec.output_shape(x.height, x.width)
-    _check_offsets(offsets, spec, out_h, out_w)
-    plan = _sampling_plan(offsets, spec, x.height, x.width)
+    plan = _sampling_plan(x, offsets, spec)
     out = _pool_sum(x, plan)
     out /= spec.tap_count
     return FeatureTensor(out), OpSummary(plan.degenerate, plan.oob_fraction)

@@ -29,7 +29,6 @@ __all__ = [
     "OffsetField",
     "DepthMap",
     "bilinear_sample",
-    "bilinear_sample_grad",
 ]
 
 
@@ -160,26 +159,6 @@ def bilinear_sample(x: FeatureTensor, c: int, u: float, v: float) -> float:
     idx, wgt = _bilinear_scatter_weights(x.height, x.width, np.asarray([u]), np.asarray([v]))
     val = _bilinear_gather(x.data[c].reshape(1, -1).astype(np.float64), idx, wgt)[0, 0]
     return float(np.float32(val))
-
-
-def bilinear_sample_grad(x: FeatureTensor, c: int, u: float, v: float):
-    """Analytic partials and neighbor weights of :func:`bilinear_sample`.
-
-    Returns ``(dval_du, dval_dv, weights)`` where ``weights`` is the
-    length-4 distribution onto neighbors ordered (top-left, top-right,
-    bottom-left, bottom-right); out-of-bounds neighbors get weight 0.
-    Weights sum to 1 when the position is fully in-bounds.  The sample is
-    linear along each axis inside a grid cell, so each partial is the
-    difference of two samples on the cell's edges.
-    """
-    if not (0 <= c < x.channels):
-        raise ConfigError(f"channel {c} out of range for {x.channels} channels")
-    u0, v0 = math.floor(u), math.floor(v)
-    us = np.asarray([u, u0 + 1, u0, u, u], dtype=np.float64)
-    vs = np.asarray([v, v, v, v0 + 1, v0], dtype=np.float64)
-    idx, wgt = _bilinear_scatter_weights(x.height, x.width, us, vs)
-    s = _bilinear_gather(x.data[c].reshape(1, -1).astype(np.float64), idx, wgt)[0]
-    return float(s[1] - s[2]), float(s[3] - s[4]), wgt[:, 0]
 
 
 def _bilinear_gather(

@@ -323,6 +323,8 @@ class TestToytrainCommand:
         ("--hidden", "0", "hidden size must be >= 1, got 0"),
         ("--seed", "-1", "seed must be >= 0, got -1"),
         ("--seed", "-101", "seed must be >= 0, got -101"),  # scene seed -10, named as given
+        ("--lr", "nan", "learning rate must be finite and >= 0, got nan"),
+        ("--lr", "inf", "learning rate must be finite and >= 0, got inf"),
     ])
     def test_negative_hidden_or_seed_exit_2(self, tmp_path, capsys, flag, value, message):
         rc = run_cli("toytrain", "--epochs", "1", flag, value, "--csv", tmp_path / "t.csv")

@@ -128,10 +128,19 @@ class TestZaConvForward:
     def test_offset_mismatch_rejected(self, rng):
         x = rand_feature(rng, 2, 8, 8)
         w = rand_weights(rng, 2, 2, 3)
-        with pytest.raises(ConfigError):
-            za_conv_forward(x, w, OffsetField.zeros(5, 8, 8), KernelSpec.same(3))
-        with pytest.raises(ConfigError):
-            za_conv_forward(x, w, OffsetField.zeros(3, 7, 8), KernelSpec.same(3))
+        g = rand_feature(rng, 2, 8, 8)
+        spec = KernelSpec.same(3)
+        entry_points = [
+            lambda off: za_conv_forward(x, w, off, spec),
+            lambda off: za_conv_backward(x, w, off, spec, g),
+            lambda off: za_avg_pool(x, off, spec),
+            lambda off: gather_samples(x, off, spec),
+        ]
+        for run in entry_points:
+            with pytest.raises(ConfigError, match="offset field has 25 taps, spec needs 9"):
+                run(OffsetField.zeros(5, 8, 8))
+            with pytest.raises(ConfigError, match="offset field is 7x8, output is 8x8"):
+                run(OffsetField.zeros(3, 7, 8))
 
     def test_summary_counts_border_clipping(self, rng):
         x = rand_feature(rng, 1, 6, 6)
@@ -219,7 +228,8 @@ class TestSamplingPlan:
     @pytest.mark.parametrize("kind, slots", FIELD_KINDS)
     def test_keeps_only_weighted_neighbors(self, rng, kind, slots):
         spec = KernelSpec.same(3)
-        plan = _sampling_plan(kind_field(rng, kind, spec, 6, 7), spec, 6, 7)
+        field = kind_field(rng, kind, spec, 6, 7)
+        plan = _sampling_plan(rand_feature(rng, 1, 6, 7), field, spec)
         assert plan.idx.shape == plan.wgt.shape == (slots, 9, 6, 7)
 
     @pytest.mark.parametrize("kind", [k for k, _ in FIELD_KINDS])
@@ -235,7 +245,7 @@ class TestSamplingPlan:
         full = OffsetField(trimmed.data)
         u, v = _sample_positions(spec, full)
         idx, wgt = _bilinear_scatter_weights(h, w, u, v)
-        plan = _sampling_plan(trimmed, spec, h, w)
+        plan = _sampling_plan(x, trimmed, spec)
         full._plans[(spec, h, w)] = dataclasses.replace(plan, idx=idx, wgt=wgt)
 
         def run(field):
@@ -311,7 +321,7 @@ class TestRowTiles:
         field = kind_field(rng, "general", spec, h, w)
         samples = gather_samples(x, field, spec)
         # the float64 sums, before the float32 rounding that hides most last-bit moves
-        gathered = (x, _sampling_plan(field, spec, h, w))
+        gathered = (x, _sampling_plan(x, field, spec))
         w2, g64 = wts.data.astype(np.float64).reshape(co, -1), g.data.astype(np.float64)
         row_bytes = 2 * spec.tap_count * ow * 8  # the float64 samples of one output row
         whole, _ = za_conv_forward(x, wts, field, spec)
