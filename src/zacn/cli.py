@@ -24,7 +24,7 @@ import numpy as np
 from . import io as zio
 from .errors import ConfigError, ParseError, ZacnError
 from .geometry import CameraIntrinsics, KernelSpec, compute_offsets
-from .harness import paired_toy_runs
+from .harness import OPERATORS, TrainConfig, paired_toy_runs
 from .ops import (
     ConvWeights,
     standard_avg_pool,
@@ -79,10 +79,11 @@ def _write_json(path, payload: dict) -> None:
         f.write("\n")
 
 
-def _write_csv(path, header: list[str], rows: list[dict]) -> None:
-    # csv writes str(value), and str(float) is the shortest round-trip repr
+def _write_csv(path, rows: list[dict]) -> None:
+    # the header is the first row's keys; csv writes str(value), and
+    # str(float) is the shortest round-trip repr
     with open(path, "w", encoding="utf-8", newline="") as f:
-        writer = csv.DictWriter(f, header, lineterminator="\n")
+        writer = csv.DictWriter(f, list(rows[0]), lineterminator="\n")
         writer.writeheader()
         writer.writerows(rows)
 
@@ -259,18 +260,12 @@ def cmd_viz(args) -> int:
 
 
 def cmd_toytrain(args) -> int:
-    operators = args.operator or ["adapted", "standard"]
-    rows = paired_toy_runs(
-        seeds=args.seed or [0],
-        operators=tuple(operators),
-        epochs=args.epochs,
-        learning_rate=args.lr,
-        hidden=args.hidden,
-        assumed_focal=args.assumed_focal,
-    )
-    header = ["seed", "operator", "epochs", "final_loss", "miou", "pixel_acc", "param_count"]
+    operators = tuple(args.operator or OPERATORS)
+    rows = paired_toy_runs(args.seed or [TrainConfig.seed], operators, epochs=args.epochs,
+                           learning_rate=args.lr, hidden=args.hidden,
+                           assumed_focal=args.assumed_focal)
     if args.csv:
-        _write_csv(args.csv, header, rows)
+        _write_csv(args.csv, rows)
     summary = {
         f"mean_{key}": {
             op: float(np.mean([r[key] for r in rows if r["operator"] == op])) for op in operators
@@ -350,10 +345,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="standard or adapted (repeatable)")
     p.add_argument("--seed", action="append", type=int, default=None,
                    help="seed (repeatable)")
-    p.add_argument("--epochs", type=int, default=150)
-    p.add_argument("--lr", type=float, default=0.5)
-    p.add_argument("--hidden", type=int, default=24)
-    p.add_argument("--assumed-focal", type=float, default=None,
+    p.add_argument("--epochs", type=int, default=TrainConfig.epochs)
+    p.add_argument("--lr", type=float, default=TrainConfig.learning_rate)
+    p.add_argument("--hidden", type=int, default=TrainConfig.hidden)
+    p.add_argument("--assumed-focal", type=float, default=TrainConfig.assumed_focal,
                    help="intrinsics assumed by the offset generator")
     p.add_argument("--csv")
     p.add_argument("--json", dest="json")

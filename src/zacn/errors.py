@@ -57,7 +57,7 @@ class FormatError(ParseError):
 
 
 class TrainingError(ZacnError):
-    """Toy training diverged (non-finite loss); names the epoch."""
+    """Toy training diverged (a non-finite value); names the epoch."""
 
     def __init__(self, message, epoch=None):
         super().__init__(message)

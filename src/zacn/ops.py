@@ -62,7 +62,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConvWeights:
     """Dense kernel bank, layout (out_channels, in_channels, N, N)."""
 

@@ -51,7 +51,7 @@ def _all_finite(arr: np.ndarray) -> bool:
     return bool(np.isfinite(arr.min()) and np.isfinite(arr.max()))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FeatureTensor:
     """A dense (channels, height, width) grid of finite 32-bit floats."""
 
@@ -76,7 +76,7 @@ class FeatureTensor:
         return self.data.shape[2]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OffsetField:
     """Per-output-pixel 2D displacements for every kernel tap.
 
@@ -89,7 +89,7 @@ class OffsetField:
     data: np.ndarray = field(repr=False)
     # ``zacn.ops`` sampling plans by (KernelSpec, input H, W); ``data`` is
     # owned and read-only, so they never go stale.
-    _plans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _plans: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         arr = _as_float32(self.data, 3, "offset field")
@@ -122,7 +122,7 @@ class OffsetField:
         return cls(np.zeros((2 * kernel_size * kernel_size, height, width), np.float32))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DepthMap:
     """Single-channel metric depth; <= 0 or non-finite marks invalid pixels."""
 

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from zacn import CameraIntrinsics, ConvWeights, FeatureTensor, OffsetField
+from zacn import CameraIntrinsics, ConvWeights, DepthMap, FeatureTensor, OffsetField
+from zacn.harness import generate_scene
 
 
 @pytest.fixture
@@ -48,3 +49,14 @@ def smooth_depth(rng, h, w, base=(1.0, 3.0), tilt=0.004, wobble=0.05):
 
 def nyu_like_intrinsics(h, w, f=519.0):
     return CameraIntrinsics(fu=f, fv=f, cu=(w - 1) / 2, cv=(h - 1) / 2)
+
+
+def noisy_scene_depth(kind, h, w, seed, noise=0.01, holes=0.05):
+    """A synthetic scene's exact depth with multiplicative Gaussian noise of
+    relative size ``noise`` and a fraction ``holes`` of invalid (zero)
+    pixels, plus the scene's intrinsics."""
+    scene = generate_scene(kind, h, w, seed=0)  # the depth does not depend on the seed
+    rng = np.random.default_rng(seed)
+    depth = scene.depth.data * (1.0 + noise * rng.standard_normal((h, w)))
+    depth[rng.random((h, w)) < holes] = 0.0
+    return DepthMap(depth.astype(np.float32)), scene.intrinsics

@@ -24,8 +24,8 @@ from zacn import (
     write_tensor,
     za_conv_forward,
 )
-from zacn.cli import _spec_from_args, _workers, _write_csv, main
-from zacn.harness import generate_scene
+from zacn.cli import _spec_from_args, _workers, _write_csv, build_parser, main
+from zacn.harness import TrainConfig, generate_scene
 
 
 @pytest.fixture
@@ -332,9 +332,25 @@ class TestToytrainCommand:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "t.csv").exists()
 
+    def test_flag_defaults_are_train_config_defaults(self):
+        args = build_parser().parse_args(["toytrain"])
+        cfg = TrainConfig()
+        assert (args.epochs, args.lr, args.hidden, args.assumed_focal) == (
+            cfg.epochs, cfg.learning_rate, cfg.hidden, cfg.assumed_focal) == (150, 0.5, 24, None)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_divergence_exit_2_names_epoch(self, tmp_path, capsys):
+        rc = run_cli("toytrain", "--seed", "0", "--lr", "1e9", "--epochs", "5",
+                     "--csv", tmp_path / "t.csv")
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: training diverged at epoch 3: feature tensor contains non-finite values\n"
+        )
+        assert not (tmp_path / "t.csv").exists()
+
     def test_csv_bytes(self, tmp_path):
         row = {"seed": 3, "operator": "adapted", "loss": 0.1 + 0.2, "delta": -1.5}
-        _write_csv(tmp_path / "t.csv", list(row), [row])
+        _write_csv(tmp_path / "t.csv", [row])
         assert (tmp_path / "t.csv").read_bytes() == (
             b"seed,operator,loss,delta\n3,adapted,0.30000000000000004,-1.5\n"
         )
@@ -430,10 +446,13 @@ class TestThreadCountReproducibility:
 class TestEntryPoint:
     def test_module_invocation(self, tmp_path):
         write_depth(DepthMap(np.full((16, 16), 1.0, np.float32)), tmp_path / "d.pfm")
+        src = os.path.dirname(os.path.dirname(zacn.__file__))
+        env = dict(os.environ,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         proc = subprocess.run(
             [sys.executable, "-m", "zacn.cli", "offsets", "--depth", str(tmp_path / "d.pfm"),
              "--fu", "100", "--fv", "100", "--out", str(tmp_path / "o.zacn")],
-            capture_output=True,
+            env=env, capture_output=True,
         )
         assert proc.returncode == 0
         assert (tmp_path / "o.zacn").exists()

@@ -23,8 +23,9 @@ from zacn import (
 )
 from zacn import geometry
 from zacn.geometry import _plane_basis, _plane_grid
+from zacn.harness import generate_scene
 
-from conftest import nyu_like_intrinsics, smooth_depth
+from conftest import noisy_scene_depth, nyu_like_intrinsics, smooth_depth
 from oracles import plane_residual, ref_offsets_eigh
 
 INV_SQRT5 = 1.0 / np.sqrt(5.0)
@@ -468,6 +469,38 @@ class TestComputeOffsets:
             tol = 2 * gain * shift + offset * F32_UNIT + 1e-9
             err = np.maximum(np.abs(got_u - ref_u), np.abs(got_v - ref_v))
             assert np.all(err <= tol), f"worst err/tol {np.max(err / tol):.3g} for plane {n}"
+
+    def test_tap_order_on_exact_corridor_is_pinned(self):
+        # Both side walls have n3 = 0, so the sign tie-break gives both the
+        # normal (1, 0, 0), and the in-plane x axis follows that sign: the
+        # left wall's middle tap row comes out mirrored, the right wall's
+        # does not. This pins today's convention; changing it must be deliberate.
+        scene = generate_scene("corridor", 48, 64, seed=0)
+        spec = KernelSpec.same(3)
+        field, _ = compute_offsets(scene.depth, scene.intrinsics, spec, 48, 64)
+        _, tu = spec.tap_positions(range(48), range(64))
+        u = tu + field.data[1::2]  # sampled column of every tap
+        mirrored = u[5] < u[3]  # tap (i, j) is 3 * i + j: tap (1, 2) lands left of (1, 0)
+        counts = {name: (int(mirrored[scene.labels == k].sum()), int((scene.labels == k).sum()))
+                  for k, name in enumerate(("back", "left", "right"))}
+        assert counts == {"back": (0, 1248), "left": (864, 912), "right": (0, 912)}
+
+    @pytest.mark.parametrize("size", [1, 3, 5])
+    @pytest.mark.parametrize("dilation", [1, 2])
+    @pytest.mark.parametrize("padding", ["same", 0, 1])
+    def test_stride_two_is_every_second_pixel_of_stride_one(self, size, dilation, padding):
+        depth, K = noisy_scene_depth("corridor", 120, 160, seed=3)
+
+        def spec(stride):
+            if padding == "same":
+                return KernelSpec.same(size, dilation, stride)
+            return KernelSpec(size, dilation, stride, padding)
+
+        f1, _ = compute_offsets(depth, K, spec(1), *spec(1).output_shape(120, 160))
+        f2, _ = compute_offsets(depth, K, spec(2), *spec(2).output_shape(120, 160))
+        strided = f1.data[:, ::2, ::2]
+        assert f2.data.shape == strided.shape
+        assert f2.data.tobytes() == strided.tobytes()
 
     def test_kernel_spec_validation(self):
         with pytest.raises(ConfigError):

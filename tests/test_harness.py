@@ -169,6 +169,15 @@ class TestTrainToy:
         assert exc.value.epoch is not None
         assert str(exc.value.epoch) in str(exc.value)
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_divergence_chains_the_container_error(self):
+        train, _ = self._scenes()
+        cfg = TrainConfig(learning_rate=1e9, epochs=20, seed=0, operator="standard", hidden=4)
+        with pytest.raises(TrainingError, match=r"^training diverged at epoch \d+: ") as exc:
+            train_toy(train, cfg, train)
+        assert type(exc.value.__cause__) is ConfigError
+        assert str(exc.value) == f"training diverged at epoch {exc.value.epoch}: {exc.value.__cause__}"
+
     def test_param_count_matches_both_operators(self):
         train, evals = self._scenes()
         results = {}

@@ -24,7 +24,7 @@ from zacn import (
 )
 from zacn.cli import main
 
-from conftest import smooth_depth
+from conftest import noisy_scene_depth, smooth_depth
 
 
 class TestPFM:
@@ -324,3 +324,19 @@ class TestResample:
         np.testing.assert_allclose(
             f_low.data[:, :-1, :-1], f_full.data[:, :-1, :-1] / 2.0, atol=1e-6
         )
+
+    @pytest.mark.parametrize("kind", ["corridor", "ramp"])
+    def test_decimation_identity_is_exact_off_the_border(self, kind):
+        # The same identity on noisy depth with holes, byte for byte: halving
+        # every intrinsic halves each projected offset exactly.  The last
+        # output row and column differ, because there the full-resolution
+        # taps clamp to row (column) H-1 and the decimated ones to H-2.
+        depth, K = noisy_scene_depth(kind, 96, 128, seed=4)
+        K_half = CameraIntrinsics(K.fu / 2, K.fv / 2, K.cu / 2, K.cv / 2)
+        low = resample_depth(depth, 48, 64)
+        f_low, _ = compute_offsets(low, K_half, KernelSpec.same(3), 48, 64)
+        f_full, _ = compute_offsets(depth, K, KernelSpec.same(3, dilation=2, stride=2), 48, 64)
+        half = f_full.data / np.float32(2)
+        assert f_low.data[:, :-1, :-1].tobytes() == half[:, :-1, :-1].tobytes()
+        assert not np.array_equal(f_low.data[:, -1], half[:, -1])
+        assert not np.array_equal(f_low.data[:, :, -1], half[:, :, -1])

@@ -9,6 +9,7 @@ from zacn import (
     OffsetField,
     bilinear_sample,
 )
+from zacn.harness import generate_scene
 from zacn.tensor import _bilinear_scatter_weights
 
 from conftest import rand_feature
@@ -66,6 +67,22 @@ class TestContainers:
         a[(1,) * len(shape)] = 7.0  # still writable
         np.testing.assert_array_equal(c.data, np.ones(shape, np.float32))
         assert not c.data.flags.writeable
+
+    @pytest.mark.parametrize("make, shape", [
+        (FeatureTensor, (2, 3, 3)),
+        (OffsetField, (18, 3, 3)),
+        (DepthMap, (3, 3)),
+        (ConvWeights, (2, 2, 3, 3)),
+    ])
+    def test_containers_compare_by_identity(self, make, shape):
+        a, b = make(np.ones(shape, np.float32)), make(np.ones(shape, np.float32))
+        assert a == a and a != b
+        assert {a: 1, b: 2}[a] == 1
+
+    def test_scene_compares_by_identity(self):
+        a, b = (generate_scene("corridor", 16, 16, seed=0) for _ in range(2))
+        assert a == a and a != b
+        assert {a: 1, b: 2}[b] == 2
 
     def test_depth_map_valid_mask(self):
         d = DepthMap(np.array([[1.0, -1.0], [np.nan, np.inf]], np.float32))
