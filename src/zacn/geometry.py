@@ -223,42 +223,43 @@ def _smallest_eigenpair_sym3(a00, a11, a22, a01, a02, a12):
     lam_mid = 3.0 * q - lam_max - lam_min
 
     # Rows of S - lam_min*I; the eigenvector is orthogonal to all of them.
-    r0 = np.stack([a00 - lam_min, a01, a02], axis=-1)
-    r1 = np.stack([a01, a11 - lam_min, a12], axis=-1)
-    r2 = np.stack([a02, a12, a22 - lam_min], axis=-1)
-    c01 = np.cross(r0, r1)
-    c02 = np.cross(r0, r2)
-    c12 = np.cross(r1, r2)
-    norms = np.stack(
-        [
-            np.einsum("...i,...i->...", c01, c01),
-            np.einsum("...i,...i->...", c02, c02),
-            np.einsum("...i,...i->...", c12, c12),
-        ],
-        axis=-1,
-    )
-    choice = np.argmax(norms, axis=-1)
-    pick = choice[..., None]
-    v = np.where(pick == 0, c01, np.where(pick == 1, c02, c12))
-    best = np.max(norms, axis=-1)
+    # Component by component: each cross product in np.cross's expression
+    # order and each squared norm in einsum's ((x^2 + z^2) + y^2), so that
+    # near-ties pick the same product as the stacked np.cross/einsum/argmax
+    # form, which tests keep as the byte-for-byte reference.
+    r0 = (a00 - lam_min, a01, a02)
+    r1 = (a01, a11 - lam_min, a12)
+    r2 = (a02, a12, a22 - lam_min)
+    v = best = None
+    for (x0, y0, z0), (x1, y1, z1) in ((r0, r1), (r0, r2), (r1, r2)):
+        c = (y0 * z1 - z0 * y1, z0 * x1 - x0 * z1, x0 * y1 - y0 * x1)
+        norm2 = (c[0] * c[0] + c[2] * c[2]) + c[1] * c[1]
+        if v is None:
+            v, best = c, norm2
+        else:
+            take = norm2 > best  # the first maximum wins, as in argmax
+            v = tuple(np.where(take, cn, vn) for cn, vn in zip(c, v))
+            best = np.maximum(best, norm2)
 
     # Isotropic or rank-deficient: no informative cross product; fall back
     # to the deterministic convention (callers flag these via eigenvalues).
     usable = best > 0.0
-    v = np.where(usable[..., None], v, np.array([0.0, 0.0, 1.0]))
-    v = v / np.linalg.norm(v, axis=-1, keepdims=True)
+    vx = np.where(usable, v[0], 0.0)
+    vy = np.where(usable, v[1], 0.0)
+    vz = np.where(usable, v[2], 1.0)
+    norm = np.sqrt((vx * vx + vy * vy) + vz * vz)
+    vx, vy, vz = vx / norm, vy / norm, vz / norm
 
     sign = np.where(
-        np.abs(v[..., 2]) > _SIGN_TOL,
-        np.sign(v[..., 2]),
+        np.abs(vz) > _SIGN_TOL,
+        np.sign(vz),
         np.where(
-            np.abs(v[..., 0]) > _SIGN_TOL,
-            np.sign(v[..., 0]),
-            np.where(np.abs(v[..., 1]) > _SIGN_TOL, np.sign(v[..., 1]), 1.0),
+            np.abs(vx) > _SIGN_TOL,
+            np.sign(vx),
+            np.where(np.abs(vy) > _SIGN_TOL, np.sign(vy), 1.0),
         ),
     )
-    v = v * sign[..., None]
-    return (lam_min, lam_mid, lam_max), v
+    return (lam_min, lam_mid, lam_max), np.stack([vx * sign, vy * sign, vz * sign], axis=-1)
 
 
 def _plane_basis(normal: np.ndarray):
@@ -408,11 +409,14 @@ def _offset_block(
 
     # Nominal (unclamped) tap coordinates p + p_n, shape (n2, rows, ow).
     tv, tu = spec.tap_positions(range(row_start, row_stop), range(out.shape[2]))
-    tvc = np.clip(tv, 0, h - 1)
-    tuc = np.clip(tu, 0, w - 1)
+    # tv varies only down the rows and tu only along them: clip and
+    # back-project those (n2, rows, 1) and (n2, 1, ow) slices, and broadcast
+    tvc = np.clip(tv[:, :, :1], 0, h - 1)
+    tuc = np.clip(tu[:, :1], 0, w - 1)
 
-    z = depth64[tvc, tuc]
-    valid = valid_depth[tvc, tuc]
+    flat = tvc * w + tuc
+    z = depth64.ravel().take(flat)
+    valid = valid_depth.ravel().take(flat)
     center_valid = valid[center_tap]
 
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):

@@ -35,8 +35,11 @@ __all__ = [
 def _as_float32(data, ndim: int, what: str) -> np.ndarray:
     """A read-only float32 copy of ``data``: the container owns its memory,
     so neither the caller's array nor any view of it can change it, and the
-    caller's array stays writable."""
-    arr = np.array(data, dtype=np.float32, order="C")
+    caller's array stays writable.  A value too large for float32 becomes
+    an infinity, which the containers' finiteness checks then reject (a
+    ``DepthMap`` marks it invalid)."""
+    with np.errstate(over="ignore"):
+        arr = np.array(data, dtype=np.float32, order="C")
     if arr.ndim != ndim:
         raise ConfigError(f"{what} must be {ndim}-dimensional, got shape {arr.shape}")
     if any(s <= 0 for s in arr.shape):

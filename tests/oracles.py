@@ -148,3 +148,63 @@ def ref_offsets_eigh(depth: np.ndarray, fu, fv, cu, cv, size, dilation, stride, 
                     out[2 * nidx, oy, ox] = pv - (v0 + dilation * (ki - c))
                     out[2 * nidx + 1, oy, ox] = pu - (u0 + dilation * (kj - c))
     return out
+
+
+def stacked_eigenpair_sym3(a00, a11, a22, a01, a02, a12, sign_tol=1e-3):
+    """The closed-form smallest eigenpair of symmetric 3x3 matrices built from
+    ``(..., 3)`` stacks, ``np.cross``, ``einsum`` norms and ``argmax``: the
+    reference that ``geometry._smallest_eigenpair_sym3``, which works
+    component by component, must match byte for byte.  Same arguments and
+    return value.
+    """
+    q = (a00 + a11 + a22) / 3.0
+    b00 = a00 - q
+    b11 = a11 - q
+    b22 = a22 - q
+    p2 = b00 * b00 + b11 * b11 + b22 * b22 + 2.0 * (a01 * a01 + a02 * a02 + a12 * a12)
+    p = np.sqrt(p2 / 6.0)
+    psafe = np.where(p > 0.0, p, 1.0)
+    det = (
+        b00 * (b11 * b22 - a12 * a12)
+        - a01 * (a01 * b22 - a12 * a02)
+        + a02 * (a01 * a12 - b11 * a02)
+    )
+    r = np.clip(det / (2.0 * psafe**3), -1.0, 1.0)
+    phi = np.arccos(r) / 3.0
+    lam_max = q + 2.0 * p * np.cos(phi)
+    lam_min = q + 2.0 * p * np.cos(phi + 2.0 * np.pi / 3.0)
+    lam_mid = 3.0 * q - lam_max - lam_min
+
+    r0 = np.stack([a00 - lam_min, a01, a02], axis=-1)
+    r1 = np.stack([a01, a11 - lam_min, a12], axis=-1)
+    r2 = np.stack([a02, a12, a22 - lam_min], axis=-1)
+    c01 = np.cross(r0, r1)
+    c02 = np.cross(r0, r2)
+    c12 = np.cross(r1, r2)
+    norms = np.stack(
+        [
+            np.einsum("...i,...i->...", c01, c01),
+            np.einsum("...i,...i->...", c02, c02),
+            np.einsum("...i,...i->...", c12, c12),
+        ],
+        axis=-1,
+    )
+    pick = np.argmax(norms, axis=-1)[..., None]
+    v = np.where(pick == 0, c01, np.where(pick == 1, c02, c12))
+    best = np.max(norms, axis=-1)
+
+    usable = best > 0.0
+    v = np.where(usable[..., None], v, np.array([0.0, 0.0, 1.0]))
+    v = v / np.linalg.norm(v, axis=-1, keepdims=True)
+
+    sign = np.where(
+        np.abs(v[..., 2]) > sign_tol,
+        np.sign(v[..., 2]),
+        np.where(
+            np.abs(v[..., 0]) > sign_tol,
+            np.sign(v[..., 0]),
+            np.where(np.abs(v[..., 1]) > sign_tol, np.sign(v[..., 1]), 1.0),
+        ),
+    )
+    v = v * sign[..., None]
+    return (lam_min, lam_mid, lam_max), v

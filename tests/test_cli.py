@@ -4,9 +4,13 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import zacn
 from zacn import (
@@ -24,7 +28,7 @@ from zacn import (
     write_tensor,
     za_conv_forward,
 )
-from zacn.cli import _spec_from_args, _workers, _write_csv, build_parser, main
+from zacn.cli import _abs_percentiles, _spec_from_args, _workers, _write_csv, build_parser, main
 from zacn.harness import TrainConfig, generate_scene
 
 
@@ -128,6 +132,67 @@ class TestOffsetsCommand:
             "--out", workdir / "o.zacn",
         )
         assert rc == 2
+
+
+PERCENTS = [50, 90, 99]
+
+# every float32 class the statistics meet: signed zeros, subnormals, the
+# largest finite magnitudes, and a small pool that makes ties likely
+FLOAT32S = st.one_of(
+    st.floats(width=32, allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 1e-45, -1e-45, 1e-40, 0.5, -0.5, 3.0, 3.4028235e38]),
+)
+
+
+def _expected_stats(x):
+    mags = np.abs(x, dtype=np.float64)
+    return np.percentile(mags, PERCENTS), mags.max()
+
+
+class TestAbsPercentiles:
+    def _assert_exact(self, x):
+        before = x.copy()
+        got, top = _abs_percentiles(x, PERCENTS)
+        want, want_top = _expected_stats(x)
+        assert got.dtype == np.float64
+        assert got.tobytes() == want.tobytes()
+        assert np.float64(top).tobytes() == want_top.tobytes()
+        assert x.tobytes() == before.tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(hnp.arrays(np.float32, hnp.array_shapes(min_dims=1, max_dims=3, max_side=12),
+                      elements=FLOAT32S))
+    def test_byte_equal_to_numpy(self, x):
+        self._assert_exact(x)
+
+    @pytest.mark.parametrize("values", [
+        [7.25],  # n = 1: every percentile is the one value
+        [-0.0],
+        [0.0] * 50,
+        [-0.0, 0.0] * 25,
+        [2.0, -2.0, 2.0, 1.0] * 30,  # ties on both sides of each rank
+        [1e-45, -3e-45, 1e-40, 0.0, 1.1754942e-38] * 9,  # subnormals
+        [3.4028235e38, -3.4028235e38, 1e38, -0.0],  # the largest magnitudes
+        list(range(-100, 101)),  # integer-valued ranks: no interpolation
+    ])
+    def test_edge_cases(self, values):
+        self._assert_exact(np.array(values, dtype=np.float32))
+
+    def test_read_only_field_is_left_as_it_is(self, rng):
+        field = OffsetField(rng.standard_normal((18, 6, 7)).astype(np.float32))
+        self._assert_exact(field.data)
+        assert not field.data.flags.writeable
+
+    def test_peak_memory_is_one_uint32_copy(self, rng):
+        x = rng.standard_normal((18, 480, 640), dtype=np.float32)
+        tracemalloc.start()
+        try:
+            _abs_percentiles(x, PERCENTS)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # np.abs(x, dtype=np.float64) alone would take 2 * x.nbytes (42 MiB)
+        assert peak < 1.25 * x.nbytes
 
 
 class TestConvPoolCommands:
@@ -338,7 +403,6 @@ class TestToytrainCommand:
         assert (args.epochs, args.lr, args.hidden, args.assumed_focal) == (
             cfg.epochs, cfg.learning_rate, cfg.hidden, cfg.assumed_focal) == (150, 0.5, 24, None)
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_divergence_exit_2_names_epoch(self, tmp_path, capsys):
         rc = run_cli("toytrain", "--seed", "0", "--lr", "1e9", "--epochs", "5",
                      "--csv", tmp_path / "t.csv")

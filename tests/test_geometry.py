@@ -26,7 +26,7 @@ from zacn.geometry import _plane_basis, _plane_grid
 from zacn.harness import generate_scene
 
 from conftest import noisy_scene_depth, nyu_like_intrinsics, smooth_depth
-from oracles import plane_residual, ref_offsets_eigh
+from oracles import plane_residual, ref_offsets_eigh, stacked_eigenpair_sym3
 
 INV_SQRT5 = 1.0 / np.sqrt(5.0)
 # Unit roundoff of float32: a correctly rounded float32 value is within a
@@ -151,6 +151,49 @@ class TestFitPlane:
         pts = np.array([(t, 2.0 * t, 1.0 + t) for t in np.linspace(-1, 1, 7)])
         with pytest.raises(DegenerateNeighborhoodError):
             fit_plane(pts, pts[3])
+
+
+def _symmetric_batch(rng, kind, n=4000):
+    """``n`` symmetric 3x3 matrices ``(n, 3, 3)`` of one kind."""
+    if kind == "scatter":  # what the plane fit builds: sums of outer products
+        a = rng.normal(size=(n, 3, 9)) * 10.0 ** rng.uniform(-4, 4, (n, 1, 1))
+        return a @ a.transpose(0, 2, 1)
+    if kind in ("rank1", "rank2"):  # collinear and coplanar neighborhoods
+        a = rng.normal(size=(n, 3, 1 if kind == "rank1" else 2))
+        return a @ a.transpose(0, 2, 1)
+    if kind == "indefinite":
+        b = rng.normal(size=(n, 3, 3))
+        return b + b.transpose(0, 2, 1)
+    if kind == "integer":  # exact ties among the cross products
+        a = rng.integers(-2, 3, size=(n, 3, 3)).astype(np.float64)
+        return a @ a.transpose(0, 2, 1)
+    if kind == "isotropic":
+        return rng.uniform(0.0, 3.0, (n, 1, 1)) * np.eye(3)
+    if kind == "axis":  # diagonal, with the smallest entry on any axis
+        diag = rng.integers(0, 4, size=(n, 3)).astype(np.float64)
+        return diag[:, :, None] * np.eye(3)
+    if kind == "non_finite":  # invalid window centres feed NaN and infinity
+        s = _symmetric_batch(rng, "scatter", n)
+        s[::3, 0, 1] = s[::3, 1, 0] = np.nan
+        s[1::3, 2, 2] = np.inf
+        return s
+    raise ValueError(kind)
+
+
+class TestEigenpair:
+    @pytest.mark.parametrize(
+        "kind", ["scatter", "rank1", "rank2", "indefinite", "integer", "isotropic", "axis",
+                 "non_finite"])
+    def test_byte_equal_to_stacked_reference(self, rng, kind):
+        s = _symmetric_batch(rng, kind).reshape(40, 100, 3, 3)
+        entries = (s[..., 0, 0], s[..., 1, 1], s[..., 2, 2], s[..., 0, 1], s[..., 0, 2], s[..., 1, 2])
+        with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+            lams, v = geometry._smallest_eigenpair_sym3(*entries)
+            ref_lams, ref_v = stacked_eigenpair_sym3(*entries, sign_tol=geometry._SIGN_TOL)
+        assert v.shape == ref_v.shape == (40, 100, 3)
+        for got, want in zip(lams + (v,), ref_lams + (ref_v,)):
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
 
 
 class TestBasis:

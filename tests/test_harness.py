@@ -160,7 +160,6 @@ class TestTrainToy:
         result = train_toy(train, cfg, train)
         assert result.losses[-1] < result.losses[0]
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_divergence_names_epoch(self):
         train, _ = self._scenes()
         cfg = TrainConfig(learning_rate=1e9, epochs=20, seed=0, operator="standard", hidden=4)
@@ -169,7 +168,6 @@ class TestTrainToy:
         assert exc.value.epoch is not None
         assert str(exc.value.epoch) in str(exc.value)
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_divergence_chains_the_container_error(self):
         train, _ = self._scenes()
         cfg = TrainConfig(learning_rate=1e9, epochs=20, seed=0, operator="standard", hidden=4)
