@@ -10,7 +10,7 @@ Coordinate conventions (standard computer vision):
 The offset pipeline, per output pixel ``p``, is one batch stage per
 formula, run by ``_offset_block`` over a tile of output rows;
 ``compute_offsets`` sizes the tiles by a byte budget and shares them
-among its worker threads:
+between the calling thread and its worker threads:
 
   1. gather the regular receptive field on the depth map (coordinates
      clamped to the image),
@@ -37,6 +37,7 @@ operators to their standard counterparts there.
 from __future__ import annotations
 
 import math
+import operator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 
@@ -417,34 +418,39 @@ def _offset_block(
     flat = tvc * w + tuc
     z = depth64.ravel().take(flat)
     valid = valid_depth.ravel().take(flat)
+    del flat
     center_valid = valid[center_tap]
+    neighbor_count = valid.sum(axis=0) - center_valid.astype(np.int64)
 
+    # Each stage frees the full-size (n2, rows, ow) arrays it no longer
+    # needs and works in place where the bits allow, so a tile keeps a few
+    # of them alive at once, not a dozen.
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         px, py, _ = _back_project(tuc, tvc, z, K)
-        x0 = px[center_tap]
-        y0 = py[center_tap]
-        z0 = z[center_tap]
-        normal, rank_deficient = _plane_normals(
-            np.where(valid, px - x0, 0.0),
-            np.where(valid, py - y0, 0.0),
-            np.where(valid, z - z0, 0.0),
-        )
+        x0 = px[center_tap].copy()
+        y0 = py[center_tap].copy()
+        z0 = z[center_tap].copy()
+        invalid = ~valid
+        del valid
+        # Pi - P0 in place, excluded taps zero: np.where(valid, a - a0, 0.0)
+        for a, a0 in ((px, x0), (py, y0), (z, z0)):
+            np.subtract(a, a0, out=a)
+            np.copyto(a, 0.0, where=invalid)
+        normal, rank_deficient = _plane_normals(px, py, z)
+        del px, py, z, invalid
         x_axis, y_axis, fallback = _plane_basis(normal)
         tx, ty, tz = _plane_grid(x0, y0, z0, x_axis, y_axis, spec, K)
+        behind = ~((tz > 0.0) & np.isfinite(tz)).all(axis=0)  # grid behind the camera
         proj_u, proj_v = _project(tx, ty, tz, K)
+        del tx, ty, tz
 
-        neighbor_count = valid.sum(axis=0) - center_valid.astype(np.int64)
-        degenerate = (
-            ~center_valid
-            | (neighbor_count < 3)
-            | rank_deficient
-            | ~((tz > 0.0) & np.isfinite(tz)).all(axis=0)  # grid behind the camera
-        )
-        keep = ~degenerate
-        out[0::2, row_start:row_stop] = np.where(keep, proj_v - tv, 0.0)
-        out[1::2, row_start:row_stop] = np.where(keep, proj_u - tu, 0.0)
+        degenerate = ~center_valid | (neighbor_count < 3) | rank_deficient | behind
+        for parity, proj, regular in ((0, proj_v, tv), (1, proj_u, tu)):
+            proj -= regular
+            np.copyto(proj, 0.0, where=degenerate)
+            out[parity::2, row_start:row_stop] = proj
 
-    return int(np.count_nonzero(degenerate)), int(np.count_nonzero(fallback & keep))
+    return int(np.count_nonzero(degenerate)), int(np.count_nonzero(fallback & ~degenerate))
 
 
 def compute_offsets(
@@ -465,12 +471,24 @@ def compute_offsets(
 
     Output rows are processed in tiles of as many rows as keep one float64
     ``(N*N, rows, out_w)`` temporary within ``_TILE_BYTES``, so the working
-    set stays cache-sized whatever the image size.  ``workers`` > 1 shares
-    the tiles among a thread pool (never more threads than tiles); one
-    worker, the default for ``None``, computes them in the calling thread.
-    The tiles depend only on the shapes, so results are bit-identical for
-    any worker count.
+    set stays cache-sized whatever the image size.  ``workers`` (an integer
+    >= 1; ``None`` means 1) is the number of threads that compute tiles,
+    never more than there are tiles: the calling thread takes every
+    ``workers``-th tile and a pool of ``workers - 1`` threads the rest.
+    The caller works rather than waits because each pool thread's malloc
+    arena holds on to its tiles' temporaries, so every extra thread costs
+    peak memory.  The tiles depend only on the shapes and the counts are
+    summed, so results are bit-identical for any worker count.
+
+    Raises :class:`ConfigError` for a ``workers`` that is not an integer
+    >= 1 or output dims that do not match ``spec`` on the depth map.
     """
+    try:
+        workers = 1 if workers is None else operator.index(workers)
+    except TypeError as exc:
+        raise ConfigError(f"workers must be an integer, got {workers!r}") from exc
+    if workers < 1:
+        raise ConfigError(f"workers must be >= 1, got {workers}")
     expected = spec.output_shape(depth.height, depth.width)
     if expected != (out_h, out_w):
         raise ConfigError(
@@ -482,18 +500,22 @@ def compute_offsets(
     out = np.empty((spec.offset_channels, out_h, out_w), dtype=np.float32)
 
     tiles = _row_tiles(out_h, spec.tap_count * out_w * 8)
-    nworkers = 1 if workers is None else max(1, min(int(workers), len(tiles)))
+    nworkers = min(workers, len(tiles))
 
-    def run(rows):
-        return _offset_block(depth64, valid, K, spec, rows, out)
+    def run(share):
+        return [_offset_block(depth64, valid, K, spec, rows, out) for rows in share]
 
+    # Each pool thread's glibc malloc arena keeps its tiles' temporaries
+    # after they are freed, so no thread only waits: the calling thread
+    # computes the first share, and one worker starts no pool at all.
     if nworkers == 1:
-        # not a one-thread pool: its thread gets its own glibc malloc arena,
-        # which kept ~5 MB more peak RSS in processes that also run the ops
-        counts = list(map(run, tiles))
+        counts = run(tiles)
     else:
-        with ThreadPoolExecutor(max_workers=nworkers) as pool:
-            counts = list(pool.map(run, tiles))
+        shares = [tiles[k::nworkers] for k in range(nworkers)]
+        with ThreadPoolExecutor(max_workers=nworkers - 1) as pool:
+            others = pool.map(run, shares[1:])
+            counts = run(shares[0])
+            counts += [c for share in others for c in share]
     deg = sum(d for d, _ in counts)
     fb = sum(f for _, f in counts)
     return OffsetField(out), OffsetSummary(out_h * out_w, deg, fb)

@@ -12,7 +12,8 @@ from pathlib import Path
 
 import pytest
 
-from zacn import harness
+from zacn import cli, harness
+from zacn.io import write_depth
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
@@ -35,13 +36,18 @@ def test_every_hook_target_exists(tracing):
     assert missing == []
 
 
-def test_traced_toy_run_records_spans_and_counts(tracing, monkeypatch):
+def _installed_tracer(tracing, monkeypatch):
     modules = _hooked_modules(tracing)
     for mod, attr, *_ in tracing.HOOKS:  # monkeypatch restores the originals afterwards
         monkeypatch.setattr(modules[mod], attr, getattr(modules[mod], attr))
     tracer = tracing.Tracer()
     assert tracer.install(modules) == []
     tracer.item = 0
+    return tracer
+
+
+def test_traced_toy_run_records_spans_and_counts(tracing, monkeypatch):
+    tracer = _installed_tracer(tracing, monkeypatch)
     rows = harness.paired_toy_runs([0], epochs=2)  # a count function that raises fails here
     assert [r["epochs"] for r in rows] == [2, 2]
 
@@ -54,4 +60,21 @@ def test_traced_toy_run_records_spans_and_counts(tracing, monkeypatch):
             assert s["samples"] > 0
     metrics = tracing.layer_metrics(tracer.spans, [], 1)
     for name in ("tensor.gather_ms", "ops.za_conv_backward_ms", "ops.macs", "harness.epochs_per_s"):
+        assert metrics[name] > 0, name
+
+
+def test_traced_offsets_run_records_spans_and_counts(tracing, monkeypatch, tmp_path):
+    # 120x160 makes two row tiles of the offset field, so both workers compute
+    scene = harness.generate_scene("corridor", 120, 160, seed=0)
+    write_depth(scene.depth, tmp_path / "d.pfm")
+    monkeypatch.setenv("ZACN_THREADS", "2")
+    tracer = _installed_tracer(tracing, monkeypatch)
+    rc = cli.main(["offsets", "--depth", str(tmp_path / "d.pfm"), "--fu", "519", "--fv", "519",
+                   "--out", str(tmp_path / "o.zacn")])
+    assert rc == 0
+
+    names = {s["name"] for s in tracer.spans}
+    assert {"cli.cmd_offsets", "geometry.compute_offsets", "io.read_depth", "io.write_offsets"} <= names
+    metrics = tracing.layer_metrics(tracer.spans, [], 1)
+    for name in ("cli.offsets_self_ms", "geometry.compute_offsets_ms", "io.bytes_written"):
         assert metrics[name] > 0, name

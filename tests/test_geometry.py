@@ -1,5 +1,6 @@
 import math
 import sys
+import threading
 import tracemalloc
 import warnings
 
@@ -381,6 +382,52 @@ class TestComputeOffsets:
         finally:
             sys.setswitchinterval(interval)
 
+    def test_calling_thread_computes_a_share_of_the_tiles(self, rng, monkeypatch):
+        depth = DepthMap(smooth_depth(rng, 30, 40))
+        K = nyu_like_intrinsics(30, 40)
+        spec = KernelSpec.same(3)
+        monkeypatch.setattr(geometry, "_TILE_BYTES", 3 * spec.tap_count * 40 * 8)  # 10 tiles
+        threads = []
+        block = geometry._offset_block
+
+        def recording_block(*args):
+            threads.append(threading.get_ident())
+            return block(*args)
+
+        monkeypatch.setattr(geometry, "_offset_block", recording_block)
+        for workers in (1, 2, 3):
+            threads.clear()
+            compute_offsets(depth, K, spec, 30, 40, workers=workers)
+            assert len(threads) == 10
+            assert threading.get_ident() in threads
+            assert len(set(threads)) <= workers
+
+    @pytest.mark.parametrize("workers", [0, -3, "2", 2.9])
+    def test_invalid_worker_count_rejected(self, rng, workers):
+        depth = DepthMap(smooth_depth(rng, 16, 16))
+        K = nyu_like_intrinsics(16, 16)
+        with pytest.raises(ConfigError, match="workers"):
+            compute_offsets(depth, K, KernelSpec.same(3), 16, 16, workers=workers)
+
+    def test_tile_peak_memory_is_a_few_tile_arrays(self, rng):
+        h, w = 22, 640  # one 1 MiB tile of a 3x3 field at 640 columns
+        depth = DepthMap(smooth_depth(rng, h, w))
+        K = nyu_like_intrinsics(h, w)
+        spec = KernelSpec.same(3)
+        assert geometry._row_tiles(h, spec.tap_count * w * 8) == [(0, h)]
+        depth64 = depth.data.astype(np.float64)
+        valid = depth.valid_mask()
+        out = np.empty((spec.offset_channels, h, w), np.float32)
+        tracemalloc.start()
+        try:
+            geometry._offset_block(depth64, valid, K, spec, (0, h), out)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # one float64 (taps, rows, out_w) array is 0.97 MiB; a tile that keeps
+        # a dozen of them alive at once peaks at 12 MiB
+        assert peak < 10 * spec.tap_count * h * w * 8
+
     def test_peak_memory_is_bounded_by_tiles(self, rng):
         h, w = 480, 640
         depth = DepthMap(smooth_depth(rng, h, w))
@@ -446,6 +493,16 @@ class TestComputeOffsets:
         and ``kv`` from the float32 center depth ``z0`` and ``x, y`` from the
         true normal.
 
+        Grazing planes: the grid's depth is ``z0 * (1 + (j-c)*dilation/fu*x3
+        + (i-c)*dilation/fv*y3)``, the same multiple of ``z0`` at every
+        pixel, so a plane's grids reach behind the camera everywhere or
+        nowhere.  A further 40 planes per case are seen with ``fu = fv = 2``,
+        where a tap step is ``dilation*z0/2`` and steep walls put taps behind
+        the camera.  Every pixel of such a plane must fall back: zero offsets,
+        counted as degenerate.  Planes whose reference grid depth comes within
+        ``1e-3*z0`` of zero are skipped, since float32 rounding of the normal
+        may put them on either side.
+
         Tolerance, to first order in float32 depth rounding, doubled to
         cover higher-order terms:
           * rounding moves a point along its ray by a relative F32_UNIT,
@@ -468,9 +525,10 @@ class TestComputeOffsets:
         di, dj = dilation * (ii - c), dilation * (jj - c)
         r = dilation * c
         v0, u0 = (a.ravel() for a in np.mgrid[r : h - r, r : w - r])
-        for _ in range(60):
-            n, d, K, depth = _random_plane_scene(rng, h, w)
-            field, _ = compute_offsets(DepthMap(depth), K, spec, h, w)
+        behind_planes = 0
+        for focal in [None] * 60 + [2.0] * 40:
+            n, d, K, depth = _random_plane_scene(rng, h, w, focal)
+            field, summary = compute_offsets(DepthMap(depth), K, spec, h, w)
 
             s = math.sqrt(1.0 - n[1] ** 2)
             x_axis = np.array([n[2], 0.0, -n[0]]) / s
@@ -484,7 +542,14 @@ class TestComputeOffsets:
                 + (ku * (jj - c))[..., None] * x_axis
                 + (kv * (ii - c))[..., None] * y_axis
             )  # (pixels, taps, 3)
-            assert np.all(taps[..., 2] > 0.0)
+            nearest = np.min(taps[..., 2] / z0)
+            if abs(nearest) < 1e-3:
+                continue
+            if nearest < 0.0:
+                behind_planes += 1
+                assert summary.degenerate_pixels == h * w, f"plane {n}"
+                assert not field.data.any(), f"plane {n}"
+                continue
             ref_u = K.fu * taps[..., 0] / taps[..., 2] + K.cu
             ref_v = K.fv * taps[..., 1] / taps[..., 2] + K.cv
             got_v = v0[:, None] + di + field.data[0::2, v0, u0].T.astype(np.float64)
@@ -512,6 +577,9 @@ class TestComputeOffsets:
             tol = 2 * gain * shift + offset * F32_UNIT + 1e-9
             err = np.maximum(np.abs(got_u - ref_u), np.abs(got_v - ref_v))
             assert np.all(err <= tol), f"worst err/tol {np.max(err / tol):.3g} for plane {n}"
+        # at fu = fv = 2 the nearest tap is at z0 * (1 - dilation*c/2 * (|x3| + |y3|)), and
+        # |x3| + |y3| <= sqrt(1 + n2^2) < 1.4, so only dilation*c >= 2 reaches behind the camera
+        assert (behind_planes > 0) == (dilation * c >= 2)
 
     def test_tap_order_on_exact_corridor_is_pinned(self):
         # Both side walls have n3 = 0, so the sign tie-break gives both the
@@ -558,14 +626,20 @@ class TestComputeOffsets:
             KernelSpec(9, padding=0).output_shape(4, 4)
 
 
-def _random_plane_scene(rng, h, w):
+def _random_plane_scene(rng, h, w, focal=None):
     """Random plane ``n . P = d`` in front of a random camera, with its
-    float32 depth rendered by ray-plane intersection in float64."""
+    float32 depth rendered by ray-plane intersection in float64.
+
+    With ``focal``, the camera has ``fu = fv = focal`` and a principal point
+    drawn anew with each plane, within one image size of the image, so that
+    steep planes can fill a wide field of view."""
     K = CameraIntrinsics(
         *rng.uniform(25.0, 120.0, size=2), *rng.uniform([0.3 * w, 0.3 * h], [0.7 * w, 0.7 * h])
     )
     v, u = np.mgrid[0:h, 0:w].astype(np.float64)
     while True:
+        if focal is not None:
+            K = CameraIntrinsics(focal, focal, *rng.uniform([-w, -h], [2 * w, 2 * h]))
         n = rng.normal(size=3)
         n /= math.sqrt(n @ n)
         if n[2] < 0:
