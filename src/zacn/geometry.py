@@ -50,7 +50,7 @@ from .errors import (
     DegenerateNeighborhoodError,
     InvalidDepthError,
 )
-from .tensor import DepthMap, OffsetField
+from .tensor import DepthMap, OffsetField, _Owned
 
 __all__ = [
     "CameraIntrinsics",
@@ -518,4 +518,4 @@ def compute_offsets(
             counts += [c for share in others for c in share]
     deg = sum(d for d, _ in counts)
     fb = sum(f for _, f in counts)
-    return OffsetField(out), OffsetSummary(out_h * out_w, deg, fb)
+    return OffsetField(_Owned(out)), OffsetSummary(out_h * out_w, deg, fb)

@@ -10,9 +10,10 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from zacn import cli, harness
+from zacn import cli, geometry, harness, ops, tensor
 from zacn.io import write_depth
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
@@ -78,3 +79,26 @@ def test_traced_offsets_run_records_spans_and_counts(tracing, monkeypatch, tmp_p
     metrics = tracing.layer_metrics(tracer.spans, [], 1)
     for name in ("cli.offsets_self_ms", "geometry.compute_offsets_ms", "io.bytes_written"):
         assert metrics[name] > 0, name
+
+
+def test_traced_infer_run_records_spans_and_counts(tracing, monkeypatch):
+    # the inference workload's calls, through the module attributes it uses:
+    # offsets, adapted conv, ReLU and adapted pooling on one 120x160 frame
+    scene = harness.generate_scene("ramp", 120, 160, seed=0, focal=519.0 / 4)
+    rng = np.random.default_rng(0)
+    x = tensor.FeatureTensor(rng.standard_normal((16, 120, 160)).astype(np.float32))
+    w = ops.ConvWeights(0.1 * rng.standard_normal((16, 16, 3, 3)).astype(np.float32))
+    tracer = _installed_tracer(tracing, monkeypatch)
+    spec = geometry.KernelSpec.same(3)
+    field, _ = geometry.compute_offsets(scene.depth, scene.intrinsics, spec, 120, 160)
+    y, _ = ops.za_conv_forward(x, w, field, spec)
+    ops.za_avg_pool(tensor.FeatureTensor(np.maximum(y.data, 0.0)), field, spec)
+
+    names = {s["name"] for s in tracer.spans}
+    assert {"geometry.compute_offsets", "ops.za_conv_forward", "ops.za_avg_pool",
+            "tensor.gather", "tensor.scatter"} <= names
+    metrics = tracing.layer_metrics(tracer.spans, [], 1)
+    for name in ("tensor.scatter_ms", "tensor.gather_ms", "ops.za_conv_forward_ms",
+                 "ops.za_avg_pool_ms", "geometry.compute_offsets_ms", "ops.macs"):
+        assert metrics[name] > 0, name
+    assert 0.0 < metrics["ops.oob_sample_fraction"] < 1.0

@@ -21,9 +21,10 @@ from zacn import (
     za_conv_backward,
     za_conv_forward,
 )
-from zacn import geometry
-from zacn.ops import _conv_gemm, _pool_sum, _sample_positions, _sampling_plan
-from zacn.tensor import _bilinear_scatter_weights
+from zacn import compute_offsets, geometry
+from zacn.harness import generate_scene
+from zacn.ops import _conv_gemm, _pool_sums, _sampling_plan, _tap_positions
+from zacn.tensor import _bilinear_scatter_weights, _neighbor_steps
 
 from conftest import rand_feature, rand_offsets, rand_weights
 from oracles import naive_standard_conv, naive_za_conv, naive_za_pool
@@ -207,7 +208,8 @@ def test_one_field_under_two_specs_matches_fresh_fields(rng):
 
 
 # (field kind, neighbor slots its sampling plan keeps)
-FIELD_KINDS = [("zero", 1), ("integer", 1), ("x-fractional", 2), ("general", 4), ("off-image", 0)]
+FIELD_KINDS = [("zero", 1), ("integer", 1), ("x-fractional", 2), ("general", 4), ("off-image", 0),
+               ("far", 4)]
 
 
 def kind_field(rng, kind, spec, h, w):
@@ -221,7 +223,23 @@ def kind_field(rng, kind, spec, h, w):
         off = rng.uniform(-2.0, 2.0, off.shape)
     elif kind == "off-image":
         off[:] = 50.0
+    elif kind == "far":  # every other output row jumps 40 px, so unclipped indices wrap rows
+        off = rng.uniform(-2.0, 2.0, off.shape)
+        off[:, ::2] += rng.choice([-40.0, 40.0], off[:, ::2].shape)
     return OffsetField(off.astype(np.float32))
+
+
+def full_plan(x, field, spec):
+    """The 4-slot plan of ``field``, straight from the bilinear weights."""
+    pos = list(_tap_positions(spec, field))
+    u, v = np.stack([p[0] for p in pos]), np.stack([p[1] for p in pos])
+    base, wgt = _bilinear_scatter_weights(x.height, x.width, u, v)
+    plan = _sampling_plan(x, OffsetField(field.data), spec)
+    return dataclasses.replace(plan, base=base, steps=_neighbor_steps(x.width), wgt=wgt)
+
+
+def plan_bytes_per_sample(plan):
+    return (plan.base.nbytes + plan.wgt.nbytes) / plan.base.size
 
 
 class TestSamplingPlan:
@@ -230,32 +248,78 @@ class TestSamplingPlan:
         spec = KernelSpec.same(3)
         field = kind_field(rng, kind, spec, 6, 7)
         plan = _sampling_plan(rand_feature(rng, 1, 6, 7), field, spec)
-        assert plan.idx.shape == plan.wgt.shape == (slots, 9, 6, 7)
+        assert plan.base.shape == (9, 6, 7) and plan.base.dtype == np.int32
+        assert len(plan.steps) == len(plan.wgt) == slots
+        assert set(plan.steps) <= set(_neighbor_steps(7))
+        assert all(a.shape == (9, 6, 7) and a.dtype == np.float64 for a in plan.wgt)
+        # int32 indices and float64 weights: 12 bytes a tap sample per slot
+        assert plan_bytes_per_sample(plan) == 4 + 8 * slots
 
     @pytest.mark.parametrize("kind", [k for k, _ in FIELD_KINDS])
     @pytest.mark.parametrize("spec", [KernelSpec(1), KernelSpec.same(3), KernelSpec(3, dilation=2, stride=2, padding=2)])
     def test_trimmed_plan_matches_full_plan(self, rng, kind, spec):
-        # dropped slots only ever added exact zeros: forward, pooling,
-        # backward and the summaries keep every bit of the 4-slot plan
+        # dropped slots only ever added exact zeros, and an off-image neighbor
+        # reads whatever its clipped index finds with weight +0.0: forward,
+        # pooling, backward, gathered samples and the summaries keep every
+        # bit of the 4-slot plan
         h, w = 7, 8
         oh, ow = spec.output_shape(h, w)
         x, g = rand_feature(rng, 2, h, w), rand_feature(rng, 3, oh, ow)
         wts = rand_weights(rng, 3, 2, spec.size)
         trimmed = kind_field(rng, kind, spec, h, w)
         full = OffsetField(trimmed.data)
-        u, v = _sample_positions(spec, full)
-        idx, wgt = _bilinear_scatter_weights(h, w, u, v)
-        plan = _sampling_plan(x, trimmed, spec)
-        full._plans[(spec, h, w)] = dataclasses.replace(plan, idx=idx, wgt=wgt)
+        full._plans[(spec, h, w)] = full_plan(x, trimmed, spec)
 
         def run(field):
             y, sy = za_conv_forward(x, wts, field, spec)
             p, sp = za_avg_pool(x, field, spec)
             gx, gw = za_conv_backward(x, wts, field, spec, g)
-            return [a.tobytes() for a in (y.data, p.data, gx.data, gw.data)] + [sy.as_dict(), sp.as_dict()]
+            s = gather_samples(x, field, spec)
+            return [a.tobytes() for a in (y.data, p.data, gx.data, gw.data, s)] + [sy.as_dict(), sp.as_dict()]
 
         assert run(trimmed) == run(full)
-        assert len(full._plans[(spec, h, w)].idx) == 4
+        assert len(full._plans[(spec, h, w)].wgt) == 4
+
+    def test_plan_is_at_most_36_bytes_a_tap_sample(self, rng):
+        spec = KernelSpec.same(3)
+        x = rand_feature(rng, 1, 30, 40)
+        general = _sampling_plan(x, kind_field(rng, "general", spec, 30, 40), spec)
+        zero = _sampling_plan(x, kind_field(rng, "zero", spec, 30, 40), spec)
+        assert len(general.wgt) == 4 and plan_bytes_per_sample(general) <= 36
+        assert plan_bytes_per_sample(zero) <= 12
+
+    def test_far_field_indices_wrap_rows(self, rng):
+        # the unclipped top-left indices of 40 px jumps leave the flat image
+        # or wrap into other rows; the outputs still match per-pixel loops
+        spec = KernelSpec.same(3)
+        x, wts = rand_feature(rng, 2, 7, 8), rand_weights(rng, 3, 2, 3)
+        field = kind_field(rng, "far", spec, 7, 8)
+        plan = _sampling_plan(x, field, spec)
+        assert plan.base.min() < 0 and plan.base.max() >= 7 * 8
+        x64, off = x.data.astype(np.float64), field.data.astype(np.float64)
+        ref = naive_za_conv(x64, wts.data.astype(np.float64), off, 3, 1, 1, 1)
+        np.testing.assert_allclose(za_conv_forward(x, wts, field, spec)[0].data, ref, rtol=1e-6, atol=1e-6)
+        ref = naive_za_pool(x64, off, 3, 1, 1, 1)
+        np.testing.assert_allclose(za_avg_pool(x, field, spec)[0].data, ref, rtol=1e-6, atol=1e-6)
+
+    def test_all_taps_off_image(self, rng):
+        spec = KernelSpec.same(3)
+        x, g = rand_feature(rng, 2, 6, 7), rand_feature(rng, 3, 6, 7)
+        wts = rand_weights(rng, 3, 2, 3)
+        field = kind_field(rng, "off-image", spec, 6, 7)
+        y, sy = za_conv_forward(x, wts, field, spec)
+        p, sp = za_avg_pool(x, field, spec)
+        gx, gw = za_conv_backward(x, wts, field, spec, g)
+        for a in (y.data, p.data, gx.data, gw.data, gather_samples(x, field, spec)):
+            assert not np.signbit(a).any() and not a.any()
+        assert sy == sp and sy.degenerate_pixels == 42 and sy.oob_sample_fraction == 1.0
+
+    def test_flat_indices_widen_only_when_int32_overflows(self):
+        u, v = np.array([-5.0, 3.5, 1e9]), np.array([2.0, 1e9, -1e9])
+        for h, w, dtype in ((100, 100, np.int32), (2**16, 2**15, np.int64)):
+            base, _ = _bilinear_scatter_weights(h, w, u, v)
+            assert base.dtype == dtype
+            assert base.tolist() == [2 * w - 2, (h + 1) * w + 3, -2 * w + w + 1]
 
 
 SPLIT_SPECS = [KernelSpec(1), KernelSpec.same(3), KernelSpec(3, dilation=2, stride=2, padding=2)]
@@ -335,7 +399,8 @@ class TestRowTiles:
             monkeypatch.setattr(geometry, "_TILE_BYTES", rows * row_bytes)
             for a, b in zip(_conv_gemm(gathered, w2, g64), _conv_gemm(samples, w2, g64)):
                 assert a.tobytes() == b.tobytes()
-            assert _pool_sum(*gathered).tobytes() == pool_sum.tobytes()
+            sums = np.concatenate([a.copy() for *_, a in _pool_sums(*gathered)], axis=1)
+            assert sums.tobytes() == pool_sum.tobytes()
             assert za_avg_pool(x, field, spec)[0].data.tobytes() == pooled.data.tobytes()
             y, _ = za_conv_forward(x, wts, field, spec)
             assert za_conv_forward(x, wts, field, spec, samples=samples)[0].data.tobytes() == y.data.tobytes()
@@ -347,8 +412,9 @@ class TestRowTiles:
 
     def test_forward_memory_is_tiled(self, rng):
         # 480x640, 16 -> 16 channels, plan cached by a first call: what is
-        # left is the float64 output, the float64 copy of the input and a few
-        # tiles; gathering all 9 taps at once would take 338 MiB
+        # left is the float32 output, the float64 copy of the input and a few
+        # tiles; gathering all 9 taps at once would take 338 MiB, and a
+        # float64 output copied to float32 at the end another 37.5 MiB
         spec = KernelSpec.same(3)
         x, wts = rand_feature(rng, 16, 480, 640), rand_weights(rng, 16, 16, 3)
         field = kind_field(rng, "integer", spec, 480, 640)
@@ -359,14 +425,14 @@ class TestRowTiles:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        out64 = 16 * 480 * 640 * 8
+        in64, out32 = 16 * 480 * 640 * 8, 16 * 480 * 640 * 4
         assert y.data.shape == (16, 480, 640)
-        assert peak < 2 * out64 + 4 * geometry._TILE_BYTES, f"peak {peak / 2**20:.1f} MiB"
+        assert peak < in64 + out32 + 4 * geometry._TILE_BYTES, f"peak {peak / 2**20:.1f} MiB"
 
     def test_pool_memory_is_tiled(self, rng):
-        # as for the forward: the float64 sums, the float64 copy of the input
-        # and a few tiles; whole-image sample and temporary buffers per tap
-        # would take 169 MiB
+        # as for the forward: the float32 output, the float64 copy of the
+        # input and a few tiles; whole-image sample and temporary buffers per
+        # tap would take 169 MiB
         spec = KernelSpec.same(3)
         x = rand_feature(rng, 16, 480, 640)
         field = kind_field(rng, "integer", spec, 480, 640)
@@ -377,9 +443,60 @@ class TestRowTiles:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        out64 = 16 * 480 * 640 * 8
+        in64, out32 = 16 * 480 * 640 * 8, 16 * 480 * 640 * 4
         assert y.data.shape == (16, 480, 640)
-        assert peak < 2 * out64 + 4 * geometry._TILE_BYTES, f"peak {peak / 2**20:.1f} MiB"
+        assert peak < in64 + out32 + 4 * geometry._TILE_BYTES, f"peak {peak / 2**20:.1f} MiB"
+
+    def test_backward_memory_holds_no_float64_grad_x(self, rng):
+        # 480x640, 4 -> 4 channels, an integer field (one neighbor slot):
+        # the float64 per-tap upstream gradient, the clipped indices and the
+        # weighted contributions of every tap sample, the float32 grad_x, one
+        # channel's float64 bincount and a few tiles; a float64 grad_x copied
+        # to float32 at the end would add 9.4 MiB
+        spec = KernelSpec.same(3)
+        x, g = rand_feature(rng, 4, 480, 640), rand_feature(rng, 4, 480, 640)
+        wts = rand_weights(rng, 4, 4, 3)
+        field = kind_field(rng, "integer", spec, 480, 640)
+        za_conv_forward(x, wts, field, spec)
+        tracemalloc.start()
+        try:
+            gx, _ = za_conv_backward(x, wts, field, spec, g)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        hw = 480 * 640
+        gpix, per_sample = 4 * 9 * hw * 8, 9 * hw * 8
+        bound = gpix + 2 * per_sample + 4 * hw * 4 + hw * 8 + 2 * geometry._TILE_BYTES
+        assert gx.data.shape == (4, 480, 640)
+        assert peak < bound, f"peak {peak / 2**20:.1f} MiB, bound {bound / 2**20:.1f} MiB"
+
+    def test_infer_item_memory(self, rng):
+        # one item of the benchmark's inference loop at 120x160, 16 -> 16
+        # channels: offsets, adapted conv, ReLU and adapted pooling.  The peak
+        # is the pool's: the 36-byte-a-sample plan, the offset field, five
+        # float32 maps (input, conv, ReLU, its copy, pool), the pool's float64
+        # input copy and a few tiles.  Whole-image float64 outputs and 64-byte
+        # plan samples made it 22 MiB.
+        h, w, c = 120, 160, 16
+        spec = KernelSpec.same(3)
+        scene = generate_scene("corridor", h, w, seed=0, focal=519.0 / 4)
+        x = rng.standard_normal((c, h, w)).astype(np.float32)
+        wts = rand_weights(rng, c, c, 3, scale=0.1)
+        tracemalloc.start()
+        try:
+            field, _ = compute_offsets(scene.depth, scene.intrinsics, spec, h, w)
+            y, _ = za_conv_forward(FeatureTensor(x), wts, field, spec)
+            hidden = FeatureTensor(np.maximum(y.data, 0.0))
+            za_avg_pool(hidden, field, spec)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        plan = _sampling_plan(hidden, field, spec)
+        assert len(plan.wgt) == 4  # the corridor's offsets are fractional
+        samples = 9 * h * w
+        bound = (36 * samples + field.data.nbytes + 5 * c * h * w * 4 + c * h * w * 8
+                 + 2 * geometry._TILE_BYTES)
+        assert peak < bound, f"peak {peak / 2**20:.1f} MiB, bound {bound / 2**20:.1f} MiB"
 
 
 # Unit roundoff of float32: the operators accumulate in float64 and round

@@ -10,7 +10,7 @@ from zacn import (
     bilinear_sample,
 )
 from zacn.harness import generate_scene
-from zacn.tensor import _bilinear_scatter_weights
+from zacn.tensor import _bilinear_scatter_weights, _Owned
 
 from conftest import rand_feature
 from oracles import naive_bilinear
@@ -50,6 +50,22 @@ class TestContainers:
         base[0, 0, 0, 0] = 5.0
         assert f.data[0, 0, 0] == 0.0
         assert not f.data.flags.writeable
+
+    @pytest.mark.parametrize("make, shape", [(FeatureTensor, (2, 3, 3)), (OffsetField, (18, 3, 3))])
+    def test_owned_array_is_adopted_and_still_checked(self, make, shape):
+        # the package's operators hand over arrays they just made: no copy,
+        # but the same read-only flag and the same checks as a copy
+        arr = np.ones(shape, np.float32)
+        t = make(_Owned(arr))
+        assert t.data is arr and not arr.flags.writeable
+        bad = np.ones(shape, np.float32)
+        bad[0, 0, 0] = np.inf
+        with pytest.raises(ConfigError):
+            make(_Owned(bad))
+        with pytest.raises(ConfigError):
+            make(_Owned(np.ones(shape[1:], np.float32)))
+        with pytest.raises(ConfigError):
+            OffsetField(_Owned(np.zeros((7, 3, 3), np.float32)))
 
     @pytest.mark.parametrize("make, shape", [
         (FeatureTensor, (2, 3, 3)),
