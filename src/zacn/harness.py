@@ -17,10 +17,10 @@ descent.  Both operator choices of the 3x3 layer run through the adapted
 kernels (the standard one with an all-zero offset field, which is
 exactly the standard convolution), so parameter counts match by
 construction.  The 1x1 head runs ``ops._conv_gemm``, the adapted
-convolution's matmul, for the logits and both gradients, so it is bit
-for bit the adapted 1x1 convolution on a zero field.  Offsets never
-change, so training gathers each scene's layer-1 samples once and never
-forms the layer-1 input gradient, which nothing reads.
+convolution's matmul, for the float32 logits and ``dhidden`` and the
+float64 ``dw2``, so it is the adapted 1x1 convolution on a zero field.
+Offsets never change, so training gathers each scene's layer-1 samples
+once and never forms the layer-1 input gradient, which nothing reads.
 
 The experiment has one fixed setup: a 3x3 first layer with "same"
 padding, trained on two 48x64 corridor scenes per seed and evaluated on
@@ -351,7 +351,7 @@ def train_toy(scenes, cfg: TrainConfig, eval_scenes) -> TrainResult:
                 total_loss += loss
                 g = dlogits.astype(np.float64)
                 dw2 = _conv_gemm(hidden, g=g)[1].astype(np.float32)
-                dhidden = _conv_gemm(g, w2=head.T)[0].astype(np.float32)
+                dhidden = _conv_gemm(g, w2=head.T)[0]
                 dpre = FeatureTensor(dhidden * (pre.data > 0))
                 _, dw1 = za_conv_backward(x, w1, offsets, _SPEC, dpre,
                                           samples=samples, need_grad_x=False)

@@ -7,9 +7,6 @@ operator exactly.  The standard convolution and pooling are that: the
 adapted operator on a zero field.  Offsets never receive gradients;
 backward only produces gradients for the input and the weights.
 
-Accumulation happens in float64, and each row tile of an output is
-rounded straight into the float32 array that the returned tensor adopts
-(a convolution output of one tile is rounded whole).
 The adapted operators sample through one bilinear plan per (offset field,
 kernel spec, input shape), cached on the field: for every tap sample, the
 int32 flat index of its top-left bilinear neighbor, unclipped, and the
@@ -20,16 +17,18 @@ integer fields keep one slot (12 bytes per tap sample), fields fractional
 only in x two, and others four (36 bytes).  Positions far off the image
 sample zero padding.
 
-The plan is a deformable im2col: every convolution contraction, forward
-and backward, is one float64 matmul over the joint ``ci*taps`` axis per
-row tile of the output (:func:`_conv_gemm`), gathered tile by tile;
-pooling sums the same tiles' taps in plan order.  Backward scatters the input gradient through the plan's
-indices, clipped within the call.  :func:`gather_samples` returns the
-all-tap samples, which forward and backward accept as ``samples`` in
-place of their own gather, with the same bits, so training over a fixed
-field gathers once.  Backward with ``need_grad_x=False`` skips the scatter.
+The plan is a deformable im2col.  One walker, :func:`_sample_rows`,
+gathers it a row tile of the output at a time: each convolution
+contraction is one float64 matmul over the joint ``ci*taps`` axis per
+tile (:func:`_conv_gemm`), and pooling sums each tile's taps in plan
+order.  Backward scatters the input gradient through the plan's weights
+in row tiles of the same size, clipped per tile.
+Sums are float64; outputs are rounded once into the float32 arrays that
+the results adopt.  :func:`gather_samples` returns the all-tap samples,
+which forward and backward accept as ``samples`` in place of their own
+gather, with the same bits, so training over a fixed field gathers once.
 
-The tiles depend only on the shapes and the scatter is a sequential
+The tiles depend only on the shapes and each scatter is a sequential
 bincount, so outputs are bit-identical across runs and across BLAS thread
 counts (OpenBLAS never splits the contracted axis over threads).
 """
@@ -211,109 +210,61 @@ def _sampling_plan(x: FeatureTensor, offsets: OffsetField, spec: KernelSpec) -> 
     return plan
 
 
-def _samples_shape(src) -> tuple[int, int, int]:
-    """``(k, oh, ow)``: ``k`` samples per output pixel of a :func:`_sample_tiles` source."""
-    shape = (src[0].channels,) + src[1].base.shape if isinstance(src, tuple) else src.shape
-    return math.prod(shape[:-2]), *shape[-2:]
-
-
-def _tiles(k: int, oh: int, ow: int) -> list[tuple[int, int]]:
-    """The row tiles of ``(k, oh, ow)`` float64 samples: runs of rows whose
-    samples fit ``geometry._TILE_BYTES``."""
-    return geometry._row_tiles(oh, k * ow * 8)
-
-
-def _sample_tiles(src):
-    """Yield ``(r0, r1, samples[..., r0:r1, :])`` for the row tiles of the
-    float64 samples ``src``, or of an ``(x, plan)`` pair's ``(ci, taps, oh,
-    ow)`` samples gathered into a tile buffer that the next tile overwrites.
+def _sample_rows(src):
+    """The row tiles of the float64 ``(k, oh, ow)`` samples of ``src``, an
+    ``(x, plan)`` pair (``k = ci*taps``) or an array ``(..., oh, ow)``.
+    Returns ``(k, oh, ow, rows)``, ``rows`` the largest tile's, and an
+    iterator of ``(r0, r1, t)`` per run of rows that fits
+    ``geometry._TILE_BYTES``: ``t`` is the rows' ``(k, (r1 - r0) * ow)``
+    samples, a view of the array or gathered into a buffer that the next
+    tile overwrites, a quarter of the channels at a time so that the
+    gather's scratch is a quarter tile.
     (Tiles of half the rows slowed the toy training's small matmuls.)"""
-    k, oh, ow = _samples_shape(src)
-    tiles = _tiles(k, oh, ow)
-    if not isinstance(src, tuple):
-        yield from ((r0, r1, src[..., r0:r1, :]) for r0, r1 in tiles)
-        return
-    x, plan = src
-    tile = np.empty(k * tiles[0][1] * ow)
-    for r0, r1, _, c1, _ in _gather_parts(x, plan, tiles, tile):
-        if c1 == x.channels:
-            yield r0, r1, tile[:k * (r1 - r0) * ow].reshape(x.channels, -1, r1 - r0, ow)
+    x, plan = src if isinstance(src, tuple) else (None, None)
+    *lead, oh, ow = src.shape if x is None else (x.channels,) + plan.base.shape
+    k = math.prod(lead)
+    tiles = geometry._row_tiles(oh, k * ow * 8)
+
+    def gather():
+        data = x.data.astype(np.float64).reshape(x.channels, -1)
+        cc = -(-x.channels // 4)  # channels per part
+        tile = np.empty(k * tiles[0][1] * ow)
+        tmp = np.empty(tile.size // x.channels * cc)  # one part's samples
+        for r0, r1 in tiles:
+            t = tile[:k * (r1 - r0) * ow].reshape(*lead, r1 - r0, ow)
+            base, wgt = plan.base[:, r0:r1], plan.wgt[:, :, r0:r1]
+            for c0 in range(0, x.channels, cc):
+                part = t[c0:c0 + cc]
+                _bilinear_gather(data[c0:c0 + cc], base, plan.steps, wgt, part,
+                                 tmp[:part.size].reshape(part.shape))
+            yield r0, r1, t.reshape(k, -1)
+
+    views = ((r0, r1, src[..., r0:r1, :].reshape(k, -1)) for r0, r1 in tiles)
+    return (k, oh, ow, tiles[0][1]), views if x is None else gather()
 
 
-def _gather_parts(x: FeatureTensor, plan: _SamplingPlan, tiles, tile=None):
-    """Yield ``(r0, r1, c0, c1, samples)`` for each row tile ``r0:r1`` of
-    ``tiles``, a quarter of the channels ``c0:c1`` at a time: the float64
-    ``(c1 - c0, taps, r1 - r0, ow)`` samples of those channels, gathered
-    into their part of ``tile``, a buffer for a whole tile, or else into a
-    buffer for one part that the next part overwrites.  The gather's
-    scratch is one part too."""
-    taps, _, ow = plan.base.shape
-    data = x.data.astype(np.float64).reshape(x.channels, -1)
-    cc = -(-x.channels // 4)  # channels per part
-    size = cc * taps * tiles[0][1] * ow
-    tmp, own = np.empty(size), np.empty(size) if tile is None else None
-    for r0, r1 in tiles:
-        n = r1 - r0
-        base, wgt = plan.base[:, r0:r1], plan.wgt[:, :, r0:r1]
-        if tile is not None:
-            whole = tile[:x.channels * taps * n * ow].reshape(x.channels, taps, n, ow)
-        for c0 in range(0, x.channels, cc):
-            c1 = min(c0 + cc, x.channels)
-            shape = (c1 - c0, taps, n, ow)
-            out = own[:math.prod(shape)].reshape(shape) if tile is None else whole[c0:c1]
-            t = tmp[:math.prod(shape)].reshape(shape)
-            yield r0, r1, c0, c1, _bilinear_gather(data[c0:c1], base, plan.steps, wgt, out, t)
-
-
-def _conv_gemm(src, w2=None, g=None, dtype=np.float64):
-    """One float64 matmul per row tile over the joint ``k = ci*taps`` axis
-    of the ``(k, oh, ow)`` samples of ``src``, a :func:`_sample_tiles`
-    source.  Returns ``(out, grad_w)``: for ``w2`` of shape ``(co, k)`` the
-    ``(co, oh, ow)`` output ``w2 @ samples``, rounded once to ``dtype``,
-    and for ``g`` of shape ``(co, oh, ow)`` the ``(co, k)``
-    weight gradient ``g @ samples.T``, summed over the tiles in order.  The
-    tiles and the matmul shapes depend only on the shapes, so either
-    source gives the same bits."""
-    k, oh, ow = _samples_shape(src)
-    # Rounding each tile into a float32 array made the toy training's
-    # one-tile products 30% slower in the benchmark (the malloc pattern of
-    # its loop, not the arithmetic), so one tile is rounded whole at the end.
-    whole = dtype == np.float64 or len(_tiles(k, oh, ow)) == 1
-    out = None if w2 is None else np.empty((len(w2), oh, ow), np.float64 if whole else dtype)
+def _conv_gemm(src, w2=None, g=None):
+    """One float64 matmul per row tile of a :func:`_sample_rows` source,
+    over its joint ``k = ci*taps`` axis.  Returns ``(out, grad_w)``: for
+    ``w2`` ``(co, k)`` the float32 ``(co, oh, ow)`` output ``w2 @ samples``,
+    each tile summed in one reused float64 buffer and rounded once; for
+    ``g`` ``(co, oh, ow)`` the float64 ``(co, k)`` weight gradient ``g @
+    samples.T``, summed over the tiles in order.  The tiles and the matmul
+    shapes depend only on the shapes, so either source gives the same bits."""
+    (k, oh, ow, rows), walk = _sample_rows(src)
+    buf = None if w2 is None else np.empty(len(w2) * rows * ow)
+    out = None if w2 is None else np.empty((len(w2), oh, ow), np.float32)
     grad_w = None if g is None else np.zeros((len(g), k))
-    for r0, r1, t in _sample_tiles(src):
-        t = t.reshape(k, -1)
+    for r0, r1, t in walk:
         if out is not None:
             # one output row makes a gemv, whose bits follow the tile's strides
             y = np.matmul(w2, t if len(w2) > 1 else np.ascontiguousarray(t),
-                          out=out[:, r0:r1].reshape(len(w2), -1) if whole else None)
-            if not whole:
-                with np.errstate(over="ignore"):  # FeatureTensor rejects a float32 inf
-                    out[:, r0:r1] = y.reshape(len(w2), r1 - r0, ow)
+                          out=buf[:len(w2) * t.shape[1]].reshape(len(w2), -1))
+            with np.errstate(over="ignore"):  # FeatureTensor rejects a float32 inf
+                out[:, r0:r1] = y.reshape(len(w2), r1 - r0, ow)
         if grad_w is not None:
             grad_w += g[:, r0:r1].reshape(len(g), -1) @ t.T
-    if out is not None and out.dtype != dtype:
-        with np.errstate(over="ignore"):
-            out = out.astype(dtype)
     return out, grad_w
-
-
-def _pool_sums(x: FeatureTensor, plan: _SamplingPlan):
-    """Yield ``(r0, r1, sums)`` for the row tiles of :func:`_sample_tiles`:
-    the float64 ``(ci, r1 - r0, ow)`` sums of all taps of ``x`` through
-    ``plan``, added in plan order, so the tiles change no bit.  The samples
-    are summed a quarter of the channels at a time, so no whole tile of
-    them is held.  The next tile overwrites ``sums``."""
-    taps, oh, ow = plan.base.shape
-    tiles = _tiles(x.channels * taps, oh, ow)
-    acc = np.empty((x.channels, tiles[0][1], ow))
-    for r0, r1, c0, c1, part in _gather_parts(x, plan, tiles):
-        sums = acc[c0:c1, :r1 - r0]
-        sums.fill(0.0)
-        for n in range(taps):
-            sums += part[:, n]
-        if c1 == x.channels:
-            yield r0, r1, acc[:, :r1 - r0]
 
 
 def standard_conv(x: FeatureTensor, w: ConvWeights, spec: KernelSpec) -> FeatureTensor:
@@ -323,12 +274,14 @@ def standard_conv(x: FeatureTensor, w: ConvWeights, spec: KernelSpec) -> Feature
     return za_conv_forward(x, w, OffsetField.zeros(spec.size, out_h, out_w), spec)[0]
 
 
-def _check_samples(samples: np.ndarray | None, x: FeatureTensor, plan: _SamplingPlan):
+def _source(x: FeatureTensor, plan: _SamplingPlan, samples: np.ndarray | None):
+    """The :func:`_sample_rows` source: checked ``samples``, or else ``(x, plan)``."""
     want = (x.channels,) + plan.base.shape
     if samples is not None and (samples.shape != want or samples.dtype != np.float64):
         raise ConfigError(
             f"samples are {samples.dtype} {samples.shape}, expected float64 {want}"
         )
+    return (x, plan) if samples is None else samples
 
 
 def gather_samples(x: FeatureTensor, offsets: OffsetField, spec: KernelSpec) -> np.ndarray:
@@ -358,9 +311,8 @@ def za_conv_forward(
     """
     _check_conv_shapes(x, w, spec)
     plan = _sampling_plan(x, offsets, spec)
-    _check_samples(samples, x, plan)
     w2 = w.data.astype(np.float64).reshape(w.out_channels, -1)
-    out, _ = _conv_gemm((x, plan) if samples is None else samples, w2=w2, dtype=np.float32)
+    out, _ = _conv_gemm(_source(x, plan, samples), w2=w2)
     return FeatureTensor(_Owned(out)), OpSummary(plan.degenerate, plan.oob_fraction)
 
 
@@ -375,44 +327,46 @@ def za_conv_backward(
 ) -> tuple[FeatureTensor | None, ConvWeights]:
     """Gradients of the adapted convolution w.r.t. input and weights.
 
-    ``grad_w[o,i,n] = sum_p grad_out[o,p] * sample(x, i, pos_n(p))`` and
-    ``grad_x`` distributes ``grad_out * w`` through the bilinear weights
-    onto the four integer neighbors of each sample.  The offsets receive
-    no gradient.  ``samples``, the :func:`gather_samples` of ``x``, spares
-    the gather; with ``need_grad_x=False`` the scatter is skipped too and
-    ``grad_x`` is returned as ``None``.
+    ``grad_w[o,i,n] = sum_p grad_out[o,p] * sample(x, i, pos_n(p))``;
+    ``grad_x`` scatters ``grad_out * w`` through the bilinear weights onto
+    the neighbors of each sample, a row tile of the output at a time, into
+    float64 sums rounded to float32 once.  The offsets get no gradient.
+    ``samples``, the :func:`gather_samples` of ``x``, spares the gather;
+    ``need_grad_x=False`` skips the scatter and returns ``None`` for it.
     """
     _check_conv_shapes(x, w, spec)
     plan = _sampling_plan(x, offsets, spec)
     want = (w.out_channels,) + plan.base.shape[1:]
     if grad_out.data.shape != want:
         raise ConfigError(f"grad_out shape {grad_out.data.shape} does not match output {want}")
-    _check_samples(samples, x, plan)
     g = grad_out.data.astype(np.float64)
-    grad_w = _conv_gemm((x, plan) if samples is None else samples, g=g)[1].reshape(w.data.shape)
+    grad_w = ConvWeights(_conv_gemm(_source(x, plan, samples), g=g)[1].reshape(w.data.shape))
     if not need_grad_x:
-        return None, ConvWeights(grad_w)
-
-    # Per-tap upstream gradient for each input channel, then bilinear scatter.
-    w2 = w.data.astype(np.float64).reshape(w.out_channels, -1)
-    gpix = _conv_gemm(g, w2=w2.T)[0].reshape((x.channels,) + plan.base.shape)
-    del g
-    # Each slot's indices, clipped onto the image: an off-image neighbor adds
-    # its +-0 contribution to some bin, which changes no bin's bits.
-    hw = x.height * x.width
-    flat_idx = np.empty((len(plan.steps),) + plan.base.shape, dtype=np.intp)
-    for k, step in enumerate(plan.steps):
-        np.add(plan.base, step, out=flat_idx[k])
-    np.clip(flat_idx, 0, hw - 1, out=flat_idx)
-    flat_idx = flat_idx.ravel()
-    grad_x = np.empty((x.channels, hw), dtype=np.float32)
-    contrib = np.empty_like(plan.wgt)
-    for i in range(x.channels):
-        np.multiply(gpix[i], plan.wgt, out=contrib)
-        with np.errstate(over="ignore"):  # FeatureTensor rejects a float32 inf
-            grad_x[i] = np.bincount(flat_idx, weights=contrib.ravel(), minlength=hw)
-    grad_x = grad_x.reshape(x.channels, x.height, x.width)
-    return FeatureTensor(_Owned(grad_x)), ConvWeights(grad_w)
+        return None, grad_w
+    # The input gradient, summed tile by tile in float64 and rounded once.  The
+    # tiles are those of the plan's weights, so each tile's indices and
+    # contributions fit a tile too, whatever the channel count.
+    acc = np.zeros((x.channels, x.height * x.width))
+    taps, slots = spec.tap_count, len(plan.steps)
+    w3 = w.data.astype(np.float64).reshape(len(g), x.channels, taps).transpose(1, 2, 0)
+    if slots:  # else no sample reaches the image and grad_x is zero
+        for r0, r1 in geometry._row_tiles(plan.base.shape[1], plan.wgt[:, :, :1].nbytes):
+            wgt = plan.wgt[:, :, r0:r1].reshape(slots, taps, -1)
+            # Each slot's indices, clipped onto the image: an off-image neighbor
+            # adds its +-0 contribution to some bin, which changes no bin's bits.
+            idx = np.add.outer(np.array(plan.steps, np.intp), plan.base[:, r0:r1].reshape(taps, -1))
+            np.clip(idx, 0, acc.shape[1] - 1, out=idx)
+            lo = idx.min()  # each bincount spans only the bins that the tile reaches
+            idx -= lo
+            gt = g[:, r0:r1].reshape(len(g), -1)
+            contrib = np.empty_like(wgt)
+            for i in range(x.channels):
+                np.multiply(w3[i] @ gt, wgt, out=contrib)  # channel i's per-tap gradient
+                b = np.bincount(idx.ravel(), weights=contrib.ravel())
+                acc[i, lo:lo + len(b)] += b
+    with np.errstate(over="ignore"):  # FeatureTensor rejects a float32 inf
+        grad_x = acc.astype(np.float32).reshape(x.data.shape)
+    return FeatureTensor(_Owned(grad_x)), grad_w
 
 
 def standard_avg_pool(x: FeatureTensor, spec: KernelSpec) -> FeatureTensor:
@@ -432,7 +386,14 @@ def za_avg_pool(
     rather than re-weighting them.
     """
     plan = _sampling_plan(x, offsets, spec)
-    out = np.empty((x.channels,) + plan.base.shape[1:], np.float32)
-    for r0, r1, sums in _pool_sums(x, plan):  # a mean of float32 values cannot overflow
-        np.divide(sums, spec.tap_count, out=out[:, r0:r1])
+    (_, oh, ow, _), walk = _sample_rows((x, plan))
+    out = np.empty((x.channels, oh, ow), np.float32)
+    for r0, r1, t in walk:
+        # the taps in plan order, so the tiles change no bit
+        t = t.reshape(x.channels, spec.tap_count, -1)
+        sums = np.zeros((x.channels, t.shape[2]))
+        for n in range(spec.tap_count):
+            sums += t[:, n]
+        # a mean of float32 values cannot overflow
+        np.divide(sums.reshape(x.channels, r1 - r0, ow), spec.tap_count, out=out[:, r0:r1])
     return FeatureTensor(_Owned(out)), OpSummary(plan.degenerate, plan.oob_fraction)

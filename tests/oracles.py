@@ -69,6 +69,37 @@ def naive_za_conv(x: np.ndarray, w: np.ndarray, off: np.ndarray, size, dilation,
     return out
 
 
+def naive_za_conv_backward(x: np.ndarray, w: np.ndarray, off: np.ndarray, g: np.ndarray,
+                           size, dilation, stride, padding):
+    """Per-pixel loop version of the adapted convolution's gradients: for
+    each output pixel, tap and in-image bilinear neighbor of the tap's
+    sample, add ``g * w * weight`` to ``grad_x`` and ``g * weight * x`` to
+    ``grad_w``.  Returns float64 ``(grad_x, grad_w)``."""
+    ci, h, wd = x.shape
+    co = w.shape[0]
+    oh, ow = off.shape[1], off.shape[2]
+    grad_x = np.zeros(x.shape)
+    grad_w = np.zeros(w.shape)
+    for oy in range(oh):
+        for ox in range(ow):
+            for ki in range(size):
+                for kj in range(size):
+                    n = ki * size + kj
+                    v = oy * stride - padding + dilation * ki + float(off[2 * n, oy, ox])
+                    u = ox * stride - padding + dilation * kj + float(off[2 * n + 1, oy, ox])
+                    for vi in (math.floor(v), math.floor(v) + 1):
+                        for ui in (math.floor(u), math.floor(u) + 1):
+                            wgt = max(0.0, 1.0 - abs(u - ui)) * max(0.0, 1.0 - abs(v - vi))
+                            if wgt == 0 or not (0 <= vi < h and 0 <= ui < wd):
+                                continue
+                            for o in range(co):
+                                go = float(g[o, oy, ox]) * wgt
+                                for i in range(ci):
+                                    grad_x[i, vi, ui] += go * float(w[o, i, ki, kj])
+                                    grad_w[o, i, ki, kj] += go * float(x[i, vi, ui])
+    return grad_x, grad_w
+
+
 def naive_za_pool(x: np.ndarray, off: np.ndarray, size, dilation, stride, padding):
     """Per-pixel loop version of the adapted average pooling."""
     ci = x.shape[0]

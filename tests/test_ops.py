@@ -23,11 +23,11 @@ from zacn import (
 )
 from zacn import compute_offsets, geometry
 from zacn.harness import generate_scene
-from zacn.ops import _conv_gemm, _pool_sums, _sampling_plan, _tap_positions
+from zacn.ops import _conv_gemm, _sample_rows, _sampling_plan, _tap_positions
 from zacn.tensor import _bilinear_scatter_weights, _neighbor_steps
 
 from conftest import rand_feature, rand_offsets, rand_weights
-from oracles import naive_standard_conv, naive_za_conv, naive_za_pool
+from oracles import naive_standard_conv, naive_za_conv, naive_za_conv_backward, naive_za_pool
 
 
 class TestStandardConv:
@@ -384,24 +384,26 @@ class TestRowTiles:
         wts = rand_weights(rng, co, 2, spec.size)
         field = kind_field(rng, "general", spec, h, w)
         samples = gather_samples(x, field, spec)
-        # the float64 sums, before the float32 rounding that hides most last-bit moves
         gathered = (x, _sampling_plan(x, field, spec))
         w2, g64 = wts.data.astype(np.float64).reshape(co, -1), g.data.astype(np.float64)
         row_bytes = 2 * spec.tap_count * ow * 8  # the float64 samples of one output row
         whole, _ = za_conv_forward(x, wts, field, spec)
-        # pooling adds the taps in plan order; a reduction over the tap axis
-        # pairs the terms of a 1x1 tile and moves the float64 sums
+        gx_whole, _ = za_conv_backward(x, wts, field, spec, g)
+        # pooling adds the taps in plan order; the float32 mean of these taps
+        # hides the order, which test_pool_adds_taps_in_plan_order shows
         pool_sum = np.zeros((2, oh, ow))
         for n in range(spec.tap_count):
             pool_sum += samples[:, n]
-        pooled, _ = za_avg_pool(x, field, spec)
+        pooled = (pool_sum / spec.tap_count).astype(np.float32)
         for rows in (1, 3, 7, oh):
             monkeypatch.setattr(geometry, "_TILE_BYTES", rows * row_bytes)
+            _, walk = _sample_rows(gathered)
+            # the walker reuses its tile buffer, so each tile is copied as it comes
+            walked = np.concatenate([t.reshape(-1, r1 - r0, ow).copy() for r0, r1, t in walk], axis=1)
+            assert walked.tobytes() == samples.tobytes()
             for a, b in zip(_conv_gemm(gathered, w2, g64), _conv_gemm(samples, w2, g64)):
                 assert a.tobytes() == b.tobytes()
-            sums = np.concatenate([a.copy() for *_, a in _pool_sums(*gathered)], axis=1)
-            assert sums.tobytes() == pool_sum.tobytes()
-            assert za_avg_pool(x, field, spec)[0].data.tobytes() == pooled.data.tobytes()
+            assert za_avg_pool(x, field, spec)[0].data.tobytes() == pooled.tobytes()
             y, _ = za_conv_forward(x, wts, field, spec)
             assert za_conv_forward(x, wts, field, spec, samples=samples)[0].data.tobytes() == y.data.tobytes()
             np.testing.assert_allclose(y.data, whole.data, rtol=1e-6, atol=1e-6)
@@ -409,6 +411,38 @@ class TestRowTiles:
             gx2, gw2 = za_conv_backward(x, wts, field, spec, g, samples=samples)
             assert gx2.data.tobytes() == gx.data.tobytes()
             assert gw2.data.tobytes() == gw.data.tobytes()
+            # the input gradient's float64 sums are added tile by tile, so
+            # only its float32 rounding may move: by one unit in the last place
+            np.testing.assert_allclose(gx.data, gx_whole.data, rtol=2 * F32_UNIT, atol=1e-12)
+
+    @pytest.mark.parametrize("h, w, spec", TILE_CASES)
+    def test_pool_adds_taps_in_plan_order(self, monkeypatch, h, w, spec):
+        # An integer field points the taps of every output pixel at four
+        # pixels that hold 2**60, -2**60, 1 and 3, so channel 0 sums the
+        # taps 1, 3, 2**60, 1, -2**60, 3, 3, 1, 1.  A float64 sum drops a
+        # small term added to +-2**60 and keeps it once those cancel: in
+        # plan order it is 8, pairwise 1, a move that the float32 mean keeps
+        # where random-normal taps would round it away.
+        oh, ow = spec.output_shape(h, w)
+        x = np.zeros((2, h * w), np.float32)
+        x[0, :4] = 2.0**60, -2.0**60, 1, 3
+        x[1, :4] = 1, 3, 2.0**60, -2.0**60
+        x = FeatureTensor(x.reshape(2, h, w))
+        pick = np.array([2, 3, 0, 2, 1, 3, 3, 2, 2])[:, None, None]  # the pixel of each tap
+        ki, kj = np.divmod(np.arange(spec.tap_count)[:, None, None], spec.size)
+        oy, ox = np.mgrid[:oh, :ow] * spec.stride - spec.padding
+        off = np.stack([pick // w - oy - spec.dilation * ki, pick % w - ox - spec.dilation * kj], 1)
+        field = OffsetField(off.reshape(-1, oh, ow).astype(np.float32))
+        samples = gather_samples(x, field, spec)
+        plan_order = np.zeros((2, oh, ow))
+        for n in range(spec.tap_count):
+            plan_order += samples[:, n]
+        want = (plan_order / spec.tap_count).astype(np.float32)
+        pairwise = np.ascontiguousarray(np.moveaxis(samples, 1, -1)).sum(axis=-1)
+        assert (pairwise / spec.tap_count).astype(np.float32)[0].tobytes() != want[0].tobytes()
+        for rows in (1, 3, 7, oh):
+            monkeypatch.setattr(geometry, "_TILE_BYTES", rows * 2 * spec.tap_count * ow * 8)
+            assert za_avg_pool(x, field, spec)[0].data.tobytes() == want.tobytes()
 
     def test_forward_memory_is_tiled(self, rng):
         # 480x640, 16 -> 16 channels, plan cached by a first call: what is
@@ -447,16 +481,17 @@ class TestRowTiles:
         assert y.data.shape == (16, 480, 640)
         assert peak < in64 + out32 + 4 * geometry._TILE_BYTES, f"peak {peak / 2**20:.1f} MiB"
 
-    def test_backward_memory_holds_no_float64_grad_x(self, rng):
-        # 480x640, 4 -> 4 channels, an integer field (one neighbor slot):
-        # the float64 per-tap upstream gradient, the clipped indices and the
-        # weighted contributions of every tap sample, the float32 grad_x, one
-        # channel's float64 bincount and a few tiles; a float64 grad_x copied
-        # to float32 at the end would add 9.4 MiB
+    @pytest.mark.parametrize("kind", ["integer", "general"])
+    def test_backward_memory_holds_no_float64_grad_x(self, rng, kind):
+        # 480x640, 4 -> 4 channels, fields of one and of four neighbor slots:
+        # the float64 copies of the input and of grad_out, the float64
+        # input-gradient sums, the float32 grad_x and a few tiles (36.8 MiB).
+        # Whole-image per-tap gradients, indices and contributions made the
+        # peak 134 MiB on the integer field and 260 MiB on the general one.
         spec = KernelSpec.same(3)
         x, g = rand_feature(rng, 4, 480, 640), rand_feature(rng, 4, 480, 640)
         wts = rand_weights(rng, 4, 4, 3)
-        field = kind_field(rng, "integer", spec, 480, 640)
+        field = kind_field(rng, kind, spec, 480, 640)
         za_conv_forward(x, wts, field, spec)
         tracemalloc.start()
         try:
@@ -464,9 +499,8 @@ class TestRowTiles:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        hw = 480 * 640
-        gpix, per_sample = 4 * 9 * hw * 8, 9 * hw * 8
-        bound = gpix + 2 * per_sample + 4 * hw * 4 + hw * 8 + 2 * geometry._TILE_BYTES
+        in64 = g64 = acc64 = 4 * 480 * 640 * 8
+        bound = in64 + g64 + acc64 + gx.data.nbytes + 4 * geometry._TILE_BYTES
         assert gx.data.shape == (4, 480, 640)
         assert peak < bound, f"peak {peak / 2**20:.1f} MiB, bound {bound / 2**20:.1f} MiB"
 
@@ -564,6 +598,27 @@ class TestZaConvBackward:
         gx, gw = za_conv_backward(x, w, off, spec, FeatureTensor(np.zeros((2, 5, 5), np.float32)))
         assert np.count_nonzero(gx.data) == 0
         assert np.count_nonzero(gw.data) == 0
+
+    @pytest.mark.parametrize("kind", ["general", "far", "off-image"])
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_matches_naive_loop(self, rng, monkeypatch, kind, rows):
+        # Tiles of 1 and 3 output rows, both for the weight gradient's samples
+        # and for the plan weights that the input gradient is scattered
+        # through: each tile's bounded bincount must add every contribution
+        # once, where the unclipped indices wrap rows (far), where they clip
+        # at the border, and where the plan keeps no slot (off-image).
+        spec = KernelSpec.same(3)
+        h, w = 7, 8
+        x, g = rand_feature(rng, 4, h, w), rand_feature(rng, 3, h, w)
+        wts = rand_weights(rng, 3, 4, 3)
+        field = kind_field(rng, kind, spec, h, w)
+        # 4 input channels and at most 4 slots: a row of either takes these bytes
+        monkeypatch.setattr(geometry, "_TILE_BYTES", rows * 4 * spec.tap_count * w * 8)
+        gx, gw = za_conv_backward(x, wts, field, spec, g)
+        ref_x, ref_w = naive_za_conv_backward(
+            x.data, wts.data, field.data, g.data, spec.size, spec.dilation, spec.stride, spec.padding)
+        np.testing.assert_allclose(gx.data, ref_x, rtol=1e-5, atol=1e-5)
+        np.testing.assert_allclose(gw.data, ref_w, rtol=1e-5, atol=1e-5)
 
     def test_grad_w_matches_finite_differences(self, rng):
         spec = KernelSpec.same(3)
