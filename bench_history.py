@@ -1,0 +1,102 @@
+"""Write one benchmark history file from every workload of BENCHMARK.json.
+
+Usage, from any directory:
+
+    python3 bench_history.py BENCH_<n>.json
+
+For each workload that ``BENCHMARK.json`` declares, runs its command
+(``perfbench/run.py``) with ``--trace 0`` once per seed of ``SEEDS``, for
+the declared ``run_seconds``, and reads the result record that run.py
+writes to ``perfbench/out/``.  The output file holds, per workload, the
+attempted and failed item counts summed over the seeds and the median and
+quartiles of each end-to-end metric, with each seed's value; and the
+environment of the runs.  A run that exits with an error stops the script.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent
+SEEDS = (1, 2, 3, 4, 5)
+
+
+def spread(values):
+    """Median and quartiles (the inclusive method) of the non-null ``values``,
+    or None when every value is null."""
+    values = sorted(v for v in values if v is not None)
+    if not values:
+        return None
+    if len(values) == 1:
+        return {"q1": values[0], "median": values[0], "q3": values[0]}
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"q1": q1, "median": median, "q3": q3}
+
+
+def summarize(benchmark: dict, records: list[dict]) -> dict:
+    """The history entry of run.py result ``records`` under the ``benchmark``
+    declaration: counts and metric spreads per workload, in the declared
+    order, and the environment of the first record."""
+    workloads = {}
+    for wl in benchmark["workloads"]:
+        runs = [r for r in records if r["args"]["workload"] == wl["name"]]
+        metrics = {}
+        for m in benchmark["end_to_end"]:
+            values = [(r["result"]["metrics"].get(m["name"]) or {}).get("value") for r in runs]
+            metrics[m["name"]] = {"unit": m["unit"], "better": m["better"],
+                                  "spread": spread(values), "values": values}
+        workloads[wl["name"]] = {
+            "seeds": [r["args"]["seed"] for r in runs],
+            "attempted": sum(r["result"]["attempted"] for r in runs),
+            "failed": sum(r["result"]["failed"] for r in runs),
+            "metrics": metrics,
+        }
+    return {
+        "run_seconds": benchmark["run_seconds"],
+        "env": dict(records[0]["env"]) if records else {},
+        "workloads": workloads,
+    }
+
+
+def run_workload(benchmark: dict, name: str, seed: int) -> dict:
+    """Run one workload at one seed and return run.py's result record."""
+    record = ROOT / "perfbench" / "out" / f"result-{name}-seed{seed}-trace0.json"
+    record.unlink(missing_ok=True)
+    cmd = benchmark["command"] + ["--workload", name, "--seed", str(seed),
+                                  "--seconds", str(benchmark["run_seconds"]), "--trace", "0"]
+    subprocess.run(cmd, cwd=ROOT, check=True, stdout=subprocess.DEVNULL)
+    return json.loads(record.read_text())
+
+
+def uncommitted_changes():
+    """Whether tracked files differ from the commit that run.py records as
+    ``git_commit``; None outside a git checkout."""
+    try:  # a checkout without .git must not report an enclosing repository
+        git = subprocess.run(["git", "status", "--porcelain", "--untracked-files=no"],
+                             cwd=ROOT, capture_output=True, text=True, timeout=10,
+                             env={**os.environ, "GIT_CEILING_DIRECTORIES": str(ROOT.parent)})
+    except (OSError, subprocess.TimeoutExpired):
+        return None
+    return bool(git.stdout.strip()) if git.returncode == 0 else None
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1:
+        print("usage: python3 bench_history.py OUT.json", file=sys.stderr)
+        return 2
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    records = [run_workload(benchmark, wl["name"], seed)
+               for wl in benchmark["workloads"] for seed in SEEDS]
+    history = summarize(benchmark, records)
+    history["env"]["uncommitted_changes"] = uncommitted_changes()
+    Path(argv[0]).write_text(json.dumps(history, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

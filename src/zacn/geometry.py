@@ -17,10 +17,12 @@ between the calling thread and its worker threads:
   2. ``_back_project`` the valid-depth taps into a 3D point cloud,
   3. ``_plane_normals``: least-squares plane through the back-projected
      center ``P0`` (smallest eigenvector of the scatter matrix of
-     ``Pi - P0``),
+     ``Pi - P0``), as components ``(n1, n2, n3)``,
   4. ``_plane_basis``: orthonormal in-plane basis with a horizontal x axis,
+     as component tuples ``(x1, 0.0, x3)`` and ``(y1, y2, y3)``,
   5. ``_plane_grid``: a regular grid on the plane, scaled so that a
      fronto-parallel plane reproduces the dilated pixel grid exactly,
+     summed from one term per kernel column and one per kernel row,
   6. ``_project`` the 3D grid back to the image; the offsets are the
      projected positions minus the regular grid positions.
 
@@ -183,8 +185,8 @@ def _plane_normals(dx: np.ndarray, dy: np.ndarray, dz: np.ndarray):
     """Batch form of :func:`fit_plane` over ``(n, h, w)`` neighborhoods.
 
     ``dx``, ``dy``, ``dz`` hold ``Pi - P0``, excluded points set to zero.
-    Returns normals ``(h, w, 3)`` and the mask of collinear or
-    single-point neighborhoods.
+    Returns the normal's components ``(n1, n2, n3)``, each ``(h, w)``, and
+    the mask of collinear or single-point neighborhoods.
     """
     sums = [np.einsum("nhw,nhw->hw", a, b)
             for a, b in ((dx, dx), (dy, dy), (dz, dz), (dx, dy), (dx, dz), (dy, dz))]
@@ -197,9 +199,9 @@ def _smallest_eigenpair_sym3(a00, a11, a22, a01, a02, a12):
 
     The arguments are the six distinct entries ``S[i, j]`` (``i <= j``),
     float64 arrays of one shape ``(...)``.  Returns ``((lam_min, lam_mid,
-    lam_max), v_min)`` where ``v_min`` (shape ``(..., 3)``) is the unit
-    eigenvector of the smallest eigenvalue with the deterministic sign
-    convention ``n3 >= 0`` (ties: ``n1 >= 0``, then ``n2 >= 0``).
+    lam_max), (v1, v2, v3))`` where ``v``, in components of that shape, is
+    the unit eigenvector of the smallest eigenvalue with the deterministic
+    sign convention ``v3 >= 0`` (ties: ``v1 >= 0``, then ``v2 >= 0``).
     Eigenvalues come from the trigonometric solution of the characteristic
     cubic; the eigenvector is the largest cross product of rows of
     ``S - lam*I``, which is exact for the fronto-parallel (block-diagonal)
@@ -251,41 +253,26 @@ def _smallest_eigenpair_sym3(a00, a11, a22, a01, a02, a12):
     norm = np.sqrt((vx * vx + vy * vy) + vz * vz)
     vx, vy, vz = vx / norm, vy / norm, vz / norm
 
-    sign = np.where(
-        np.abs(vz) > _SIGN_TOL,
-        np.sign(vz),
-        np.where(
-            np.abs(vx) > _SIGN_TOL,
-            np.sign(vx),
-            np.where(np.abs(vy) > _SIGN_TOL, np.sign(vy), 1.0),
-        ),
-    )
-    return (lam_min, lam_mid, lam_max), np.stack([vx * sign, vy * sign, vz * sign], axis=-1)
+    sign = np.select([np.abs(vz) > _SIGN_TOL, np.abs(vx) > _SIGN_TOL, np.abs(vy) > _SIGN_TOL],
+                     [np.sign(vz), np.sign(vx), np.sign(vy)], 1.0)
+    return (lam_min, lam_mid, lam_max), (vx * sign, vy * sign, vz * sign)
 
 
-def _plane_basis(normal: np.ndarray):
-    """Batch form of :func:`basis_from_normal` for normals ``(..., 3)``.
+def _plane_basis(n1, n2, n3):
+    """Batch form of :func:`basis_from_normal` for normal components of one shape.
 
     Where ``n2^2 >= 1 - 1e-6`` the fallback frame ``x = (1, 0, 0)``,
     ``y = (0, 0, -sign(n2))`` is used.  Returns ``(x_axis, y_axis,
-    fallback)`` with the axes component-first, shape ``(3, ...)``.
+    fallback)`` with the axes as components ``(x1, 0.0, x3)``, ``(y1, y2, y3)``.
     """
-    n1 = normal[..., 0]
-    nY = normal[..., 1]
-    n3 = normal[..., 2]
-    s2 = 1.0 - nY * nY
+    s2 = 1.0 - n2 * n2
     fallback = s2 <= _FRAME_TOL
     inv = 1.0 / np.sqrt(np.maximum(s2, _FRAME_TOL))
-    sgn = np.where(nY >= 0.0, 1.0, -1.0)
-    x_axis = np.stack(
-        [np.where(fallback, 1.0, n3 * inv), np.zeros_like(s2), np.where(fallback, 0.0, -n1 * inv)]
-    )
-    y_axis = np.stack(
-        [
-            np.where(fallback, 0.0, -n1 * nY * inv),
-            np.where(fallback, 0.0, s2 * inv),
-            np.where(fallback, -sgn, -nY * n3 * inv),
-        ]
+    x_axis = (np.where(fallback, 1.0, n3 * inv), 0.0, np.where(fallback, 0.0, -n1 * inv))
+    y_axis = (
+        np.where(fallback, 0.0, -n1 * n2 * inv),
+        np.where(fallback, 0.0, s2 * inv),
+        np.where(fallback, np.where(n2 >= 0.0, -1.0, 1.0), -n2 * n3 * inv),
     )
     return x_axis, y_axis, fallback
 
@@ -293,16 +280,16 @@ def _plane_basis(normal: np.ndarray):
 def _plane_grid(x0, y0, z0, x_axis, y_axis, spec: KernelSpec, K: CameraIntrinsics):
     """Regular ``N x N`` grid of 3D taps on the plane through ``P0``.
 
-    ``tap[i, j] = P0 + ku*(j - c)*x + kv*(i - c)*y`` with
-    ``ku = dilation * z0 / fu`` and ``kv = dilation * z0 / fv``, so that on
-    a fronto-parallel plane the taps project exactly onto the dilated
-    pixel grid.  Returns the tap coordinates ``(X, Y, Z)``, each of shape
-    ``(N*N,) + z0.shape`` with taps row-major.
+    ``tap[i, j] = P0 + a[j]*x + b[i]*y`` with column terms ``a[j] = (j - c)*ku``
+    and row terms ``b[i] = (i - c)*kv``, ``ku = dilation * z0 / fu`` and ``kv =
+    dilation * z0 / fv``, so that on a fronto-parallel plane the taps project
+    exactly onto the dilated pixel grid.  Returns the tap coordinates: X and Z
+    of shape ``(N, N) + z0.shape``, indexed ``[i, j]``, and Y, constant along a
+    kernel row, ``(N, 1) + z0.shape``.
     """
-    ii, jj = np.divmod(np.arange(spec.tap_count), spec.size)
-    steps = (-1,) + (1,) * np.ndim(z0)
-    a = (jj - spec.center).astype(np.float64).reshape(steps) * (spec.dilation * z0 / K.fu)
-    b = (ii - spec.center).astype(np.float64).reshape(steps) * (spec.dilation * z0 / K.fv)
+    steps = np.arange(-spec.center, spec.center + 1.0).reshape((-1,) + (1,) * np.ndim(z0))
+    a = steps * (spec.dilation * z0 / K.fu)
+    b = steps[:, None] * (spec.dilation * z0 / K.fv)
     tx = x0 + a * x_axis[0] + b * y_axis[0]
     ty = y0 + b * y_axis[1]  # x axis has zero Y component
     tz = z0 + a * x_axis[2] + b * y_axis[2]
@@ -362,7 +349,7 @@ def fit_plane(points, center) -> np.ndarray:
     normal, rank_deficient = _plane_normals(d[0], d[1], d[2])
     if rank_deficient[0, 0]:
         raise DegenerateNeighborhoodError("neighborhood is collinear or a single point")
-    return normal[0, 0]
+    return np.array([c[0, 0] for c in normal])
 
 
 def basis_from_normal(n) -> tuple[np.ndarray, np.ndarray]:
@@ -379,10 +366,10 @@ def basis_from_normal(n) -> tuple[np.ndarray, np.ndarray]:
         raise ConfigError(f"normal must be a 3-vector, got shape {n.shape}")
     if abs(np.linalg.norm(n) - 1.0) > _FRAME_TOL:
         raise ConfigError(f"normal must be unit length, got |n|={np.linalg.norm(n)}")
-    x, y, fallback = _plane_basis(n)
+    x, y, fallback = _plane_basis(*n)
     if fallback:
         raise DegenerateBasisError(f"normal {n} is too close to the camera Y axis")
-    return x, y
+    return np.array(x), np.array(y)
 
 
 def _row_tiles(rows: int, row_bytes: int) -> list[tuple[int, int]]:
@@ -438,14 +425,15 @@ def _offset_block(
             np.copyto(a, 0.0, where=invalid)
         normal, rank_deficient = _plane_normals(px, py, z)
         del px, py, z, invalid
-        x_axis, y_axis, fallback = _plane_basis(normal)
+        x_axis, y_axis, fallback = _plane_basis(*normal)
         tx, ty, tz = _plane_grid(x0, y0, z0, x_axis, y_axis, spec, K)
-        behind = ~((tz > 0.0) & np.isfinite(tz)).all(axis=0)  # grid behind the camera
+        behind = ~((tz > 0.0) & np.isfinite(tz)).all(axis=(0, 1))  # grid behind the camera
         proj_u, proj_v = _project(tx, ty, tz, K)
         del tx, ty, tz
 
         degenerate = ~center_valid | (neighbor_count < 3) | rank_deficient | behind
-        for parity, proj, regular in ((0, proj_v, tv), (1, proj_u, tu)):
+        for parity, proj, regular in ((0, proj_v.reshape(tv.shape), tv),
+                                      (1, proj_u.reshape(tu.shape), tu)):
             proj -= regular
             np.copyto(proj, 0.0, where=degenerate)
             out[parity::2, row_start:row_stop] = proj

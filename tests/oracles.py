@@ -239,3 +239,47 @@ def stacked_eigenpair_sym3(a00, a11, a22, a01, a02, a12, sign_tol=1e-3):
     )
     v = v * sign[..., None]
     return (lam_min, lam_mid, lam_max), v
+
+
+def stacked_plane_basis(normal, frame_tol=1e-6):
+    """In-plane axes of normals ``(..., 3)`` stacked component-first,
+    ``(3, ...)``, with the fallback frame where ``n2^2 >= 1 - frame_tol``:
+    the reference that ``geometry._plane_basis``, which takes and returns
+    components, must match byte for byte.  Returns ``(x_axis, y_axis,
+    fallback)``.
+    """
+    n1 = normal[..., 0]
+    nY = normal[..., 1]
+    n3 = normal[..., 2]
+    s2 = 1.0 - nY * nY
+    fallback = s2 <= frame_tol
+    inv = 1.0 / np.sqrt(np.maximum(s2, frame_tol))
+    sgn = np.where(nY >= 0.0, 1.0, -1.0)
+    x_axis = np.stack(
+        [np.where(fallback, 1.0, n3 * inv), np.zeros_like(s2), np.where(fallback, 0.0, -n1 * inv)]
+    )
+    y_axis = np.stack(
+        [
+            np.where(fallback, 0.0, -n1 * nY * inv),
+            np.where(fallback, 0.0, s2 * inv),
+            np.where(fallback, -sgn, -nY * n3 * inv),
+        ]
+    )
+    return x_axis, y_axis, fallback
+
+
+def full_plane_grid(x0, y0, z0, x_axis, y_axis, size, dilation, fu, fv):
+    """The ``size x size`` tap grid ``P0 + a*x + b*y`` built from full-size
+    ``(taps,) + z0.shape`` scale grids ``a`` and ``b``, taps row-major: the
+    reference for ``geometry._plane_grid``, which sums one term per kernel
+    row and column by broadcasting.  Returns ``(X, Y, Z)``.
+    """
+    ii, jj = np.divmod(np.arange(size * size), size)
+    c = (size - 1) // 2
+    steps = (-1,) + (1,) * np.ndim(z0)
+    a = (jj - c).astype(np.float64).reshape(steps) * (dilation * z0 / fu)
+    b = (ii - c).astype(np.float64).reshape(steps) * (dilation * z0 / fv)
+    tx = x0 + a * x_axis[0] + b * y_axis[0]
+    ty = y0 + b * y_axis[1]
+    tz = z0 + a * x_axis[2] + b * y_axis[2]
+    return tx, ty, tz

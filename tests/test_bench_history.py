@@ -1,0 +1,87 @@
+"""The benchmark history script aggregates run.py result records.
+
+The script at the repository root is loaded by path; the records are
+fabricated in the layout that ``perfbench/run.py`` writes, so no
+benchmark runs here.
+"""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.fixture(scope="module")
+def history():
+    spec = importlib.util.spec_from_file_location("bench_history", ROOT / "bench_history.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+BENCHMARK = {
+    "command": ["python3", "perfbench/run.py"],
+    "run_seconds": 15,
+    "workloads": [{"name": "slow"}, {"name": "fast"}],
+    "end_to_end": [
+        {"name": "latency_p50_ms", "unit": "ms", "better": "lower", "bound": 0.25},
+        {"name": "peak_rss_mb", "unit": "MB", "better": "lower", "bound": 0.15},
+    ],
+}
+ENV = {"python": "3.11.7", "numpy": "2.4.6", "blas": "scipy-openblas 0.3.31",
+       "blas_threads_env": {"OPENBLAS_NUM_THREADS": None}, "ZACN_THREADS": "2",
+       "nproc": 2, "cpu_count": 2, "cpu_model": "x", "caches": {}, "git_commit": "abc"}
+
+
+def _record(workload, seed, attempted, failed, latency, rss):
+    metrics = {"latency_p50_ms": {"value": latency, "unit": "ms"}}
+    if rss is not None:
+        metrics["peak_rss_mb"] = {"value": rss, "unit": "MB"}
+    return {"args": {"workload": workload, "seed": seed, "trace": 0}, "env": ENV,
+            "result": {"correct": failed == 0, "attempted": attempted, "failed": failed,
+                       "metrics": metrics}}
+
+
+def test_counts_and_quartiles_per_workload(history):
+    records = [_record("fast", 1, 10, 0, 4.0, 30.0)]
+    records += [_record("slow", s, 5, s % 2, lat, 90.0)
+                for s, lat in zip((1, 2, 3, 4, 5), (120.0, 100.0, 140.0, 110.0, 130.0))]
+    out = history.summarize(BENCHMARK, records)
+    assert list(out["workloads"]) == ["slow", "fast"]
+    slow = out["workloads"]["slow"]
+    assert (slow["seeds"], slow["attempted"], slow["failed"]) == ([1, 2, 3, 4, 5], 25, 3)
+    lat = slow["metrics"]["latency_p50_ms"]
+    assert lat["values"] == [120.0, 100.0, 140.0, 110.0, 130.0]
+    assert lat["spread"] == {"q1": 110.0, "median": 120.0, "q3": 130.0}
+    assert (lat["unit"], lat["better"]) == ("ms", "lower")
+    fast = out["workloads"]["fast"]["metrics"]
+    assert fast["latency_p50_ms"]["spread"] == {"q1": 4.0, "median": 4.0, "q3": 4.0}
+    assert fast["peak_rss_mb"]["spread"]["median"] == 30.0
+    assert out["run_seconds"] == 15
+    assert out["env"] == ENV
+    json.dumps(out)  # the file is JSON
+
+
+def test_quartiles_interpolate_between_runs(history):
+    records = [_record("slow", s, 1, 0, lat, 1.0) for s, lat in zip((1, 2, 3, 4), (1.0, 2.0, 3.0, 5.0))]
+    spread = history.summarize(BENCHMARK, records)["workloads"]["slow"]["metrics"]["latency_p50_ms"]
+    assert spread["spread"] == {"q1": 1.75, "median": 2.5, "q3": 3.5}
+
+
+def test_missing_metrics_and_workloads(history):
+    records = [_record("slow", 1, 3, 3, 9.0, None), _record("slow", 2, 3, 0, 7.0, None)]
+    out = history.summarize(BENCHMARK, records)
+    rss = out["workloads"]["slow"]["metrics"]["peak_rss_mb"]
+    assert rss["values"] == [None, None] and rss["spread"] is None
+    fast = out["workloads"]["fast"]
+    assert (fast["seeds"], fast["attempted"], fast["failed"]) == ([], 0, 0)
+    assert fast["metrics"]["latency_p50_ms"]["spread"] is None
+
+
+def test_rejects_anything_but_one_output_path(history, capsys):
+    assert history.main([]) == 2
+    assert history.main(["a.json", "b.json"]) == 2
+    assert "usage" in capsys.readouterr().err

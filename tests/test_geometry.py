@@ -23,11 +23,17 @@ from zacn import (
     project,
 )
 from zacn import geometry
-from zacn.geometry import _plane_basis, _plane_grid
+from zacn.geometry import _plane_basis, _plane_grid, _project
 from zacn.harness import generate_scene
 
 from conftest import noisy_scene_depth, nyu_like_intrinsics, smooth_depth
-from oracles import plane_residual, ref_offsets_eigh, stacked_eigenpair_sym3
+from oracles import (
+    full_plane_grid,
+    plane_residual,
+    ref_offsets_eigh,
+    stacked_eigenpair_sym3,
+    stacked_plane_basis,
+)
 
 INV_SQRT5 = 1.0 / np.sqrt(5.0)
 # Unit roundoff of float32: a correctly rounded float32 value is within a
@@ -190,6 +196,7 @@ class TestEigenpair:
         entries = (s[..., 0, 0], s[..., 1, 1], s[..., 2, 2], s[..., 0, 1], s[..., 0, 2], s[..., 1, 2])
         with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
             lams, v = geometry._smallest_eigenpair_sym3(*entries)
+            v = np.stack(v, axis=-1)
             ref_lams, ref_v = stacked_eigenpair_sym3(*entries, sign_tol=geometry._SIGN_TOL)
         assert v.shape == ref_v.shape == (40, 100, 3)
         for got, want in zip(lams + (v,), ref_lams + (ref_v,)):
@@ -235,17 +242,23 @@ class TestBasis:
     def test_fallback_frame_is_valid(self):
         for sign in (1.0, -1.0):
             n = np.array([0.0, sign, 0.0])
-            x, y, fallback = _plane_basis(n)
+            x, y, fallback = _plane_basis(*n)
             assert fallback
             np.testing.assert_array_equal(x, [1.0, 0.0, 0.0])
             np.testing.assert_array_equal(y, [0.0, 0.0, -sign])
             np.testing.assert_allclose(np.cross(n, x), y, atol=1e-15)
 
 
+def _grid_taps(*args):
+    """``_plane_grid``'s tap coordinates ``(X, Y, Z)``, broadcast and
+    flattened to ``(N*N,)`` with taps row-major."""
+    return [t.reshape(-1) for t in np.broadcast_arrays(*_plane_grid(*args))]
+
+
 def _grid_steps(z0, spec, K):
     """Grid steps ``(ku, kv)`` read off ``_plane_grid`` taps laid out with
     image-aligned axes at the camera origin (exact: steps times 1.0)."""
-    tx, ty, _ = _plane_grid(
+    tx, ty, _ = _grid_taps(
         0.0, 0.0, z0, np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0]), spec, K
     )
     c = spec.center
@@ -287,9 +300,9 @@ class TestScaleFactors:
 
 class TestGrid3D:
     def test_single_tap_equals_origin(self):
-        x, y, _ = _plane_basis(np.array([0.0, 0.0, 1.0]))
+        x, y, _ = _plane_basis(0.0, 0.0, 1.0)
         K = CameraIntrinsics(100.0, 100.0, 0.0, 0.0)
-        tx, ty, tz = _plane_grid(0.3, -0.2, 1.5, x, y, KernelSpec(1), K)
+        tx, ty, tz = _grid_taps(0.3, -0.2, 1.5, x, y, KernelSpec(1), K)
         assert np.shape(tx) == (1,)
         np.testing.assert_allclose([tx[0], ty[0], tz[0]], [0.3, -0.2, 1.5])
 
@@ -298,9 +311,9 @@ class TestGrid3D:
         z0 = 2.0
         u0, v0 = 20.0, 14.0
         p0 = back_project(u0, v0, z0, K)
-        x, y, _ = _plane_basis(np.array([0.0, 0.0, 1.0]))
+        x, y, _ = _plane_basis(0.0, 0.0, 1.0)
         spec = KernelSpec(3, dilation=2)
-        taps = np.stack(_plane_grid(*p0, x, y, spec, K), axis=-1).reshape(3, 3, 3)
+        taps = np.stack(_grid_taps(*p0, x, y, spec, K), axis=-1).reshape(3, 3, 3)
         for i in range(3):
             for j in range(3):
                 u, v = project(taps[i, j], K)
@@ -316,11 +329,50 @@ class TestGrid3D:
             if n[1] * n[1] >= 1 - 1e-4:
                 continue
             origin = np.array(rng.uniform(-1, 1, size=2).tolist() + [float(rng.uniform(0.5, 4))])
-            x, y, _ = _plane_basis(n)
-            taps = np.stack(_plane_grid(*origin, x, y, spec, K), axis=-1).reshape(5, 5, 3)
+            x, y, _ = _plane_basis(*n)
+            taps = np.stack(_grid_taps(*origin, x, y, spec, K), axis=-1).reshape(5, 5, 3)
             np.testing.assert_allclose(taps[2, 2], origin, atol=1e-15)
             rel = taps - origin
             np.testing.assert_allclose(rel @ n, 0.0, atol=1e-6)
+
+    @pytest.mark.parametrize("size", [1, 3, 5])
+    @pytest.mark.parametrize("dilation", [1, 2])
+    def test_byte_equal_to_stacked_reference(self, rng, size, dilation):
+        # the component basis, the broadcast grid and its projection keep the
+        # bytes of the stacked basis and the full-size (taps, ...) grid
+        n = rng.normal(size=(600, 3))
+        n /= np.linalg.norm(n, axis=1, keepdims=True)
+        # normals in and just outside the fallback zone n2^2 >= 1 - 1e-6
+        n[:200:2, [0, 2]] = rng.uniform(-1.5e-3, 1.5e-3, (100, 2))
+        n[:200:2, 1] = np.sqrt(1.0 - n[:200:2, 0] ** 2 - n[:200:2, 2] ** 2)
+        n[:200:4, 1] *= -1.0
+        n[200:204] = [[0.0, 1.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]]
+        for k, bad in enumerate((np.nan, np.inf, -np.inf)):
+            n[210 + k :: 30, k] = bad
+            n[220 + k :: 45, (k + 1) % 3] = bad
+        z0 = rng.uniform(0.3, 8.0, 600)
+        z0[5::40], z0[6::40], z0[7::40], z0[8::40], z0[9::40] = 0.0, np.nan, np.inf, -np.inf, -1.5
+        x0, y0 = rng.normal(size=(2, 20, 30))
+        normal, z0 = n.reshape(20, 30, 3), z0.reshape(20, 30)
+        K = CameraIntrinsics(519.0, 522.5, 319.5, 239.5)
+        with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+            x, y, fallback = _plane_basis(*np.moveaxis(normal, -1, 0))
+            ref_x, ref_y, ref_fallback = stacked_plane_basis(normal)
+            assert fallback.any() and fallback.tobytes() == ref_fallback.tobytes()
+            for got, want in zip(x + y, tuple(ref_x) + tuple(ref_y)):
+                assert np.broadcast_to(got, want.shape).tobytes() == want.tobytes()
+
+            taps = _plane_grid(x0, y0, z0, x, y, KernelSpec(size, dilation), K)
+            ref = full_plane_grid(x0, y0, z0, ref_x, ref_y, size, dilation, K.fu, K.fv)
+            assert [t.shape for t in taps] == [(size, size, 20, 30), (size, 1, 20, 30),
+                                               (size, size, 20, 30)]
+            for got, want in zip(taps, ref):
+                assert np.broadcast_to(got, (size, size, 20, 30)).tobytes() == want.tobytes()
+            proj = _project(*taps, K)
+            ref_proj = (K.fu * ref[0] / ref[2] + K.cu, K.fv * ref[1] / ref[2] + K.cv)
+            for got, want in zip(proj, ref_proj):
+                assert got.shape == (size, size, 20, 30)
+                assert got.tobytes() == want.tobytes()
 
 
 class TestComputeOffsets:
