@@ -23,7 +23,7 @@ import numpy as np
 
 from . import io as zio
 from .errors import ConfigError, ParseError, ZacnError
-from .geometry import CameraIntrinsics, KernelSpec, compute_offsets
+from .geometry import CameraIntrinsics, KernelSpec, _check_int, compute_offsets
 from .harness import OPERATORS, TrainConfig, paired_toy_runs
 from .ops import (
     ConvWeights,
@@ -45,12 +45,9 @@ def _workers() -> int:
             return len(os.sched_getaffinity(0))
         return os.cpu_count() or 1
     try:
-        n = int(env)
+        return _check_int("ZACN_THREADS", int(env), 1)
     except ValueError as exc:
         raise ConfigError(f"ZACN_THREADS must be an integer, got {env!r}") from exc
-    if n < 1:
-        raise ConfigError(f"ZACN_THREADS must be >= 1, got {n}")
-    return n
 
 
 def _spec_from_args(args) -> KernelSpec:

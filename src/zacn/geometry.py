@@ -20,9 +20,11 @@ between the calling thread and its worker threads:
      ``Pi - P0``), as components ``(n1, n2, n3)``,
   4. ``_plane_basis``: orthonormal in-plane basis with a horizontal x axis,
      as component tuples ``(x1, 0.0, x3)`` and ``(y1, y2, y3)``,
-  5. ``_plane_grid``: a regular grid on the plane, scaled so that a
-     fronto-parallel plane reproduces the dilated pixel grid exactly,
-     summed from one term per kernel column and one per kernel row,
+  5. ``_plane_grid``: a regular grid on the plane through the center
+     pixel's unit-depth ray ``P0 / z0``, with steps that make a
+     fronto-parallel plane reproduce the dilated pixel grid exactly, summed
+     from one term per kernel column and one per kernel row; the grid
+     through ``P0`` is this one times ``z0`` and projects to the same pixels,
   6. ``_project`` the 3D grid back to the image; the offsets are the
      projected positions minus the regular grid positions.
 
@@ -81,6 +83,17 @@ _SIGN_TOL = 1e-3
 _TILE_BYTES = 1 << 20
 
 
+def _check_int(name, value, low):
+    """``value`` as an int; :class:`ConfigError` unless it is an integer >= ``low``."""
+    try:
+        value = operator.index(value)
+    except TypeError as exc:
+        raise ConfigError(f"{name} must be an integer, got {value!r}") from exc
+    if value < low:
+        raise ConfigError(f"{name} must be >= {low}, got {value}")
+    return value
+
+
 @dataclass(frozen=True)
 class CameraIntrinsics:
     """Pinhole parameters: focal lengths and principal point, in pixels."""
@@ -113,14 +126,10 @@ class KernelSpec:
     padding: int = 0
 
     def __post_init__(self):
-        if self.size < 1 or self.size % 2 == 0:
-            raise ConfigError(f"kernel size must be odd and >= 1, got {self.size}")
-        if self.dilation < 1:
-            raise ConfigError(f"dilation must be >= 1, got {self.dilation}")
-        if self.stride < 1:
-            raise ConfigError(f"stride must be >= 1, got {self.stride}")
-        if self.padding < 0:
-            raise ConfigError(f"padding must be >= 0, got {self.padding}")
+        for name, low in (("size", 1), ("dilation", 1), ("stride", 1), ("padding", 0)):
+            _check_int(f"kernel {name}", getattr(self, name), low)
+        if self.size % 2 == 0:
+            raise ConfigError(f"kernel size must be odd, got {self.size}")
 
     @classmethod
     def same(cls, size: int, dilation: int = 1, stride: int = 1) -> "KernelSpec":
@@ -277,22 +286,23 @@ def _plane_basis(n1, n2, n3):
     return x_axis, y_axis, fallback
 
 
-def _plane_grid(x0, y0, z0, x_axis, y_axis, spec: KernelSpec, K: CameraIntrinsics):
-    """Regular ``N x N`` grid of 3D taps on the plane through ``P0``.
+def _plane_grid(ru, rv, x_axis, y_axis, spec: KernelSpec, K: CameraIntrinsics):
+    """Regular ``N x N`` grid of 3D taps on the plane through the center
+    pixel's unit-depth ray ``(ru, rv, 1)``.
 
-    ``tap[i, j] = P0 + a[j]*x + b[i]*y`` with column terms ``a[j] = (j - c)*ku``
-    and row terms ``b[i] = (i - c)*kv``, ``ku = dilation * z0 / fu`` and ``kv =
-    dilation * z0 / fv``, so that on a fronto-parallel plane the taps project
-    exactly onto the dilated pixel grid.  Returns the tap coordinates: X and Z
-    of shape ``(N, N) + z0.shape``, indexed ``[i, j]``, and Y, constant along a
-    kernel row, ``(N, 1) + z0.shape``.
+    ``tap[i, j] = (ru, rv, 1) + a[j]*x + b[i]*y`` with column terms ``a[j] =
+    (j - c)*dilation/fu`` and row terms ``b[i] = (i - c)*dilation/fv``, so that
+    on a fronto-parallel plane the taps project exactly onto the dilated pixel
+    grid.  Returns X and Z of shape ``(N, N) + shape``, indexed ``[i, j]``,
+    with ``shape`` that of the axis components, and Y, constant along a kernel
+    row, ``(N, 1) + shape``.
     """
-    steps = np.arange(-spec.center, spec.center + 1.0).reshape((-1,) + (1,) * np.ndim(z0))
-    a = steps * (spec.dilation * z0 / K.fu)
-    b = steps[:, None] * (spec.dilation * z0 / K.fv)
-    tx = x0 + a * x_axis[0] + b * y_axis[0]
-    ty = y0 + b * y_axis[1]  # x axis has zero Y component
-    tz = z0 + a * x_axis[2] + b * y_axis[2]
+    steps = np.arange(-spec.center, spec.center + 1.0).reshape((-1,) + (1,) * np.ndim(x_axis[0]))
+    a = steps * (spec.dilation / K.fu)
+    b = steps[:, None] * (spec.dilation / K.fv)
+    tx = ru + a * x_axis[0] + b * y_axis[0]
+    ty = rv + b * y_axis[1]  # x axis has zero Y component
+    tz = 1.0 + a * x_axis[2] + b * y_axis[2]
     return tx, ty, tz
 
 
@@ -414,19 +424,18 @@ def _offset_block(
     # of them alive at once, not a dozen.
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         px, py, _ = _back_project(tuc, tvc, z, K)
-        x0 = px[center_tap].copy()
-        y0 = py[center_tap].copy()
-        z0 = z[center_tap].copy()
+        ru, rv, _ = _back_project(tuc[center_tap], tvc[center_tap], 1.0, K)
         invalid = ~valid
         del valid
-        # Pi - P0 in place, excluded taps zero: np.where(valid, a - a0, 0.0)
-        for a, a0 in ((px, x0), (py, y0), (z, z0)):
-            np.subtract(a, a0, out=a)
+        # Pi - P0 in place, excluded taps zero: np.where(valid, a - a0, 0.0);
+        # numpy buffers the center row a0 = a[center_tap] that the result overlaps
+        for a in (px, py, z):
+            np.subtract(a, a[center_tap], out=a)
             np.copyto(a, 0.0, where=invalid)
         normal, rank_deficient = _plane_normals(px, py, z)
         del px, py, z, invalid
         x_axis, y_axis, fallback = _plane_basis(*normal)
-        tx, ty, tz = _plane_grid(x0, y0, z0, x_axis, y_axis, spec, K)
+        tx, ty, tz = _plane_grid(ru, rv, x_axis, y_axis, spec, K)
         behind = ~((tz > 0.0) & np.isfinite(tz)).all(axis=(0, 1))  # grid behind the camera
         proj_u, proj_v = _project(tx, ty, tz, K)
         del tx, ty, tz
@@ -471,12 +480,7 @@ def compute_offsets(
     Raises :class:`ConfigError` for a ``workers`` that is not an integer
     >= 1 or output dims that do not match ``spec`` on the depth map.
     """
-    try:
-        workers = 1 if workers is None else operator.index(workers)
-    except TypeError as exc:
-        raise ConfigError(f"workers must be an integer, got {workers!r}") from exc
-    if workers < 1:
-        raise ConfigError(f"workers must be >= 1, got {workers}")
+    workers = 1 if workers is None else _check_int("workers", workers, 1)
     expected = spec.output_shape(depth.height, depth.width)
     if expected != (out_h, out_w):
         raise ConfigError(

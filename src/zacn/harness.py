@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, TrainingError
-from .geometry import CameraIntrinsics, KernelSpec, _back_project, compute_offsets
+from .geometry import CameraIntrinsics, KernelSpec, _back_project, _check_int, compute_offsets
 from .ops import ConvWeights, _conv_gemm, gather_samples, za_conv_backward, za_conv_forward
 from .tensor import DepthMap, FeatureTensor, OffsetField
 
@@ -111,12 +111,9 @@ class TrainConfig:
             raise ConfigError(f"unknown operator {self.operator!r}")
         if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0):
             raise ConfigError(f"learning rate must be finite and >= 0, got {self.learning_rate}")
-        if self.epochs < 1:
-            raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if self.hidden < 1:
-            raise ConfigError(f"hidden size must be >= 1, got {self.hidden}")
+        _check_int("epochs", self.epochs, 1)
+        _check_int("seed", self.seed, 0)
+        _check_int("hidden size", self.hidden, 1)
 
 
 @dataclass(frozen=True)
@@ -148,8 +145,7 @@ def generate_scene(kind: str, h: int, w: int, seed: int, focal: float = 519.0) -
         raise ConfigError(f"unknown scene kind {kind!r}, expected one of {SCENE_KINDS}")
     if h < 16 or w < 16:
         raise ConfigError(f"scene dims must be >= 16, got {h}x{w}")
-    if seed < 0:
-        raise ConfigError(f"scene seed must be >= 0, got {seed}")
+    _check_int("scene seed", seed, 0)
     rng = np.random.default_rng(seed)
     K = CameraIntrinsics(fu=focal, fv=focal, cu=(w - 1) / 2, cv=(h - 1) / 2)
     u, v = _pixel_grid(h, w)

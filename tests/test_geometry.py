@@ -255,11 +255,11 @@ def _grid_taps(*args):
     return [t.reshape(-1) for t in np.broadcast_arrays(*_plane_grid(*args))]
 
 
-def _grid_steps(z0, spec, K):
+def _grid_steps(spec, K):
     """Grid steps ``(ku, kv)`` read off ``_plane_grid`` taps laid out with
-    image-aligned axes at the camera origin (exact: steps times 1.0)."""
+    image-aligned axes on the optical axis (exact: steps times 1.0)."""
     tx, ty, _ = _grid_taps(
-        0.0, 0.0, z0, np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0]), spec, K
+        0.0, 0.0, np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0]), spec, K
     )
     c = spec.center
     return tx[c * spec.size + c + 1], ty[(c + 1) * spec.size + c]
@@ -268,23 +268,13 @@ def _grid_steps(z0, spec, K):
 class TestScaleFactors:
     def test_direct_formula(self):
         K = CameraIntrinsics(100.0, 100.0, 0.0, 0.0)
-        assert _grid_steps(1.0, KernelSpec(3), K) == (0.01, 0.01)
+        assert _grid_steps(KernelSpec(3), K) == (0.01, 0.01)
 
     def test_dilated_nyu_focal(self):
         K = CameraIntrinsics(519.0, 519.0, 0.0, 0.0)
-        ku, kv = _grid_steps(2.0, KernelSpec(3, dilation=2), K)
-        assert ku == pytest.approx(4.0 / 519.0, rel=1e-15)
-        assert kv == pytest.approx(4.0 / 519.0, rel=1e-15)
-
-    def test_linear_in_depth(self, rng):
-        K = CameraIntrinsics(240.0, 260.0, 0.0, 0.0)
-        spec = KernelSpec(5, dilation=3)
-        for _ in range(20):
-            z = float(rng.uniform(0.1, 9.0))
-            ku1, kv1 = _grid_steps(z, spec, K)
-            ku2, kv2 = _grid_steps(2 * z, spec, K)
-            assert ku2 == pytest.approx(2 * ku1, rel=1e-12)
-            assert kv2 == pytest.approx(2 * kv1, rel=1e-12)
+        ku, kv = _grid_steps(KernelSpec(3, dilation=2), K)
+        assert ku == pytest.approx(2.0 / 519.0, rel=1e-15)
+        assert kv == pytest.approx(2.0 / 519.0, rel=1e-15)
 
     def test_invalid_depth(self, rng):
         # the grid scale needs a positive, finite center depth; a pixel
@@ -302,18 +292,17 @@ class TestGrid3D:
     def test_single_tap_equals_origin(self):
         x, y, _ = _plane_basis(0.0, 0.0, 1.0)
         K = CameraIntrinsics(100.0, 100.0, 0.0, 0.0)
-        tx, ty, tz = _grid_taps(0.3, -0.2, 1.5, x, y, KernelSpec(1), K)
+        tx, ty, tz = _grid_taps(0.3, -0.2, x, y, KernelSpec(1), K)
         assert np.shape(tx) == (1,)
-        np.testing.assert_allclose([tx[0], ty[0], tz[0]], [0.3, -0.2, 1.5])
+        np.testing.assert_allclose([tx[0], ty[0], tz[0]], [0.3, -0.2, 1.0])
 
     def test_fronto_parallel_projects_to_dilated_grid(self):
         K = CameraIntrinsics(128.0, 128.0, 31.5, 23.5)
-        z0 = 2.0
         u0, v0 = 20.0, 14.0
-        p0 = back_project(u0, v0, z0, K)
+        ray = back_project(u0, v0, 1.0, K)
         x, y, _ = _plane_basis(0.0, 0.0, 1.0)
         spec = KernelSpec(3, dilation=2)
-        taps = np.stack(_grid_taps(*p0, x, y, spec, K), axis=-1).reshape(3, 3, 3)
+        taps = np.stack(_grid_taps(*ray[:2], x, y, spec, K), axis=-1).reshape(3, 3, 3)
         for i in range(3):
             for j in range(3):
                 u, v = project(taps[i, j], K)
@@ -328,9 +317,9 @@ class TestGrid3D:
             n /= np.linalg.norm(n)
             if n[1] * n[1] >= 1 - 1e-4:
                 continue
-            origin = np.array(rng.uniform(-1, 1, size=2).tolist() + [float(rng.uniform(0.5, 4))])
+            origin = np.array(rng.uniform(-1, 1, size=2).tolist() + [1.0])
             x, y, _ = _plane_basis(*n)
-            taps = np.stack(_grid_taps(*origin, x, y, spec, K), axis=-1).reshape(5, 5, 3)
+            taps = np.stack(_grid_taps(*origin[:2], x, y, spec, K), axis=-1).reshape(5, 5, 3)
             np.testing.assert_allclose(taps[2, 2], origin, atol=1e-15)
             rel = taps - origin
             np.testing.assert_allclose(rel @ n, 0.0, atol=1e-6)
@@ -350,10 +339,8 @@ class TestGrid3D:
         for k, bad in enumerate((np.nan, np.inf, -np.inf)):
             n[210 + k :: 30, k] = bad
             n[220 + k :: 45, (k + 1) % 3] = bad
-        z0 = rng.uniform(0.3, 8.0, 600)
-        z0[5::40], z0[6::40], z0[7::40], z0[8::40], z0[9::40] = 0.0, np.nan, np.inf, -np.inf, -1.5
-        x0, y0 = rng.normal(size=(2, 20, 30))
-        normal, z0 = n.reshape(20, 30, 3), z0.reshape(20, 30)
+        ru, rv = rng.normal(size=(2, 20, 30))
+        normal = n.reshape(20, 30, 3)
         K = CameraIntrinsics(519.0, 522.5, 319.5, 239.5)
         with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
             x, y, fallback = _plane_basis(*np.moveaxis(normal, -1, 0))
@@ -362,8 +349,9 @@ class TestGrid3D:
             for got, want in zip(x + y, tuple(ref_x) + tuple(ref_y)):
                 assert np.broadcast_to(got, want.shape).tobytes() == want.tobytes()
 
-            taps = _plane_grid(x0, y0, z0, x, y, KernelSpec(size, dilation), K)
-            ref = full_plane_grid(x0, y0, z0, ref_x, ref_y, size, dilation, K.fu, K.fv)
+            taps = _plane_grid(ru, rv, x, y, KernelSpec(size, dilation), K)
+            ref = full_plane_grid(ru, rv, np.ones((20, 30)), ref_x, ref_y, size, dilation,
+                                  K.fu, K.fv)
             assert [t.shape for t in taps] == [(size, size, 20, 30), (size, 1, 20, 30),
                                                (size, size, 20, 30)]
             for got, want in zip(taps, ref):
@@ -408,6 +396,42 @@ class TestComputeOffsets:
             for s in (0.1, 3.7, 10.0):
                 scaled, _ = compute_offsets(DepthMap(depth * np.float32(s)), K, spec, 16, 20)
                 np.testing.assert_allclose(scaled.data, base.data, atol=1e-5)
+
+    @pytest.mark.parametrize("kind", ["corridor", "ramp"])
+    def test_power_of_two_depth_scale_is_exact(self, kind):
+        # every stage is homogeneous in depth and a power of two rounds
+        # nothing, so scaling the depth by 2**k leaves every offset bit
+        depth, K = noisy_scene_depth(kind, 120, 160, seed=5)
+        for spec in (KernelSpec.same(3), KernelSpec.same(5, 2), KernelSpec(3, 1, 2, 0)):
+            shape = spec.output_shape(120, 160)
+            base, base_summary = compute_offsets(depth, K, spec, *shape)
+            for k in (-6, -1, 1, 3, 10):
+                scaled = DepthMap(depth.data * np.float32(2.0**k))
+                field, summary = compute_offsets(scaled, K, spec, *shape)
+                assert field.data.tobytes() == base.data.tobytes(), (spec, k)
+                assert summary == base_summary
+
+    def test_fixed_normal_gives_same_bits_at_any_center_depth(self, rng, monkeypatch):
+        # the grid is built at unit depth from the center pixel's ray, so
+        # with the plane normal held fixed the center depth cannot show
+        n = np.array([0.3, -0.4, 0.8]) / np.linalg.norm([0.3, -0.4, 0.8])
+
+        def tilted(dx, dy, dz):
+            return tuple(np.full(dx.shape[1:], c) for c in n), np.zeros(dx.shape[1:], bool)
+
+        monkeypatch.setattr(geometry, "_plane_normals", tilted)
+        K = nyu_like_intrinsics(24, 32)
+        spec = KernelSpec.same(5, 2)
+        pattern = 1.0 + 0.01 * rng.standard_normal((24, 32))
+        fields = []
+        for z0 in (0.37, 1.0, 1.7, 5.3, 41.0):
+            field, summary = compute_offsets(
+                DepthMap((z0 * pattern).astype(np.float32)), K, spec, 24, 32)
+            assert summary == geometry.OffsetSummary(24 * 32, 0, 0)
+            fields.append(field.data)
+        assert np.abs(fields[0]).max() > 0.1
+        for z0, field in zip((1.0, 1.7, 5.3, 41.0), fields[1:]):
+            assert field.tobytes() == fields[0].tobytes(), z0
 
     def test_bit_identical_across_runs_and_workers(self, rng, monkeypatch):
         depth_arr = smooth_depth(rng, 30, 40)
@@ -676,6 +700,10 @@ class TestComputeOffsets:
             KernelSpec(3, padding=-1)
         with pytest.raises(ConfigError):
             KernelSpec(9, padding=0).output_shape(4, 4)
+        for args in ((3.0,), (3, 1.5), (3, 1, 2.0), (3, 1, 1, 0.5), ("3",)):
+            with pytest.raises(ConfigError, match="must be an integer"):
+                KernelSpec(*args)
+        assert KernelSpec(*np.array([3, 2, 1, 0])).span() == 5  # numpy integers are integers
 
 
 def _random_plane_scene(rng, h, w, focal=None):

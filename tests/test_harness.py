@@ -62,6 +62,8 @@ class TestGenerateScene:
             generate_scene("ramp", 8, 32, seed=0)
         with pytest.raises(ConfigError, match="scene seed must be >= 0, got -10"):
             generate_scene("corridor", 32, 32, seed=-10)
+        with pytest.raises(ConfigError, match="scene seed must be an integer, got 1.5"):
+            generate_scene("corridor", 32, 32, seed=1.5)
 
 
 class TestMetrics:
@@ -214,3 +216,6 @@ class TestTrainToy:
             TrainConfig(hidden=-1)
         with pytest.raises(ConfigError, match="seed must be >= 0, got -1"):
             TrainConfig(seed=-1)
+        for field, value in (("epochs", 1.5), ("hidden", 2.5), ("seed", 1.5)):
+            with pytest.raises(ConfigError, match=f"must be an integer, got {value}"):
+                TrainConfig(**{field: value})
