@@ -45,9 +45,10 @@ def _workers() -> int:
             return len(os.sched_getaffinity(0))
         return os.cpu_count() or 1
     try:
-        return _check_int("ZACN_THREADS", int(env), 1)
+        n = int(env)
     except ValueError as exc:
         raise ConfigError(f"ZACN_THREADS must be an integer, got {env!r}") from exc
+    return _check_int("ZACN_THREADS", n, 1)
 
 
 def _spec_from_args(args) -> KernelSpec:

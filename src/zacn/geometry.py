@@ -428,7 +428,7 @@ def _offset_block(
         invalid = ~valid
         del valid
         # Pi - P0 in place, excluded taps zero: np.where(valid, a - a0, 0.0);
-        # numpy buffers the center row a0 = a[center_tap] that the result overlaps
+        # numpy copies the center row a0 = a[center_tap] before overwriting it
         for a in (px, py, z):
             np.subtract(a, a[center_tap], out=a)
             np.copyto(a, 0.0, where=invalid)

@@ -277,8 +277,8 @@ class TestScaleFactors:
         assert kv == pytest.approx(2.0 / 519.0, rel=1e-15)
 
     def test_invalid_depth(self, rng):
-        # the grid scale needs a positive, finite center depth; a pixel
-        # without one falls back to zero offsets instead
+        # a pixel without a positive, finite center depth has no plane
+        # through its center and falls back to zero offsets
         K = nyu_like_intrinsics(9, 9)
         for z in (0.0, -1.0, np.nan, np.inf):
             depth = smooth_depth(rng, 9, 9)
