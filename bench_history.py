@@ -10,7 +10,11 @@ the declared ``run_seconds``, and reads the result record that run.py
 writes to ``perfbench/out/``.  The output file holds, per workload, the
 attempted and failed item counts summed over the seeds and the median and
 quartiles of each end-to-end metric, with each seed's value; and the
-environment of the runs.  A run that exits with an error stops the script.
+environment of the runs.  It also holds one row that the benchmark's
+process tree cannot raise: the ``VmHWM`` of a child that this script starts,
+which runs ``zacn offsets`` ``HWM_RUNS`` times on a seeded corridor depth
+map, once with ``ZACN_THREADS`` unset and once with it set to 1 (Linux).
+A run that exits with an error stops the script.
 After writing the file, it prints each metric's median against the newest
 earlier ``BENCH_<n>.json`` at the repository root, marking changes worse
 than the metric's declared bound; the comparison changes no exit code.
@@ -24,10 +28,36 @@ import re
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent
 SEEDS = (1, 2, 3, 4, 5)
+# The offsets VmHWM row: runs of ``zacn offsets`` in one child, on a seeded
+# corridor depth map of this shape.
+HWM_RUNS = 10
+HWM_SHAPE = (480, 640)
+HWM_SEED = 26
+
+_SCENE_CHILD = r"""
+import sys
+from zacn import write_depth
+from zacn.harness import generate_scene
+path, h, w, seed = sys.argv[1:]
+write_depth(generate_scene("corridor", int(h), int(w), seed=int(seed)).depth, path)
+"""
+# exec resets VmHWM, so the child reads the peak of its own image only; the
+# rusage peak of a child starts at its parent's
+_HWM_CHILD = r"""
+import sys
+from zacn.cli import main
+depth, out, runs = sys.argv[1:]
+for _ in range(int(runs)):
+    if main(["offsets", "--depth", depth, "--fu", "519", "--fv", "519", "--out", out]) != 0:
+        sys.exit("zacn offsets failed")
+with open("/proc/self/status") as f:
+    print(next(line.split()[1] for line in f if line.startswith("VmHWM:")))
+"""
 
 
 def spread(values):
@@ -75,6 +105,26 @@ def run_workload(benchmark: dict, name: str, seed: int) -> dict:
                                   "--seconds", str(benchmark["run_seconds"]), "--trace", "0"]
     subprocess.run(cmd, cwd=ROOT, check=True, stdout=subprocess.DEVNULL)
     return json.loads(record.read_text())
+
+
+def offsets_hwm(h: int, w: int, runs: int, seed: int = HWM_SEED) -> dict:
+    """The ``VmHWM`` (MB, Linux) of one child that runs ``zacn offsets``
+    ``runs`` times in process on a seeded ``h`` x ``w`` corridor PFM, with
+    ``ZACN_THREADS`` unset and with it set to 1."""
+    env = {k: v for k, v in os.environ.items() if k != "ZACN_THREADS"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    row = {"runs": runs, "shape": [h, w], "seed": seed}
+    with tempfile.TemporaryDirectory() as tmp:
+        depth = os.path.join(tmp, "depth.pfm")
+        subprocess.run([sys.executable, "-c", _SCENE_CHILD, depth, str(h), str(w), str(seed)],
+                       env=env, check=True)
+        for key, threads in (("threads_unset_mb", None), ("threads_1_mb", "1")):
+            child_env = env if threads is None else {**env, "ZACN_THREADS": threads}
+            child = subprocess.run([sys.executable, "-c", _HWM_CHILD, depth,
+                                    os.path.join(tmp, "o.zacn"), str(runs)],
+                                   env=child_env, check=True, capture_output=True, text=True)
+            row[key] = int(child.stdout) / 1024
+    return row
 
 
 def uncommitted_changes():
@@ -140,8 +190,12 @@ def main(argv: list[str]) -> int:
                for wl in benchmark["workloads"] for seed in SEEDS]
     history = summarize(benchmark, records)
     history["env"]["uncommitted_changes"] = uncommitted_changes()
+    history["offsets_vmhwm"] = offsets_hwm(*HWM_SHAPE, HWM_RUNS)
     out = Path(argv[0])
     out.write_text(json.dumps(history, indent=1) + "\n")
+    hwm = history["offsets_vmhwm"]
+    print(f"offsets VmHWM: {hwm['threads_unset_mb']:.1f} MB with ZACN_THREADS unset, "
+          f"{hwm['threads_1_mb']:.1f} MB with 1")
     previous = previous_history(ROOT, out)
     if previous is not None:
         print(f"{out.name} against {previous.name}:")

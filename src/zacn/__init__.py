@@ -34,7 +34,6 @@ from .io import (
     read_intrinsics,
     read_offsets,
     read_tensor,
-    resample_depth,
     write_depth,
     write_offsets,
     write_tensor,
@@ -90,7 +89,6 @@ __all__ = [
     "read_intrinsics",
     "read_offsets",
     "read_tensor",
-    "resample_depth",
     "write_offsets",
     "write_tensor",
     "__version__",

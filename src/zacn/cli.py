@@ -18,6 +18,7 @@ import csv
 import json
 import os
 import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -91,41 +92,69 @@ def _summary_path(args) -> str:
     return args.summary if args.summary else f"{args.out}.json"
 
 
-def _abs_percentiles(x: np.ndarray, percents) -> tuple[np.ndarray, float]:
-    """``np.percentile(np.abs(x, dtype=np.float64), percents)`` and the max
-    of ``|x|``, byte for byte, for a finite float32 ``x``, which is left
-    untouched.
+# Values per sorted chunk (1 MiB of uint32) and most values in the sample of
+# _abs_percentiles; a bracket spans _MARGIN_SD binomial deviations each side.
+_CHUNK = 1 << 18
+_SAMPLE = 1 << 16
+_MARGIN_SD = 6.0
 
-    Works on one uint32 copy instead of a float64 one: with the sign bit
-    cleared, finite float32 values sort like their bit patterns.  Each rank
-    is a single-kth ``partition`` (numpy's fast select; a list of kths
-    takes a much slower path), from the highest rank down, each on the
-    prefix the one before left below its pivot.
+
+def _chunk_pass(bits, low, high):
+    """Per bracket ``[low[k], high[k]]``, the counts below and up to each end and the
+    sorted values inside, from sorted chunks of sign-cleared ``bits``; and the max."""
+    buf = np.empty(min(bits.size, _CHUNK), dtype=np.uint32)
+    counts, inner, top = 0, [[] for _ in low], 0
+    for start in range(0, bits.size, buf.size):
+        part = buf[:bits.size - start]
+        np.bitwise_and(bits[start:start + part.size], 0x7FFFFFFF, out=part)
+        part.sort()
+        top = max(top, part[-1])
+        at = np.array([np.searchsorted(part, e, s) for e in (low, high) for s in ("left", "right")])
+        counts = counts + at
+        for k, (a, b) in enumerate(zip(at[1], at[2])):
+            inner[k].append(part[a:b].copy())  # buf is reused by the next chunk
+    return counts, [np.sort(np.concatenate(v)) for v in inner], top
+
+
+def _abs_percentiles(x: np.ndarray, percents) -> tuple[np.ndarray, float]:
+    """``np.percentile(np.abs(x, dtype=np.float64), percents)`` and the max of
+    ``|x|``, byte for byte, for a finite float32 ``x``, which is left untouched.
+
+    Holds no copy of ``x``: finite float32 values with the sign bit cleared
+    sort like their bits, so a sorted sample of every ``ceil(n / _SAMPLE)``-th
+    value brackets each rank, and one pass over sorted chunks counts the
+    values below each bracket and keeps those inside.  A rank outside its
+    bracket widens that side to the end of the range for one more pass: a
+    sample that misses costs memory, up to the whole array, never a value.
     """
-    bits = np.bitwise_and(x.view(np.uint32), np.uint32(0x7FFFFFFF)).ravel()
+    bits = np.ravel(x).view(np.uint32)
     n = bits.size
-    top = bits.max()
-    # numpy's "linear" method: virtual index (n - 1) * q, interpolated
-    # between the order statistics at its floor and the next rank
+    # numpy's "linear" method interpolates between the order statistics at the
+    # floor of (n - 1) * q and the next rank, or takes the last one for q = 1
     virtual = (n - 1) * np.true_divide(percents, 100)
-    below = np.empty(virtual.shape, dtype=np.uint32)
-    above = np.empty(virtual.shape, dtype=np.uint32)
-    gamma = np.empty(virtual.shape, dtype=np.float64)
-    stop = n  # bits[stop:] are >= every value in bits[:stop]
-    for i in np.argsort(virtual)[::-1]:
-        lo = int(np.floor(virtual[i]))
-        if virtual[i] >= n - 1:
-            # at the last rank numpy takes index -1 for both ends
-            lo, pair = -1, (top, top)
-        elif lo < stop:  # else the same rank as the one before
-            bits[:stop].partition(lo)
-            # bits[stop], when there is one, is the smallest of bits[stop:]
-            pair = bits[lo], bits[lo + 1:stop + 1].min()
-            stop = lo
-        below[i], above[i] = pair
-        gamma[i] = virtual[i] - lo
-    a = below.view(np.float32).astype(np.float64)
-    b = above.view(np.float32).astype(np.float64)
+    lo = np.floor(virtual).astype(np.int64)
+    ranks = np.stack([lo, np.minimum(lo + 1, n - 1)], axis=1)
+    sample = np.sort(bits[::-(-n // _SAMPLE)] & 0x7FFFFFFF)
+    m, f = sample.size, (lo + 1) / n
+    margin = _MARGIN_SD * np.sqrt(m * f * (1 - f)) + 2
+    # brackets of ranks lo and lo + 1; 0xFFFFFFFF is above every |x|
+    ends = np.concatenate([[0], sample, [0xFFFFFFFF]]).astype(np.uint32)
+    low = ends[np.clip(np.floor(lo * m / n - margin).astype(np.int64) + 1, 0, m + 1)]
+    high = ends[np.clip(np.ceil((lo + 2) * m / n + margin).astype(np.int64) + 1, 0, m + 1)]
+    pairs = np.empty(ranks.shape, dtype=np.uint32)
+    todo = np.arange(lo.size)
+    while todo.size:
+        (lt_low, le_low, lt_high, le_high), inner, top = _chunk_pass(bits, low[todo], high[todo])
+        below, beyond = ranks[todo, 0] < lt_low, ranks[todo, 1] >= le_high
+        for k in np.flatnonzero(~(below | beyond)):
+            i = todo[k]
+            for j, r in enumerate(ranks[i] - le_low[k]):
+                pairs[i, j] = low[i] if r < 0 else inner[k][r] if r < inner[k].size else high[i]
+        low[todo[below]] = 0
+        high[todo[beyond]] = 0xFFFFFFFF
+        todo = todo[below | beyond]
+    a, b = pairs.view(np.float32).astype(np.float64).T
+    gamma = virtual - lo
     # numpy's _lerp, with its branch for t >= 0.5
     diff_b_a = b - a
     out = a + diff_b_a * gamma
@@ -134,15 +163,20 @@ def _abs_percentiles(x: np.ndarray, percents) -> tuple[np.ndarray, float]:
 
 
 def cmd_offsets(args) -> int:
+    """``zacn offsets``: the offset field, and a JSON summary with exact percentiles
+    of ``|offsets|`` read in bounded chunks; with more than one worker, a pool
+    thread computes them while the calling thread writes the container."""
     depth = zio.read_depth(args.depth)
     K = _load_intrinsics(args, depth)
     spec = _spec_from_args(args)
     out_h, out_w = spec.output_shape(depth.height, depth.width)
-    field, summary = compute_offsets(depth, K, spec, out_h, out_w, workers=_workers())
-    zio.write_offsets(field, args.out)
-    # exact np.percentile of |offsets| from one uint32 copy of the field,
-    # not a float64 one of twice its size
-    (p50, p90, p99), mag_max = _abs_percentiles(field.data, [50, 90, 99])
+    workers = _workers()
+    field, summary = compute_offsets(depth, K, spec, out_h, out_w, workers=workers)
+    stats = (field.data, [50, 90, 99])
+    with ThreadPoolExecutor(1) as pool:  # its thread starts on the first submit
+        future = pool.submit(_abs_percentiles, *stats) if workers > 1 else None
+        zio.write_offsets(field, args.out)
+        (p50, p90, p99), mag_max = future.result() if future else _abs_percentiles(*stats)
     payload = {
         **summary.as_dict(),
         "kernel": spec.size,
@@ -180,13 +214,14 @@ def _run_operator(args, inputs: tuple, standard, adapted) -> int:
 
 
 def cmd_conv(args) -> int:
-    x = FeatureTensor(zio.read_tensor(args.input))
-    w = ConvWeights(zio.read_tensor(args.weights))
+    # views of the file bytes, as in read_offsets: each container makes the one copy
+    x = FeatureTensor(zio._read_container(args.input))
+    w = ConvWeights(zio._read_container(args.weights))
     return _run_operator(args, (x, w), standard_conv, za_conv_forward)
 
 
 def cmd_pool(args) -> int:
-    x = FeatureTensor(zio.read_tensor(args.input))
+    x = FeatureTensor(zio._read_container(args.input))
     return _run_operator(args, (x,), standard_avg_pool, za_avg_pool)
 
 

@@ -41,6 +41,7 @@ operators to their standard counterparts there.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
@@ -94,6 +95,16 @@ def _check_int(name, value, low):
     return value
 
 
+def _check_real(name, value, low=None, strict=False):
+    """:class:`ConfigError` unless ``value`` is a finite real number, and, when
+    ``low`` is given, at least ``low`` (above it if ``strict``)."""
+    if not isinstance(value, numbers.Real):
+        raise ConfigError(f"{name} must be a real number, got {value!r}")
+    if not (math.isfinite(value) and (low is None or (value > low if strict else value >= low))):
+        bound = "" if low is None else f" and {'>' if strict else '>='} {low}"
+        raise ConfigError(f"{name} must be finite{bound}, got {value}")
+
+
 @dataclass(frozen=True)
 class CameraIntrinsics:
     """Pinhole parameters: focal lengths and principal point, in pixels."""
@@ -104,12 +115,10 @@ class CameraIntrinsics:
     cv: float
 
     def __post_init__(self):
-        for name in ("fu", "fv", "cu", "cv"):
-            val = getattr(self, name)
-            if not math.isfinite(val):
-                raise ConfigError(f"intrinsic {name}={val} is not finite")
-        if self.fu <= 0 or self.fv <= 0:
-            raise ConfigError(f"focal lengths must be positive, got ({self.fu}, {self.fv})")
+        for name in ("fu", "fv"):
+            _check_real(f"focal length {name}", getattr(self, name), 0, strict=True)
+        for name in ("cu", "cv"):
+            _check_real(f"principal point {name}", getattr(self, name))
 
 
 @dataclass(frozen=True)

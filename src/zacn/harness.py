@@ -29,13 +29,13 @@ one held-out scene of the same kind.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigError, TrainingError
-from .geometry import CameraIntrinsics, KernelSpec, _back_project, _check_int, compute_offsets
+from .geometry import (CameraIntrinsics, KernelSpec, _back_project, _check_int, _check_real,
+                       compute_offsets)
 from .ops import ConvWeights, _conv_gemm, gather_samples, za_conv_backward, za_conv_forward
 from .tensor import DepthMap, FeatureTensor, OffsetField
 
@@ -44,7 +44,6 @@ __all__ = [
     "TrainConfig",
     "TrainResult",
     "generate_scene",
-    "scene_plane_residuals",
     "train_toy",
     "evaluate",
     "segmentation_metrics",
@@ -109,8 +108,9 @@ class TrainConfig:
     def __post_init__(self):
         if self.operator not in OPERATORS:
             raise ConfigError(f"unknown operator {self.operator!r}")
-        if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0):
-            raise ConfigError(f"learning rate must be finite and >= 0, got {self.learning_rate}")
+        _check_real("learning rate", self.learning_rate, 0)
+        if self.assumed_focal is not None:
+            _check_real("assumed focal", self.assumed_focal, 0, strict=True)
         _check_int("epochs", self.epochs, 1)
         _check_int("seed", self.seed, 0)
         _check_int("hidden size", self.hidden, 1)
@@ -128,12 +128,6 @@ class TrainResult:
         return sum(w.param_count for w in self.weights)
 
 
-def _pixel_grid(h: int, w: int):
-    v = np.arange(h, dtype=np.float64)[:, None]
-    u = np.arange(w, dtype=np.float64)[None, :]
-    return u, v
-
-
 def generate_scene(kind: str, h: int, w: int, seed: int, focal: float = 519.0) -> SyntheticScene:
     """Render a planar scene with exact depth, stripes, and labels.
 
@@ -148,7 +142,7 @@ def generate_scene(kind: str, h: int, w: int, seed: int, focal: float = 519.0) -
     _check_int("scene seed", seed, 0)
     rng = np.random.default_rng(seed)
     K = CameraIntrinsics(fu=focal, fv=focal, cu=(w - 1) / 2, cv=(h - 1) / 2)
-    u, v = _pixel_grid(h, w)
+    u, v = np.arange(w, dtype=np.float64)[None, :], np.arange(h, dtype=np.float64)[:, None]
     zb = 4.0
 
     if kind == "corridor":
@@ -221,21 +215,6 @@ def generate_scene(kind: str, h: int, w: int, seed: int, focal: float = 519.0) -
         intrinsics=K,
         description=description,
     )
-
-
-def scene_plane_residuals(scene: SyntheticScene) -> np.ndarray:
-    """Per-pixel distance (meters) from the back-projection to the labeled plane."""
-    h, w = scene.depth.height, scene.depth.width
-    u, v = _pixel_grid(h, w)
-    K = scene.intrinsics
-    z = scene.depth.data.astype(np.float64)
-    pts = np.stack(_back_project(u, v, z, K), axis=-1)
-    res = np.full((h, w), np.nan)
-    for plane in scene.description["planes"]:
-        n = np.asarray(plane["normal"], dtype=np.float64)  # unit by construction
-        mask = scene.labels == plane["label"]
-        res[mask] = np.abs(pts[mask] @ n - plane["offset"])
-    return res
 
 
 def segmentation_metrics(pred: np.ndarray, labels: np.ndarray, num_classes: int):

@@ -1,13 +1,10 @@
-"""Bit-exact serialization: PFM depth maps, a raw tensor container,
-plain-text intrinsics, and nearest-neighbor depth resampling.
+"""Bit-exact serialization: PFM depth maps, a raw tensor container, and
+plain-text intrinsics.
 
 The tensor container ("ZACN") is a single little-endian format reused
 for features, weights, and offset fields so golden-file tests stay
 bit-exact: 4-byte magic ``ZACN``, u32 version (=1), u8 dtype tag
 (0 = float32), u8 ndim, ndim x u64 dims, then the payload.
-
-Depth resampling is nearest-neighbor on purpose: averaging across an
-object boundary would fabricate phantom depths that corrupt plane fits.
 """
 
 from __future__ import annotations
@@ -26,7 +23,6 @@ __all__ = [
     "read_depth",
     "write_depth",
     "read_intrinsics",
-    "resample_depth",
     "read_tensor",
     "write_tensor",
     "read_offsets",
@@ -260,20 +256,3 @@ def read_intrinsics(path) -> CameraIntrinsics:
     else:
         raise ConfigError(f"intrinsics file {path} needs 'cv' or 'height'")
     return CameraIntrinsics(fu=values["fu"], fv=values["fv"], cu=cu, cv=cv)
-
-
-# ---------------------------------------------------------------------------
-# Depth resampling
-
-
-def resample_depth(d: DepthMap, out_h: int, out_w: int) -> DepthMap:
-    """Nearest-neighbor resample; output values are a subset of the input.
-
-    Uses the origin-aligned mapping ``src = (dst * in_size) // out_size``
-    so that integer decimation picks exactly the strided source pixels.
-    """
-    if out_h < 1 or out_w < 1:
-        raise ConfigError(f"output dims must be >= 1, got {out_h}x{out_w}")
-    src_v = (np.arange(out_h, dtype=np.int64) * d.height) // out_h
-    src_u = (np.arange(out_w, dtype=np.int64) * d.width) // out_w
-    return DepthMap(d.data[src_v[:, None], src_u[None, :]])

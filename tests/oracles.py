@@ -126,6 +126,22 @@ def plane_residual(normal, points, center) -> float:
     return float(np.sum((d @ np.asarray(normal, dtype=np.float64)) ** 2))
 
 
+def scene_plane_residuals(scene) -> np.ndarray:
+    """Per-pixel distance (meters) from a synthetic scene's back-projected
+    depth to the plane its label names, by the pinhole formula."""
+    h, w = scene.depth.height, scene.depth.width
+    v, u = np.indices((h, w), dtype=np.float64)
+    K = scene.intrinsics
+    z = scene.depth.data.astype(np.float64)
+    pts = np.stack([(u - K.cu) * z / K.fu, (v - K.cv) * z / K.fv, z], axis=-1)
+    res = np.full((h, w), np.nan)
+    for plane in scene.description["planes"]:
+        n = np.asarray(plane["normal"], dtype=np.float64)  # unit by construction
+        mask = scene.labels == plane["label"]
+        res[mask] = np.abs(pts[mask] @ n - plane["offset"])
+    return res
+
+
 def ref_offsets_eigh(depth: np.ndarray, fu, fv, cu, cv, size, dilation, stride, padding):
     """Scalar re-implementation of the offset pipeline with numpy.linalg.eigh.
 

@@ -7,6 +7,7 @@ benchmark runs here.
 
 import importlib.util
 import json
+import os
 from pathlib import Path
 
 import pytest
@@ -120,3 +121,10 @@ def test_previous_history_is_the_newest_earlier_file(history, tmp_path):
     assert history.previous_history(tmp_path, tmp_path / "BENCH_10.json").name == "BENCH_9.json"
     assert history.previous_history(tmp_path, tmp_path / "out.json").name == "BENCH_24.json"
     assert history.previous_history(tmp_path, tmp_path / "BENCH_9.json") is None
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="VmHWM is read from /proc")
+def test_offsets_hwm_row(history):
+    row = history.offsets_hwm(48, 64, runs=2)
+    assert (row["runs"], row["shape"], row["seed"]) == (2, [48, 64], history.HWM_SEED)
+    assert 5 < row["threads_unset_mb"] < 500 and 5 < row["threads_1_mb"] < 500

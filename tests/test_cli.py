@@ -4,7 +4,9 @@ import os
 import re
 import subprocess
 import sys
+import threading
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -28,6 +30,8 @@ from zacn import (
     write_tensor,
     za_conv_forward,
 )
+from zacn import cli
+from zacn import io as zio
 from zacn.cli import _abs_percentiles, _spec_from_args, _workers, _write_csv, build_parser, main
 from zacn.harness import TrainConfig, generate_scene
 
@@ -115,6 +119,27 @@ class TestOffsetsCommand:
         assert rc == 0
         assert (workdir / "o1.zacn").read_bytes() == (workdir / "o2.zacn").read_bytes()
 
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_summary_thread_and_container_write(self, workdir, monkeypatch, threads):
+        # the calling thread writes the container (the benchmark's trace
+        # records spans from one thread); with two workers a pool thread
+        # computes the summary meanwhile
+        monkeypatch.setenv("ZACN_THREADS", threads)
+        seen = {}
+
+        def spy(key, fn):
+            return lambda *a: seen.setdefault(key, threading.get_ident()) and fn(*a)
+
+        monkeypatch.setattr(zio, "write_offsets", spy("write", zio.write_offsets))
+        monkeypatch.setattr(cli, "_abs_percentiles", spy("stats", cli._abs_percentiles))
+        rc = run_cli(
+            "offsets", "--depth", workdir / "depth.pfm", "--intrinsics", workdir / "K.txt",
+            "--out", workdir / "o.zacn",
+        )
+        assert rc == 0
+        assert seen["write"] == threading.get_ident()
+        assert (seen["stats"] != threading.get_ident()) == (threads == "2")
+
     def test_default_workers_follow_cpu_affinity(self, monkeypatch):
         monkeypatch.delenv("ZACN_THREADS", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 8)
@@ -144,16 +169,16 @@ FLOAT32S = st.one_of(
 )
 
 
-def _expected_stats(x):
+def _expected_stats(x, percents):
     mags = np.abs(x, dtype=np.float64)
-    return np.percentile(mags, PERCENTS), mags.max()
+    return np.percentile(mags, percents), mags.max()
 
 
 class TestAbsPercentiles:
-    def _assert_exact(self, x):
+    def _assert_exact(self, x, percents=PERCENTS):
         before = x.copy()
-        got, top = _abs_percentiles(x, PERCENTS)
-        want, want_top = _expected_stats(x)
+        got, top = _abs_percentiles(x, percents)
+        want, want_top = _expected_stats(x, percents)
         assert got.dtype == np.float64
         assert got.tobytes() == want.tobytes()
         assert np.float64(top).tobytes() == want_top.tobytes()
@@ -161,9 +186,17 @@ class TestAbsPercentiles:
 
     @settings(max_examples=300, deadline=None)
     @given(hnp.arrays(np.float32, hnp.array_shapes(min_dims=1, max_dims=3, max_side=12),
-                      elements=FLOAT32S))
-    def test_byte_equal_to_numpy(self, x):
-        self._assert_exact(x)
+                      elements=FLOAT32S),
+           st.lists(st.floats(0, 100), min_size=1, max_size=4),
+           st.sampled_from([(cli._CHUNK, cli._SAMPLE, cli._MARGIN_SD),
+                            (1, 1, 0.0), (5, 7, 0.0), (16, 30, 1.0), (64, 8, cli._MARGIN_SD)]))
+    def test_byte_equal_to_numpy(self, x, percents, sizes):
+        # at the default sizes every array here is one chunk and its own
+        # sample; small chunks and samples send it through several chunks,
+        # and a small margin makes brackets miss their rank and widen
+        chunk, sample, margin = sizes
+        with mock.patch.multiple(cli, _CHUNK=chunk, _SAMPLE=sample, _MARGIN_SD=margin):
+            self._assert_exact(x, PERCENTS + percents)
 
     @pytest.mark.parametrize("values", [
         [7.25],  # n = 1: every percentile is the one value
@@ -178,12 +211,28 @@ class TestAbsPercentiles:
     def test_edge_cases(self, values):
         self._assert_exact(np.array(values, dtype=np.float32))
 
+    @pytest.mark.parametrize("sampled, missed", [(0.0, 1), (-1e30, 2)])
+    def test_sample_that_misses_a_rank_widens_its_bracket(self, monkeypatch, sampled, missed):
+        # the sample is every 10th value, here all equal and below (above)
+        # the rest, so the bracket of the median (and of the 90th
+        # percentile) misses its rank, and one more pass widens it
+        x = np.arange(1, 1001, dtype=np.float32)
+        x[::10] = sampled
+        passes = []
+        monkeypatch.setattr(cli, "_SAMPLE", 100)
+        monkeypatch.setattr(cli, "_CHUNK", 64)
+        chunk_pass = cli._chunk_pass
+        monkeypatch.setattr(cli, "_chunk_pass", lambda *a: passes.append(a) or chunk_pass(*a))
+        self._assert_exact(x)
+        assert len(passes) == 2
+        assert len(passes[1][1]) == missed  # only the brackets that missed
+
     def test_read_only_field_is_left_as_it_is(self, rng):
         field = OffsetField(rng.standard_normal((18, 6, 7)).astype(np.float32))
         self._assert_exact(field.data)
         assert not field.data.flags.writeable
 
-    def test_peak_memory_is_one_uint32_copy(self, rng):
+    def test_peak_memory_is_under_a_quarter_of_the_field(self, rng):
         x = rng.standard_normal((18, 480, 640), dtype=np.float32)
         tracemalloc.start()
         try:
@@ -191,8 +240,9 @@ class TestAbsPercentiles:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # np.abs(x, dtype=np.float64) alone would take 2 * x.nbytes (42 MiB)
-        assert peak < 1.25 * x.nbytes
+        # a uint32 copy of the field alone would take x.nbytes (21 MiB), and
+        # np.abs(x, dtype=np.float64) 2 * x.nbytes
+        assert peak < x.nbytes / 4
 
 
 class TestConvPoolCommands:
@@ -265,6 +315,25 @@ class TestConvPoolCommands:
         np.testing.assert_allclose(
             read_tensor(workdir / "pz.zacn"), read_tensor(workdir / "ps.zacn"), atol=1e-6
         )
+
+    @pytest.mark.parametrize("command", ["conv", "pool"])
+    def test_containers_copy_the_file_bytes_once(self, workdir, monkeypatch, command):
+        # each container receives a read-only view of its file's bytes and
+        # makes the one copy, as read_offsets has its OffsetField make it
+        handed = []
+        for name in ("FeatureTensor", "ConvWeights"):
+            make = getattr(cli, name)
+            monkeypatch.setattr(cli, name, lambda data, make=make: handed.append(data) or make(data))
+        argv = [command, "--input", workdir / "x.zacn", "--standard", "--out", workdir / "y.zacn"]
+        if command == "conv":
+            argv += ["--weights", workdir / "w.zacn"]
+        assert run_cli(*argv) == 0
+        assert len(handed) == (2 if command == "conv" else 1)
+        for data in handed:
+            assert not data.flags.writeable
+            while isinstance(data, np.ndarray):
+                data = data.base
+            assert isinstance(data, bytes)
 
     def test_conv_without_offsets_or_standard(self, workdir):
         rc = run_cli(

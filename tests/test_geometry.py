@@ -97,10 +97,16 @@ class TestBackProjectProject:
             project((1.0, 1.0, -0.5), K)
 
     def test_intrinsics_validation(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="focal length fu must be finite and > 0, got 0.0"):
             CameraIntrinsics(0.0, 100.0, 0.0, 0.0)
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="principal point cu must be finite, got nan"):
             CameraIntrinsics(100.0, 100.0, float("nan"), 0.0)
+        with pytest.raises(ConfigError, match="focal length fu must be a real number, got '500'"):
+            CameraIntrinsics("500", 500, 1, 1)
+        with pytest.raises(ConfigError, match="principal point cv must be a real number, got None"):
+            CameraIntrinsics(500, 500, 1, None)
+        K = CameraIntrinsics(np.float32(500), 500, 0, -1.5)  # any real number
+        assert (K.fu, K.fv, K.cu, K.cv) == (500, 500, 0, -1.5)
 
 
 class TestFitPlane:

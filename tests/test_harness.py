@@ -13,13 +13,11 @@ from zacn import (
     za_conv_backward,
     za_conv_forward,
 )
-from zacn.harness import (
-    TrainConfig,
-    generate_scene,
-    scene_plane_residuals,
-    segmentation_metrics,
-    train_toy,
-)
+from zacn import harness
+from zacn.harness import (TrainConfig, generate_scene, paired_toy_runs, segmentation_metrics,
+                          train_toy)
+
+from oracles import scene_plane_residuals
 
 
 class TestGenerateScene:
@@ -202,10 +200,22 @@ class TestTrainToy:
         with pytest.raises(ConfigError):
             train_toy([], TrainConfig(), [])
 
-    def test_config_validation(self):
+    def test_config_validation(self, monkeypatch):
         for lr in (-1.0, float("nan"), float("inf")):
             with pytest.raises(ConfigError, match=f"learning rate must be finite and >= 0, got {lr}"):
                 TrainConfig(learning_rate=lr)
+        with pytest.raises(ConfigError, match="learning rate must be a real number, got '0.5'"):
+            TrainConfig(learning_rate="0.5")
+        for focal in (-5.0, 0.0, float("nan")):
+            with pytest.raises(ConfigError, match=f"assumed focal must be finite and > 0, got {focal}"):
+                TrainConfig(assumed_focal=focal)
+        with pytest.raises(ConfigError, match="assumed focal must be a real number, got '500'"):
+            TrainConfig(assumed_focal="500")
+        assert TrainConfig(assumed_focal=500).assumed_focal == 500
+        # a bad focal is reported before any scene is generated
+        monkeypatch.setattr(harness, "generate_scene", None)
+        with pytest.raises(ConfigError, match="assumed focal must be finite and > 0, got -5.0"):
+            paired_toy_runs([0], ("adapted",), epochs=1, assumed_focal=-5.0)
         with pytest.raises(ConfigError):
             TrainConfig(epochs=0)
         with pytest.raises(ConfigError, match="unknown operator 'zigzag'"):

@@ -17,7 +17,6 @@ from zacn import (
     read_intrinsics,
     read_offsets,
     read_tensor,
-    resample_depth,
     write_depth,
     write_offsets,
     write_tensor,
@@ -282,38 +281,18 @@ class TestIntrinsics:
 
 
 class TestResample:
-    def test_identity(self, rng):
-        d = DepthMap(smooth_depth(rng, 7, 9))
-        out = resample_depth(d, 7, 9)
-        assert np.array_equal(out.data, d.data)
-
-    def test_checkerboard_values_preserved(self):
-        i, j = np.indices((4, 4))
-        board = np.where((i + j) % 2 == 0, 1.0, 5.0).astype(np.float32)
-        out = resample_depth(DepthMap(board), 2, 2)
-        assert set(np.unique(out.data)).issubset({1.0, 5.0})
-
-    def test_invalid_pixels_propagate(self):
-        d = np.ones((4, 4), np.float32)
-        d[0, 0] = np.nan
-        out = resample_depth(DepthMap(d), 2, 2)
-        assert np.isnan(out.data[0, 0])
-
-    def test_bad_dims(self, rng):
-        with pytest.raises(ConfigError):
-            resample_depth(DepthMap(smooth_depth(rng, 4, 4)), 0, 2)
+    """Depth decimated by two, as every second pixel, against strided offsets."""
 
     def test_decimation_matches_strided_offsets(self, rng):
-        # Nearest-neighbor decimation by 2 plus unit-dilation offsets at
-        # halved intrinsics must equal half the offsets computed on the
-        # full-resolution map with dilation 2 and stride 2 (the depth
-        # values seen by both routes are identical because the resampler
-        # picks exactly the strided source pixels).
+        # Decimation by 2 plus unit-dilation offsets at halved intrinsics
+        # must equal half the offsets computed on the full-resolution map
+        # with dilation 2 and stride 2 (both routes see the same depth
+        # values: the strided source pixels).
         depth = smooth_depth(rng, 16, 20)
         K = CameraIntrinsics(150.0, 140.0, 9.5, 7.5)
         K_half = CameraIntrinsics(K.fu / 2, K.fv / 2, K.cu / 2, K.cv / 2)
 
-        low = resample_depth(DepthMap(depth), 8, 10)
+        low = DepthMap(depth[::2, ::2])
         f_low, _ = compute_offsets(low, K_half, KernelSpec.same(3), 8, 10)
 
         spec_full = KernelSpec(3, dilation=2, stride=2, padding=2)
@@ -333,7 +312,7 @@ class TestResample:
         # taps clamp to row (column) H-1 and the decimated ones to H-2.
         depth, K = noisy_scene_depth(kind, 96, 128, seed=4)
         K_half = CameraIntrinsics(K.fu / 2, K.fv / 2, K.cu / 2, K.cv / 2)
-        low = resample_depth(depth, 48, 64)
+        low = DepthMap(depth.data[::2, ::2])
         f_low, _ = compute_offsets(low, K_half, KernelSpec.same(3), 48, 64)
         f_full, _ = compute_offsets(depth, K, KernelSpec.same(3, dilation=2, stride=2), 48, 64)
         half = f_full.data / np.float32(2)
