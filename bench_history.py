@@ -107,16 +107,16 @@ def run_workload(benchmark: dict, name: str, seed: int) -> dict:
     return json.loads(record.read_text())
 
 
-def offsets_hwm(h: int, w: int, runs: int, seed: int = HWM_SEED) -> dict:
+def offsets_hwm(h: int, w: int, runs: int) -> dict:
     """The ``VmHWM`` (MB, Linux) of one child that runs ``zacn offsets``
     ``runs`` times in process on a seeded ``h`` x ``w`` corridor PFM, with
     ``ZACN_THREADS`` unset and with it set to 1."""
     env = {k: v for k, v in os.environ.items() if k != "ZACN_THREADS"}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    row = {"runs": runs, "shape": [h, w], "seed": seed}
+    row = {"runs": runs, "shape": [h, w], "seed": HWM_SEED}
     with tempfile.TemporaryDirectory() as tmp:
         depth = os.path.join(tmp, "depth.pfm")
-        subprocess.run([sys.executable, "-c", _SCENE_CHILD, depth, str(h), str(w), str(seed)],
+        subprocess.run([sys.executable, "-c", _SCENE_CHILD, depth, str(h), str(w), str(HWM_SEED)],
                        env=env, check=True)
         for key, threads in (("threads_unset_mb", None), ("threads_1_mb", "1")):
             child_env = env if threads is None else {**env, "ZACN_THREADS": threads}

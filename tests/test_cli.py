@@ -128,7 +128,10 @@ class TestOffsetsCommand:
         seen = {}
 
         def spy(key, fn):
-            return lambda *a: seen.setdefault(key, threading.get_ident()) and fn(*a)
+            def call(*args):
+                seen[key] = threading.get_ident()
+                return fn(*args)
+            return call
 
         monkeypatch.setattr(zio, "write_offsets", spy("write", zio.write_offsets))
         monkeypatch.setattr(cli, "_abs_percentiles", spy("stats", cli._abs_percentiles))
