@@ -14,6 +14,11 @@ environment of the runs.  It also holds one row that the benchmark's
 process tree cannot raise: the ``VmHWM`` of a child that this script starts,
 which runs ``zacn offsets`` ``HWM_RUNS`` times on a seeded corridor depth
 map, once with ``ZACN_THREADS`` unset and once with it set to 1 (Linux).
+A last row holds the tracemalloc peaks of the operators, which the host's
+load does not move: one child calls ``compute_offsets``, ``za_conv_forward``,
+``za_avg_pool`` and ``za_conv_backward`` (with ``grad_x``) on a seeded
+corridor scene at each shape of ``PEAK_SHAPES``, 16 -> 16 channels, each
+operator on a fresh offset field.
 A run that exits with an error stops the script.
 After writing the file, it prints each metric's median against the newest
 earlier ``BENCH_<n>.json`` at the repository root, marking changes worse
@@ -38,6 +43,10 @@ SEEDS = (1, 2, 3, 4, 5)
 HWM_RUNS = 10
 HWM_SHAPE = (480, 640)
 HWM_SEED = 26
+# The operator_peaks row: tracemalloc peaks of the operators in one child.
+PEAK_SHAPES = ((120, 160), (480, 640))
+PEAK_CHANNELS = 16
+PEAK_SEED = 27
 
 _SCENE_CHILD = r"""
 import sys
@@ -57,6 +66,42 @@ for _ in range(int(runs)):
         sys.exit("zacn offsets failed")
 with open("/proc/self/status") as f:
     print(next(line.split()[1] for line in f if line.startswith("VmHWM:")))
+"""
+
+# each operator runs on a fresh copy of the field, so that nothing the field
+# caches from an earlier call lowers the peak; the result is freed before the
+# next call
+_PEAKS_CHILD = r"""
+import json, sys, tracemalloc
+import numpy as np
+from zacn import (ConvWeights, FeatureTensor, KernelSpec, OffsetField, compute_offsets,
+                  za_avg_pool, za_conv_backward, za_conv_forward)
+from zacn.harness import generate_scene
+shapes, c, seed = json.loads(sys.argv[1]), int(sys.argv[2]), int(sys.argv[3])
+spec = KernelSpec.same(3)
+row = {}
+for h, w in shapes:
+    scene = generate_scene("corridor", h, w, seed=seed, focal=519.0 * w / 640)
+    rng = np.random.default_rng(seed)
+    x, g = (FeatureTensor(rng.standard_normal((c, h, w)).astype(np.float32)) for _ in "xg")
+    wts = ConvWeights((rng.standard_normal((c, c, 3, 3)) * 0.1).astype(np.float32))
+    field, _ = compute_offsets(scene.depth, scene.intrinsics, spec, h, w)
+    calls = {
+        "compute_offsets": lambda f: compute_offsets(scene.depth, scene.intrinsics, spec, h, w),
+        "za_conv_forward": lambda f: za_conv_forward(x, wts, f, spec),
+        "za_avg_pool": lambda f: za_avg_pool(x, f, spec),
+        "za_conv_backward": lambda f: za_conv_backward(x, wts, f, spec, g),
+    }
+    peaks = row[f"{h}x{w}"] = {}
+    for name, call in calls.items():
+        fresh = OffsetField(field.data)
+        tracemalloc.start()
+        try:
+            call(fresh)
+            peaks[name] = tracemalloc.get_traced_memory()[1] / 2**20
+        finally:
+            tracemalloc.stop()
+print(json.dumps(row))
 """
 
 
@@ -127,6 +172,17 @@ def offsets_hwm(h: int, w: int, runs: int) -> dict:
     return row
 
 
+def operator_peaks(shapes, channels: int) -> dict:
+    """The tracemalloc peaks (MiB) of the offsets and of each adapted operator
+    in one child, per ``(h, w)`` of ``shapes``: a seeded corridor scene,
+    ``channels`` -> ``channels``, a fresh offset field per call."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    child = subprocess.run([sys.executable, "-c", _PEAKS_CHILD, json.dumps(shapes), str(channels),
+                            str(PEAK_SEED)], env=env, check=True, capture_output=True, text=True)
+    return {"channels": channels, "seed": PEAK_SEED, "peaks_mib": json.loads(child.stdout)}
+
+
 def uncommitted_changes():
     """Whether tracked files differ from the commit that run.py records as
     ``git_commit``; None outside a git checkout."""
@@ -191,11 +247,15 @@ def main(argv: list[str]) -> int:
     history = summarize(benchmark, records)
     history["env"]["uncommitted_changes"] = uncommitted_changes()
     history["offsets_vmhwm"] = offsets_hwm(*HWM_SHAPE, HWM_RUNS)
+    history["operator_peaks"] = operator_peaks(PEAK_SHAPES, PEAK_CHANNELS)
     out = Path(argv[0])
     out.write_text(json.dumps(history, indent=1) + "\n")
     hwm = history["offsets_vmhwm"]
     print(f"offsets VmHWM: {hwm['threads_unset_mb']:.1f} MB with ZACN_THREADS unset, "
           f"{hwm['threads_1_mb']:.1f} MB with 1")
+    for shape, peaks in history["operator_peaks"]["peaks_mib"].items():
+        print(f"operator peaks at {shape}: "
+              + ", ".join(f"{name} {mib:.1f} MiB" for name, mib in peaks.items()))
     previous = previous_history(ROOT, out)
     if previous is not None:
         print(f"{out.name} against {previous.name}:")

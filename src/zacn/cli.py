@@ -263,8 +263,9 @@ def _num(x) -> str:
 
 def render_sampling_svg(depth: DepthMap, K: CameraIntrinsics, spec: KernelSpec,
                         points: list[tuple[int, int]], scale: int) -> str:
-    """SVG with the depth map as grayscale tiles, standard taps as squares,
-    adapted taps as circles, and the query pixel highlighted."""
+    """SVG with the depth map as grayscale tiles, one per run of equal greys
+    along a row, standard taps as squares, adapted taps as circles, and the
+    query pixel highlighted."""
     h, w = depth.height, depth.width
     out_h, out_w = spec.output_shape(h, w)
     field, _ = compute_offsets(depth, K, spec, out_h, out_w, workers=_workers())
@@ -275,13 +276,11 @@ def render_sampling_svg(depth: DepthMap, K: CameraIntrinsics, spec: KernelSpec,
         f'viewBox="0 0 {w * s} {h * s}">',
         "<!-- depth map background: brighter tiles are nearer -->",
     ]
-    gray = _depth_to_gray(depth)
-    for v in range(h):
-        for u in range(w):
-            g = int(gray[v, u])
-            parts.append(
-                f'<rect x="{u * s}" y="{v * s}" width="{s}" height="{s}" fill="rgb({g},{g},{g})"/>'
-            )
+    for v, row in enumerate(_depth_to_gray(depth)):
+        starts = np.flatnonzero(np.diff(row, prepend=-1)).tolist()  # runs of equal greys
+        for u0, u1, g in zip(starts, starts[1:] + [w], row[starts].tolist()):
+            parts.append(f'<rect x="{u0 * s}" y="{v * s}" width="{(u1 - u0) * s}" '
+                         f'height="{s}" fill="rgb({g},{g},{g})"/>')
     half = 0.22 * s
     for u0, v0 in points:
         off = field.data[:, v0, u0].astype(np.float64).reshape(-1, 2)

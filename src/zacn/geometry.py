@@ -79,8 +79,8 @@ _RANK_TOL = 1e-9
 _SIGN_TOL = 1e-3
 # Byte budget of a ``_row_tiles`` run: one float64 (taps, rows, out_w)
 # temporary of ``compute_offsets`` (a tile makes a few dozen; 0.75-1.5 MiB
-# ran fastest at 480x640), and the float64 (ci*taps, rows, out_w) samples
-# of a ``zacn.ops`` convolution or pooling tile.  Peak memory grows with it.
+# ran fastest at 480x640), the float64 (ci*taps, rows, out_w) samples of a
+# ``zacn.ops`` tile, and a tile plan's temporaries.  Peak memory grows with it.
 _TILE_BYTES = 1 << 20
 
 

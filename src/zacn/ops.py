@@ -7,26 +7,23 @@ operator exactly.  The standard convolution and pooling are that: the
 adapted operator on a zero field.  Offsets never receive gradients;
 backward only produces gradients for the input and the weights.
 
-The adapted operators sample through one bilinear plan per (offset field,
-kernel spec, input shape), cached on the field: for every tap sample, the
-int32 flat index of its top-left bilinear neighbor, unclipped, and the
-float64 weights (+0.0 off the image) of the neighbor slots that carry
-weight somewhere, plus the border statistics.  Slot ``k`` reads the input
-at that index plus the slot's flat step, clipped onto the image.  Zero and
-integer fields keep one slot (12 bytes per tap sample), fields fractional
-only in x two, and others four (36 bytes).  Positions far off the image
-sample zero padding.
+Each row tile of the output builds its own bilinear plan from the field,
+as Deformable ConvNets' im2col computes its coefficients where it reads
+them; no plan is cached.  A tile's plan holds the int32 flat index of each
+tap sample's top-left neighbor, unclipped, and the float64 weights (+0.0
+off the image) of the neighbor slots that carry weight in the tile; slot
+``k`` reads the input at that index plus the slot's step, clipped onto the
+image.  The field caches only the border statistics of :class:`OpSummary`.
 
-The plan is a deformable im2col.  One walker, :func:`_sample_rows`,
-gathers it a row tile of the output at a time: each convolution
-contraction is one float64 matmul over the joint ``ci*taps`` axis per
-tile (:func:`_conv_gemm`), and pooling sums each tile's taps in plan
-order.  Backward scatters the input gradient through the plan's weights
-in row tiles of the same size, clipped per tile.
-Sums are float64; outputs are rounded once into the float32 arrays that
-the results adopt.  :func:`gather_samples` returns the all-tap samples,
-which forward and backward accept as ``samples`` in place of their own
-gather, with the same bits, so training over a fixed field gathers once.
+One walker, :func:`_sample_rows`, gathers the samples a row tile at a
+time: each convolution contraction is one float64 matmul over the joint
+``ci*taps`` axis per tile (:func:`_conv_gemm`), and pooling sums each
+tile's taps in order.  Backward scatters the input gradient through each
+tile's weights, in row tiles that fit four slots' weights.  Sums are
+float64; outputs are rounded once into the float32 arrays that the
+results adopt.  :func:`gather_samples` returns the all-tap samples, which
+forward and backward accept as ``samples`` in place of their own gather,
+with the same bits, so training over a fixed field gathers once.
 
 The tiles depend only on the shapes and each scatter is a sequential
 bincount, so outputs are bit-identical across runs and across BLAS thread
@@ -140,88 +137,81 @@ def _check_conv_shapes(x: FeatureTensor, w: ConvWeights, spec: KernelSpec):
         )
 
 
-def _tap_positions(spec: KernelSpec, offsets: OffsetField):
-    """Yield each tap's deformed sampling positions ``(u, v)``, each
-    ``(out_h, out_w)`` float64."""
-    v, u = spec.tap_positions(range(offsets.height), range(offsets.width))
-    off = offsets.data.reshape(spec.tap_count, 2, offsets.height, offsets.width)
-    for n in range(spec.tap_count):  # float32 offsets add exactly in float64
-        yield u[n] + off[n, 1], v[n] + off[n, 0]
+# Bytes that one tap sample takes while its plan is built: its float64
+# position (u, v) and the weight kernel's temporaries (about 74 bytes).
+_PLAN_BYTES = 96
 
 
-@dataclass(frozen=True)
-class _SamplingPlan:
-    base: np.ndarray  # (N*N, out_h, out_w) unclipped flat index of each top-left neighbor, int32
-    # unless the image needs int64; slot k reads base + steps[k], clipped onto the image
-    steps: tuple  # the flat index step of each kept neighbor slot, from (0, 1, W, W + 1)
-    wgt: np.ndarray  # (K, N*N, out_h, out_w) float64 weights of the K kept slots, +0.0 off the image
-    degenerate: int  # the border statistics of OpSummary
-    oob_fraction: float
+def _tile_plan(h: int, w: int, v: np.ndarray, u: np.ndarray, off: np.ndarray, counts=None):
+    """The plan ``(base, steps, wgt)`` of a row tile on an ``h`` x ``w`` input
+    from its regular ``(taps, rows, ow)`` tap positions ``v, u`` and float32
+    ``(taps, 2, rows, ow)`` offsets ``off``: each tap sample's top-left
+    neighbor index, and the steps and weights of the K slots that carry
+    weight in the tile, as :func:`_bilinear_gather` takes them.  The weight
+    kernel runs on as many taps at a time as fit ``geometry._TILE_BYTES``.
+    Adds the tile's ``[degenerate pixels, clipped samples]`` to ``counts``."""
+    taps, rows, ow = u.shape
+    groups = geometry._row_tiles(taps, rows * ow * _PLAN_BYTES)
+    degenerate = np.zeros((rows, ow), dtype=bool)
+    for n0, n1 in groups:
+        # float32 offsets add exactly in float64
+        un, vn = u[n0:n1] + off[n0:n1, 1], v[n0:n1] + off[n0:n1, 0]
+        if counts is not None:
+            # pixels with a tap wholly off the image; samples the border clips
+            degenerate |= ((un <= -1.0) | (un >= w) | (vn <= -1.0) | (vn >= h)).any(axis=0)
+            inside = (un >= 0.0) & (un <= w - 1) & (vn >= 0.0) & (vn <= h - 1)
+            counts[1] += inside.size - int(np.count_nonzero(inside))
+        b, wn = _bilinear_scatter_weights(h, w, un, vn)
+        if len(groups) == 1:  # one call: its arrays are the plan
+            base, wgt = b, wn
+        else:
+            if n0 == 0:
+                base, wgt = np.empty(u.shape, b.dtype), np.empty((4,) + u.shape)
+            base[n0:n1], wgt[:, n0:n1] = b, wn
+    if counts is not None:
+        counts[0] += int(np.count_nonzero(degenerate))
+    # A slot whose weight is 0 in every sample of the tile only adds exact
+    # zeros to accumulators that start at +0.0, so dropping it changes no bit.
+    keep = [k for k in range(4) if wgt[k].any()]
+    wgt = wgt if len(keep) == 4 else wgt[keep]  # a full plan is not copied
+    return base, tuple(_neighbor_steps(w)[k] for k in keep), wgt
 
 
-def _sampling_plan(x: FeatureTensor, offsets: OffsetField, spec: KernelSpec) -> _SamplingPlan:
-    """The plan of ``offsets`` under ``spec`` on the input ``x``, cached on the
-    field.  Raises :class:`ConfigError` unless the field has the spec's tap
-    count and the output shape of ``spec`` on ``x``."""
-    if offsets.tap_count != spec.tap_count:
-        raise ConfigError(
-            f"offset field has {offsets.tap_count} taps, spec needs {spec.tap_count}"
-        )
-    out_h, out_w = spec.output_shape(x.height, x.width)
-    if (offsets.height, offsets.width) != (out_h, out_w):
-        raise ConfigError(
-            f"offset field is {offsets.height}x{offsets.width}, "
-            f"output is {out_h}x{out_w}"
-        )
-    h, w = x.height, x.width
+def _plans(x: FeatureTensor, offsets: OffsetField, spec: KernelSpec, tiles):
+    """Yield ``(r0, r1, plan)``, the :func:`_tile_plan` of each row tile of
+    ``tiles``; the first walk over a field caches its border statistics."""
+    (h, w), (oh, ow) = x.data.shape[1:], offsets.data.shape[1:]
     key = (spec, h, w)
-    plan = offsets._plans.get(key)
-    if plan is None:
-        shape = (spec.tap_count, out_h, out_w)
-        base = None
-        wgt = np.empty((4,) + shape)
-        degenerate = np.zeros((out_h, out_w), dtype=bool)
-        clipped = 0
-        # tap by tap keeps the builder's temporaries to one tap's positions
-        for n, (u, v) in enumerate(_tap_positions(spec, offsets)):
-            # the border statistics: pixels with a tap wholly off the image,
-            # and samples whose bilinear footprint the border cuts
-            degenerate |= (u <= -1.0) | (u >= w) | (v <= -1.0) | (v >= h)
-            inside = (u >= 0.0) & (u <= w - 1) & (v >= 0.0) & (v <= h - 1)
-            clipped += inside.size - int(np.count_nonzero(inside))
-            b, wn = _bilinear_scatter_weights(h, w, u, v)
-            if base is None:
-                base = np.empty(shape, dtype=b.dtype)
-            base[n], wgt[:, n] = b, wn
-        # A neighbor slot whose weight is 0 everywhere only adds exact zeros
-        # to accumulators that start at +0.0, so dropping it changes no bit.
-        keep = [k for k in range(4) if wgt[k].any()]
-        if len(keep) < 4:  # a full plan is kept as is: a copy would double its memory
-            wgt = wgt[keep]
-        for a in (base, wgt):
-            a.setflags(write=False)
-        plan = offsets._plans[key] = _SamplingPlan(
-            base,
-            tuple(_neighbor_steps(w)[k] for k in keep),
-            wgt,
-            int(np.count_nonzero(degenerate)),
-            clipped / (spec.tap_count * out_h * out_w),
-        )
-    return plan
+    counts = None if key in offsets._summaries else [0, 0]
+    v, u = spec.tap_positions(range(oh), range(ow))
+    off = offsets.data.reshape(spec.tap_count, 2, oh, ow)
+    for r0, r1 in tiles:
+        yield r0, r1, _tile_plan(h, w, v[:, r0:r1], u[:, r0:r1], off[:, :, r0:r1], counts)
+    if counts is not None:
+        offsets._summaries[key] = OpSummary(counts[0], counts[1] / (spec.tap_count * oh * ow))
+
+
+def _summary(x: FeatureTensor, offsets: OffsetField, spec: KernelSpec) -> OpSummary:
+    """The border statistics of ``offsets`` under ``spec`` on ``x``, walked once."""
+    key = (spec, x.height, x.width)
+    if key not in offsets._summaries:  # a walk of one-row tiles
+        for _ in _plans(x, offsets, spec, [(r, r + 1) for r in range(offsets.height)]):
+            pass
+    return offsets._summaries[key]
 
 
 def _sample_rows(src):
     """The row tiles of the float64 ``(k, oh, ow)`` samples of ``src``, an
-    ``(x, plan)`` pair (``k = ci*taps``) or an array ``(..., oh, ow)``.
-    Returns ``(k, oh, ow, rows)``, ``rows`` the largest tile's, and an
+    ``(x, offsets, spec)`` triple (``k = ci*taps``) or an array ``(..., oh,
+    ow)``.  Returns ``(k, oh, ow, rows)``, ``rows`` the largest tile's, and an
     iterator of ``(r0, r1, t)`` per run of rows that fits
     ``geometry._TILE_BYTES``: ``t`` is the rows' ``(k, (r1 - r0) * ow)``
-    samples, a view of the array or gathered into a buffer that the next
-    tile overwrites, a quarter of the channels at a time so that the
-    gather's scratch is a quarter tile.
+    samples, a view of the array or gathered through the tile's own plan
+    into a buffer that the next tile overwrites, a quarter of the channels
+    at a time so that the gather's scratch is a quarter tile.
     (Tiles of half the rows slowed the toy training's small matmuls.)"""
-    x, plan = src if isinstance(src, tuple) else (None, None)
-    *lead, oh, ow = src.shape if x is None else (x.channels,) + plan.base.shape
+    x, offsets, spec = src if isinstance(src, tuple) else (None, None, None)
+    *lead, oh, ow = src.shape if x is None else (x.channels, spec.tap_count, *offsets.data.shape[1:])
     k = math.prod(lead)
     tiles = geometry._row_tiles(oh, k * ow * 8)
 
@@ -230,13 +220,9 @@ def _sample_rows(src):
         cc = -(-x.channels // 4)  # channels per part
         tile = np.empty(k * tiles[0][1] * ow)
         tmp = np.empty(tile.size // x.channels * cc)  # one part's samples
-        for r0, r1 in tiles:
+        for r0, r1, (base, steps, wgt) in _plans(x, offsets, spec, tiles):
             t = tile[:k * (r1 - r0) * ow].reshape(*lead, r1 - r0, ow)
-            base, wgt = plan.base[:, r0:r1], plan.wgt[:, :, r0:r1]
-            for c0 in range(0, x.channels, cc):
-                part = t[c0:c0 + cc]
-                _bilinear_gather(data[c0:c0 + cc], base, plan.steps, wgt, part,
-                                 tmp[:part.size].reshape(part.shape))
+            _bilinear_gather(data, base, steps, wgt, t, tmp[:cc * base.size])
             yield r0, r1, t.reshape(k, -1)
 
     views = ((r0, r1, src[..., r0:r1, :].reshape(k, -1)) for r0, r1 in tiles)
@@ -274,24 +260,32 @@ def standard_conv(x: FeatureTensor, w: ConvWeights, spec: KernelSpec) -> Feature
     return za_conv_forward(x, w, OffsetField.zeros(spec.size, out_h, out_w), spec)[0]
 
 
-def _source(x: FeatureTensor, plan: _SamplingPlan, samples: np.ndarray | None):
-    """The :func:`_sample_rows` source: checked ``samples``, or else ``(x, plan)``."""
-    want = (x.channels,) + plan.base.shape
+def _source(x: FeatureTensor, offsets: OffsetField, spec: KernelSpec, samples=None):
+    """The :func:`_sample_rows` source: checked ``samples``, or else ``(x,
+    offsets, spec)``.  Raises :class:`ConfigError` unless ``offsets`` has
+    the spec's tap count and the output shape of ``spec`` on ``x``."""
+    if offsets.tap_count != spec.tap_count:
+        raise ConfigError(f"offset field has {offsets.tap_count} taps, spec needs {spec.tap_count}")
+    want = (x.channels, spec.tap_count) + spec.output_shape(x.height, x.width)
+    if (offsets.height, offsets.width) != want[2:]:
+        raise ConfigError(f"offset field is {offsets.height}x{offsets.width}, "
+                          f"output is {want[2]}x{want[3]}")
     if samples is not None and (samples.shape != want or samples.dtype != np.float64):
         raise ConfigError(
             f"samples are {samples.dtype} {samples.shape}, expected float64 {want}"
         )
-    return (x, plan) if samples is None else samples
+    return (x, offsets, spec) if samples is None else samples
 
 
 def gather_samples(x: FeatureTensor, offsets: OffsetField, spec: KernelSpec) -> np.ndarray:
     """The read-only float64 ``(ci, taps, oh, ow)`` bilinear samples of ``x``
-    at every tap position of ``offsets``, read through the cached plan: the
+    at every tap position of ``offsets``, gathered a row tile at a time: the
     ``samples`` that :func:`za_conv_forward` and :func:`za_conv_backward`
     accept in place of their own gather."""
-    plan = _sampling_plan(x, offsets, spec)
-    data = x.data.astype(np.float64).reshape(x.channels, -1)
-    samples = _bilinear_gather(data, plan.base, plan.steps, plan.wgt)
+    (_, oh, ow, _), walk = _sample_rows(_source(x, offsets, spec))
+    samples = np.empty((x.channels, spec.tap_count, oh, ow))
+    for r0, r1, t in walk:
+        samples[:, :, r0:r1] = t.reshape(x.channels, spec.tap_count, r1 - r0, ow)
     samples.setflags(write=False)
     return samples
 
@@ -310,10 +304,9 @@ def za_conv_forward(
     at a time unless ``samples``, the :func:`gather_samples` of ``x``, are given.
     """
     _check_conv_shapes(x, w, spec)
-    plan = _sampling_plan(x, offsets, spec)
     w2 = w.data.astype(np.float64).reshape(w.out_channels, -1)
-    out, _ = _conv_gemm(_source(x, plan, samples), w2=w2)
-    return FeatureTensor(_Owned(out)), OpSummary(plan.degenerate, plan.oob_fraction)
+    out, _ = _conv_gemm(_source(x, offsets, spec, samples), w2=w2)
+    return FeatureTensor(_Owned(out)), _summary(x, offsets, spec)
 
 
 def za_conv_backward(
@@ -335,35 +328,37 @@ def za_conv_backward(
     ``need_grad_x=False`` skips the scatter and returns ``None`` for it.
     """
     _check_conv_shapes(x, w, spec)
-    plan = _sampling_plan(x, offsets, spec)
-    want = (w.out_channels,) + plan.base.shape[1:]
+    src = _source(x, offsets, spec, samples)
+    want = (w.out_channels, offsets.height, offsets.width)
     if grad_out.data.shape != want:
         raise ConfigError(f"grad_out shape {grad_out.data.shape} does not match output {want}")
     g = grad_out.data.astype(np.float64)
-    grad_w = ConvWeights(_conv_gemm(_source(x, plan, samples), g=g)[1].reshape(w.data.shape))
+    grad_w = ConvWeights(_conv_gemm(src, g=g)[1].reshape(w.data.shape))
     if not need_grad_x:
         return None, grad_w
     # The input gradient, summed tile by tile in float64 and rounded once.  The
-    # tiles are those of the plan's weights, so each tile's indices and
-    # contributions fit a tile too, whatever the channel count.
+    # tiles fit four slots' weights whatever a tile keeps, so that its indices
+    # and contributions fit a tile and the sums' order does not follow the trim.
     acc = np.zeros((x.channels, x.height * x.width))
-    taps, slots = spec.tap_count, len(plan.steps)
+    taps = spec.tap_count
     w3 = w.data.astype(np.float64).reshape(len(g), x.channels, taps).transpose(1, 2, 0)
-    if slots:  # else no sample reaches the image and grad_x is zero
-        for r0, r1 in geometry._row_tiles(plan.base.shape[1], plan.wgt[:, :, :1].nbytes):
-            wgt = plan.wgt[:, :, r0:r1].reshape(slots, taps, -1)
-            # Each slot's indices, clipped onto the image: an off-image neighbor
-            # adds its +-0 contribution to some bin, which changes no bin's bits.
-            idx = np.add.outer(np.array(plan.steps, np.intp), plan.base[:, r0:r1].reshape(taps, -1))
-            np.clip(idx, 0, acc.shape[1] - 1, out=idx)
-            lo = idx.min()  # each bincount spans only the bins that the tile reaches
-            idx -= lo
-            gt = g[:, r0:r1].reshape(len(g), -1)
-            contrib = np.empty_like(wgt)
-            for i in range(x.channels):
-                np.multiply(w3[i] @ gt, wgt, out=contrib)  # channel i's per-tap gradient
-                b = np.bincount(idx.ravel(), weights=contrib.ravel())
-                acc[i, lo:lo + len(b)] += b
+    tiles = geometry._row_tiles(offsets.height, 4 * taps * offsets.width * 8)
+    for r0, r1, (base, steps, wgt) in _plans(x, offsets, spec, tiles):
+        if not steps:  # no sample of these rows reaches the image
+            continue
+        wgt = wgt.reshape(len(steps), taps, -1)
+        # Each slot's indices, clipped onto the image: an off-image neighbor
+        # adds its +-0 contribution to some bin, which changes no bin's bits.
+        idx = np.add.outer(np.array(steps, np.intp), base.reshape(taps, -1))
+        np.clip(idx, 0, acc.shape[1] - 1, out=idx)
+        lo = idx.min()  # each bincount spans only the bins that the tile reaches
+        idx -= lo
+        gt = g[:, r0:r1].reshape(len(g), -1)
+        contrib = np.empty_like(wgt)
+        for i in range(x.channels):
+            np.multiply(w3[i] @ gt, wgt, out=contrib)  # channel i's per-tap gradient
+            b = np.bincount(idx.ravel(), weights=contrib.ravel())
+            acc[i, lo:lo + len(b)] += b
     with np.errstate(over="ignore"):  # FeatureTensor rejects a float32 inf
         grad_x = acc.astype(np.float32).reshape(x.data.shape)
     return FeatureTensor(_Owned(grad_x)), grad_w
@@ -385,15 +380,14 @@ def za_avg_pool(
     fall outside the input (they contribute zero), which darkens borders
     rather than re-weighting them.
     """
-    plan = _sampling_plan(x, offsets, spec)
-    (_, oh, ow, _), walk = _sample_rows((x, plan))
+    (_, oh, ow, _), walk = _sample_rows(_source(x, offsets, spec))
     out = np.empty((x.channels, oh, ow), np.float32)
     for r0, r1, t in walk:
-        # the taps in plan order, so the tiles change no bit
+        # the taps in order, so the tiles change no bit
         t = t.reshape(x.channels, spec.tap_count, -1)
         sums = np.zeros((x.channels, t.shape[2]))
         for n in range(spec.tap_count):
             sums += t[:, n]
         # a mean of float32 values cannot overflow
         np.divide(sums.reshape(x.channels, r1 - r0, ow), spec.tap_count, out=out[:, r0:r1])
-    return FeatureTensor(_Owned(out)), OpSummary(plan.degenerate, plan.oob_fraction)
+    return FeatureTensor(_Owned(out)), _summary(x, offsets, spec)

@@ -15,6 +15,8 @@ All containers store a read-only 32-bit float copy of their input, so
 they can be shared across workers and no caller's array can change them.
 The package's own operators hand over a float32 array they just made
 through :class:`_Owned`, which the container adopts without a copy.
+An :class:`OffsetField` keeps no sampling plan: ``zacn.ops`` builds one
+per row tile from the field and caches only its border statistics.
 """
 
 from __future__ import annotations
@@ -104,9 +106,9 @@ class OffsetField:
     """
 
     data: np.ndarray = field(repr=False)
-    # ``zacn.ops`` sampling plans by (KernelSpec, input H, W); ``data`` is
-    # owned and read-only, so they never go stale.
-    _plans: dict = field(default_factory=dict, init=False, repr=False)
+    # ``zacn.ops.OpSummary`` border statistics, no plan, by (KernelSpec,
+    # input H, W); ``data`` is owned and read-only, so they never go stale.
+    _summaries: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         arr = _as_float32(self.data, 3, "offset field")
@@ -201,9 +203,10 @@ def _bilinear_gather(
     no weight: slot ``k`` reads ``data`` at ``base + steps[k]``, clipped
     onto the grid, with weight ``wgt[k]``.  Returns float64 samples of
     shape ``(C,) + base.shape``, summed over the neighbors in plan order.
-    ``out`` and ``tmp``, if given, are float64 buffers of that shape which
-    the gather overwrites, so that a loop over row tiles allocates only
-    its indices per step; ``out`` is returned.
+    ``out``, if given, is a float64 buffer of that shape and ``tmp`` one of
+    the samples of some ``cc`` channels; the gather overwrites both, reading
+    ``cc`` channels at a time, so that a loop over row tiles allocates only
+    its indices per slot; ``out`` is returned.
 
     The index of a neighbor on the image is exact.  One off the image has
     weight +0.0, so whichever element its clipped index reads adds a
@@ -213,13 +216,17 @@ def _bilinear_gather(
     shape = (data.shape[0],) + base.shape
     out = np.empty(shape, dtype=np.float64) if out is None else out
     tmp = np.empty(shape, dtype=np.float64) if tmp is None else tmp
+    cc = tmp.size // base.size  # channels per part
     idx = np.empty(base.shape, dtype=np.intp)
     out.fill(0.0)
     for step, w in zip(steps, wgt):
         np.add(base, step, out=idx)
-        np.take(data, idx, axis=1, out=tmp, mode="clip")
-        tmp *= w
-        out += tmp
+        for c0 in range(0, data.shape[0], cc):
+            part = out[c0:c0 + cc]
+            t = tmp.reshape(-1)[:part.size].reshape(part.shape)
+            np.take(data[c0:c0 + cc], idx, axis=1, out=t, mode="clip")
+            t *= w
+            part += t
     return out
 
 
@@ -245,15 +252,15 @@ def _bilinear_scatter_weights(h: int, w: int, u: np.ndarray, v: np.ndarray):
     v0 = np.floor(v)
     du = np.subtract(u, u0, out=u)  # the clipped copies are ours to overwrite
     dv = np.subtract(v, v0, out=v)
+    # Per-axis factors with each neighbor's in-image test folded in: the same
+    # bits as masking their product, since both factors are finite and >= 0.
+    ay = ((1 - dv) * ((v0 >= 0) & (v0 < h)), dv * ((v0 >= -1) & (v0 < h - 1)))
+    bx = ((1 - du) * ((u0 >= 0) & (u0 < w)), du * ((u0 >= -1) & (u0 < w - 1)))
     # the flat indices reach from -2*w - 2 up to (h + 3)*w + 2
     itype = np.int32 if (h + 3) * w + 2 <= np.iinfo(np.int32).max else np.int64
-    u0 = u0.astype(itype)
-    v0 = v0.astype(itype)
-
-    wgt = np.empty((4,) + u.shape, dtype=np.float64)
+    base = v0.astype(itype) * w + u0.astype(itype)
+    del u, v, du, dv, u0, v0  # the weights need only the factors
+    wgt = np.empty((4,) + base.shape, dtype=np.float64)
     for k, (i, j) in enumerate(((0, 0), (0, 1), (1, 0), (1, 1))):
-        vi = v0 + i
-        ui = u0 + j
-        np.multiply(dv if i else 1 - dv, du if j else 1 - du, out=wgt[k])
-        wgt[k] *= (vi >= 0) & (vi < h) & (ui >= 0) & (ui < w)
-    return v0 * w + u0, wgt
+        np.multiply(ay[i], bx[j], out=wgt[k])
+    return base, wgt

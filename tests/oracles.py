@@ -24,6 +24,30 @@ def naive_bilinear(data: np.ndarray, c: int, u: float, v: float) -> float:
     return total
 
 
+def masked_bilinear_weights(h: int, w: int, u: np.ndarray, v: np.ndarray):
+    """The bilinear plan ``(base, weights)`` in the layout of
+    ``zacn.tensor._bilinear_scatter_weights``, each weight formed as the
+    product of its two axis factors, then masked by its neighbor's
+    in-image test.  The library folds the test into the factors instead;
+    both must give the same bits."""
+    u = np.clip(np.asarray(u, dtype=np.float64), -2.0, w + 1.0)
+    v = np.clip(np.asarray(v, dtype=np.float64), -2.0, h + 1.0)
+    u0 = np.floor(u)
+    v0 = np.floor(v)
+    du = np.subtract(u, u0, out=u)
+    dv = np.subtract(v, v0, out=v)
+    itype = np.int32 if (h + 3) * w + 2 <= np.iinfo(np.int32).max else np.int64
+    u0 = u0.astype(itype)
+    v0 = v0.astype(itype)
+    wgt = np.empty((4,) + u.shape, dtype=np.float64)
+    for k, (i, j) in enumerate(((0, 0), (0, 1), (1, 0), (1, 1))):
+        vi = v0 + i
+        ui = u0 + j
+        np.multiply(dv if i else 1 - dv, du if j else 1 - du, out=wgt[k])
+        wgt[k] *= (vi >= 0) & (vi < h) & (ui >= 0) & (ui < w)
+    return v0 * w + u0, wgt
+
+
 def naive_standard_conv(x: np.ndarray, w: np.ndarray, size, dilation, stride, padding):
     """Six nested loops over (co, oy, ox, ci, ki, kj), zero padding."""
     ci, h, wd = x.shape

@@ -128,3 +128,15 @@ def test_offsets_hwm_row(history):
     row = history.offsets_hwm(48, 64, runs=2)
     assert (row["runs"], row["shape"], row["seed"]) == (2, [48, 64], history.HWM_SEED)
     assert 5 < row["threads_unset_mb"] < 500 and 5 < row["threads_1_mb"] < 500
+
+
+def test_operator_peaks_row(history):
+    row = history.operator_peaks([[16, 24], [48, 64]], channels=2)
+    assert (row["channels"], row["seed"]) == (2, history.PEAK_SEED)
+    assert list(row["peaks_mib"]) == ["16x24", "48x64"]
+    for peaks in row["peaks_mib"].values():
+        assert list(peaks) == ["compute_offsets", "za_conv_forward", "za_avg_pool", "za_conv_backward"]
+        assert all(0 < mib < 50 for mib in peaks.values())
+    # the operators' memory grows with the image
+    small, large = row["peaks_mib"].values()
+    assert all(large[name] > small[name] for name in small)

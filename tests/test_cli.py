@@ -347,6 +347,23 @@ class TestConvPoolCommands:
 
 
 CIRCLE_RE = re.compile(r'<circle class="adapted-tap" cx="([^"]+)" cy="([^"]+)"')
+TILE_RE = re.compile(r'<rect x="(\d+)" y="(\d+)" width="(\d+)" height="(\d+)" '
+                     r'fill="rgb\((\d+),(\d+),(\d+)\)"/>')
+
+
+def background_tiles(svg, scale):
+    """The greys of the SVG's background tiles, expanded to one per depth
+    pixel, and the number of tiles; -1 marks a pixel that no tile covers."""
+    tiles = [tuple(map(int, m)) for m in TILE_RE.findall(svg)]
+    h = max(y + ht for _, y, _, ht, *_ in tiles) // scale
+    w = max(x + wd for x, _, wd, *_ in tiles) // scale
+    gray = np.full((h, w), -1)
+    for x, y, wd, ht, r, g, b in tiles:
+        assert r == g == b and ht == scale and x % scale == y % scale == wd % scale == 0
+        cells = gray[y // scale, x // scale:(x + wd) // scale]
+        assert (cells == -1).all()  # no pixel is covered twice
+        cells[:] = r
+    return gray, len(tiles)
 
 
 class TestVizCommand:
@@ -390,6 +407,34 @@ class TestVizCommand:
         # the query pixel sits on the receding side wall, so the adapted
         # taps must actually leave the regular grid
         assert float(np.abs(off).max()) > 0.2
+
+    def test_constant_depth_draws_one_tile_per_row(self, tmp_path):
+        write_depth(DepthMap(np.full((20, 24), 1.5, np.float32)), tmp_path / "flat.pfm")
+        rc = run_cli(
+            "viz", "--depth", tmp_path / "flat.pfm", "--fu", 200, "--fv", 200,
+            "--at", "12,10", "--scale", 3, "--out", tmp_path / "v.svg",
+        )
+        assert rc == 0
+        gray, tiles = background_tiles((tmp_path / "v.svg").read_text(), 3)
+        assert tiles == 20
+        assert (gray == 235).all()
+
+    def test_tiles_expand_to_the_depth_grey_of_every_pixel(self, workdir):
+        # the corridor's greys change along its rows; a hole is black
+        from zacn import read_depth
+
+        depth = read_depth(workdir / "depth.pfm").data.copy()
+        depth[5, 3:9] = np.nan
+        write_depth(DepthMap(depth), workdir / "holes.pfm")
+        rc = run_cli(
+            "viz", "--depth", workdir / "holes.pfm", "--intrinsics", workdir / "K.txt",
+            "--at", "26,12", "--scale", 4, "--out", workdir / "v.svg",
+        )
+        assert rc == 0
+        gray, tiles = background_tiles((workdir / "v.svg").read_text(), 4)
+        want = cli._depth_to_gray(DepthMap(depth))
+        np.testing.assert_array_equal(gray, want)
+        assert tiles == sum(1 + np.count_nonzero(np.diff(row)) for row in want) < want.size
 
     def test_out_of_bounds_query(self, workdir):
         rc = run_cli(
