@@ -194,7 +194,7 @@ def _plans(x: FeatureTensor, offsets: OffsetField, spec: KernelSpec, tiles):
 def _summary(x: FeatureTensor, offsets: OffsetField, spec: KernelSpec) -> OpSummary:
     """The border statistics of ``offsets`` under ``spec`` on ``x``, walked once."""
     key = (spec, x.height, x.width)
-    if key not in offsets._summaries:  # a walk of one-row tiles
+    if key not in offsets._summaries:  # samples= on a field never walked: count row by row
         for _ in _plans(x, offsets, spec, [(r, r + 1) for r in range(offsets.height)]):
             pass
     return offsets._summaries[key]
