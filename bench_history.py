@@ -14,11 +14,14 @@ environment of the runs.  It also holds one row that the benchmark's
 process tree cannot raise: the ``VmHWM`` of a child that this script starts,
 which runs ``zacn offsets`` ``HWM_RUNS`` times on a seeded corridor depth
 map, once with ``ZACN_THREADS`` unset and once with it set to 1 (Linux).
-A last row holds the tracemalloc peaks of the operators, which the host's
+Another row holds the tracemalloc peaks of the operators, which the host's
 load does not move: one child calls ``compute_offsets``, ``za_conv_forward``,
 ``za_avg_pool`` and ``za_conv_backward`` (with ``grad_x``) on a seeded
 corridor scene at each shape of ``PEAK_SHAPES``, 16 -> 16 channels, each
-operator on a fresh offset field.
+operator on a fresh offset field.  A last row holds the ``VmHWM`` and the
+minor page faults of one ``paired_toy_runs([TOY_SEED])`` after a warm one,
+in one child per script path length of ``TOY_PATH_LENGTHS`` (Linux): the
+faults follow the heap's layout, which the length of the child's argv moves.
 A run that exits with an error stops the script.
 After writing the file, it prints each metric's median against the newest
 earlier ``BENCH_<n>.json`` at the repository root, marking changes worse
@@ -47,6 +50,9 @@ HWM_SEED = 26
 PEAK_SHAPES = ((120, 160), (480, 640))
 PEAK_CHANNELS = 16
 PEAK_SEED = 27
+# The toy_run row: one child per length of the script path it runs from.
+TOY_PATH_LENGTHS = (1, 7, 22)
+TOY_SEED = 0
 
 _SCENE_CHILD = r"""
 import sys
@@ -102,6 +108,21 @@ for h, w in shapes:
         finally:
             tracemalloc.stop()
 print(json.dumps(row))
+"""
+
+# run as a script whose relative path is as long as the row asks; the faults
+# and VmHWM are this process's own, of the second paired run after a warm one
+_TOY_CHILD = r"""
+import json, resource, sys
+from zacn.harness import paired_toy_runs
+seed, settings = int(sys.argv[1]), json.loads(sys.argv[2])
+paired_toy_runs([seed], **settings)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+paired_toy_runs([seed], **settings)
+faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+with open("/proc/self/status") as f:
+    hwm = next(line.split()[1] for line in f if line.startswith("VmHWM:"))
+print(json.dumps({"vmhwm_mb": int(hwm) / 1024, "minor_faults": faults}))
 """
 
 
@@ -183,6 +204,23 @@ def operator_peaks(shapes, channels: int) -> dict:
     return {"channels": channels, "seed": PEAK_SEED, "peaks_mib": json.loads(child.stdout)}
 
 
+def toy_run(path_lengths, **settings) -> dict:
+    """The ``VmHWM`` (MB) and minor faults of one warm ``paired_toy_runs([TOY_SEED],
+    **settings)`` (Linux), in one child per length of ``path_lengths``, each
+    started from this small process as a script with a relative path that long."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    row = {"seed": TOY_SEED, "settings": settings, "runs": []}
+    with tempfile.TemporaryDirectory() as tmp:
+        for n in path_lengths:
+            script = "t" * n
+            Path(tmp, script).write_text(_TOY_CHILD)
+            child = subprocess.run([sys.executable, script, str(TOY_SEED), json.dumps(settings)],
+                                   cwd=tmp, env=env, check=True, capture_output=True, text=True)
+            row["runs"].append({"path_length": n, **json.loads(child.stdout)})
+    return row
+
+
 def uncommitted_changes():
     """Whether tracked files differ from the commit that run.py records as
     ``git_commit``; None outside a git checkout."""
@@ -248,6 +286,7 @@ def main(argv: list[str]) -> int:
     history["env"]["uncommitted_changes"] = uncommitted_changes()
     history["offsets_vmhwm"] = offsets_hwm(*HWM_SHAPE, HWM_RUNS)
     history["operator_peaks"] = operator_peaks(PEAK_SHAPES, PEAK_CHANNELS)
+    history["toy_run"] = toy_run(TOY_PATH_LENGTHS)
     out = Path(argv[0])
     out.write_text(json.dumps(history, indent=1) + "\n")
     hwm = history["offsets_vmhwm"]
@@ -256,6 +295,9 @@ def main(argv: list[str]) -> int:
     for shape, peaks in history["operator_peaks"]["peaks_mib"].items():
         print(f"operator peaks at {shape}: "
               + ", ".join(f"{name} {mib:.1f} MiB" for name, mib in peaks.items()))
+    for run in history["toy_run"]["runs"]:
+        print(f"toy run from a script path of {run['path_length']} characters: "
+              f"VmHWM {run['vmhwm_mb']:.2f} MB, {run['minor_faults']} minor faults")
     previous = previous_history(ROOT, out)
     if previous is not None:
         print(f"{out.name} against {previous.name}:")

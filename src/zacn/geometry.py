@@ -183,11 +183,21 @@ class KernelSpec:
 
 @dataclass(frozen=True)
 class OffsetSummary:
-    """Bookkeeping for one offset-field computation."""
+    """Bookkeeping for one offset-field computation.
+
+    The last four fields split ``degenerate_pixels`` by why each pixel fell
+    back to zero offsets; a pixel counts under the first cause that holds,
+    in their order: an invalid center depth, fewer than 3 valid neighbors,
+    a collinear window, a grid that reaches behind the camera.
+    """
 
     total_pixels: int
     degenerate_pixels: int
     basis_fallback_pixels: int
+    invalid_center_pixels: int = 0
+    few_neighbors_pixels: int = 0
+    collinear_pixels: int = 0
+    behind_camera_pixels: int = 0
 
     def as_dict(self) -> dict:
         """The fields as a JSON-ready dict."""
@@ -405,11 +415,12 @@ def _offset_block(
     spec: KernelSpec,
     rows: tuple[int, int],
     out: np.ndarray,
-) -> tuple[int, int]:
+) -> tuple[int, ...]:
     """Write the offsets of output rows ``[row_start, row_stop)`` into
-    ``out[:, row_start:row_stop]``; returns the degenerate and fallback-basis
-    pixel counts of those rows.  Tiles that do not overlap touch disjoint
-    parts of ``out``, so they can run concurrently."""
+    ``out[:, row_start:row_stop]``; returns the fallback-basis pixel count of
+    those rows and their degenerate pixel counts by cause, in the order of
+    :class:`OffsetSummary`.  Tiles that do not overlap touch disjoint parts
+    of ``out``, so they can run concurrently."""
     row_start, row_stop = rows
     h, w = depth64.shape
     center_tap = spec.center * spec.size + spec.center
@@ -449,14 +460,19 @@ def _offset_block(
         proj_u, proj_v = _project(tx, ty, tz, K)
         del tx, ty, tz
 
-        degenerate = ~center_valid | (neighbor_count < 3) | rank_deficient | behind
+        # each pixel counts under the first cause that holds
+        degenerate = np.zeros(behind.shape, dtype=bool)
+        causes = []
+        for cause in (~center_valid, neighbor_count < 3, rank_deficient, behind):
+            causes.append(int(np.count_nonzero(cause & ~degenerate)))
+            degenerate |= cause
         for parity, proj, regular in ((0, proj_v.reshape(tv.shape), tv),
                                       (1, proj_u.reshape(tu.shape), tu)):
             proj -= regular
             np.copyto(proj, 0.0, where=degenerate)
             out[parity::2, row_start:row_stop] = proj
 
-    return int(np.count_nonzero(degenerate)), int(np.count_nonzero(fallback & ~degenerate))
+    return (int(np.count_nonzero(fallback & ~degenerate)), *causes)
 
 
 def compute_offsets(
@@ -517,6 +533,5 @@ def compute_offsets(
             others = pool.map(run, shares[1:])
             counts = run(shares[0])
             counts += [c for share in others for c in share]
-    deg = sum(d for d, _ in counts)
-    fb = sum(f for _, f in counts)
-    return OffsetField(_Owned(out)), OffsetSummary(out_h * out_w, deg, fb)
+    fb, *causes = (sum(c) for c in zip(*counts))
+    return OffsetField(_Owned(out)), OffsetSummary(out_h * out_w, sum(causes), fb, *causes)

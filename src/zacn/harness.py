@@ -21,6 +21,8 @@ convolution's matmul, for the float32 logits and ``dhidden`` and the
 float64 ``dw2``, so it is the adapted 1x1 convolution on a zero field.
 Offsets never change, so training gathers each scene's layer-1 samples
 once and never forms the layer-1 input gradient, which nothing reads.
+Each step writes its float64 hidden activations and float32 ``dhidden``
+into two buffers of the run, freed with the epochs before ``evaluate``.
 
 The experiment has one fixed setup: a 3x3 first layer with "same"
 padding, trained on two 48x64 corridor scenes per seed and evaluated on
@@ -270,12 +272,14 @@ def _head(w2: ConvWeights) -> np.ndarray:
     return w2.data[:, :, 0, 0].astype(np.float64)
 
 
-def _forward(x, w1, head, offsets, samples=None):
-    """Layer-1 pre-activation, float64 hidden activations, and logits."""
-    pre, _ = za_conv_forward(x, w1, offsets, _SPEC, samples=samples)
-    hidden = np.maximum(pre.data, 0.0).astype(np.float64)
+def _forward(x, w1, head, offsets, samples=None, buf=None):
+    """Layer-1 activity mask, float64 hidden activations (in the flat ``buf``
+    if given), and logits."""
+    pre = za_conv_forward(x, w1, offsets, _SPEC, samples=samples)[0].data
+    hidden = (np.empty(pre.size) if buf is None else buf[:pre.size]).reshape(pre.shape)
+    np.maximum(pre, 0.0, out=hidden)  # a float32 maximum, widened exactly
     logits = FeatureTensor(_conv_gemm(hidden, w2=head)[0])
-    return pre, hidden, logits
+    return pre > 0, hidden, logits
 
 
 def train_toy(scenes, cfg: TrainConfig, eval_scenes) -> TrainResult:
@@ -303,6 +307,13 @@ def train_toy(scenes, cfg: TrainConfig, eval_scenes) -> TrainResult:
          * np.sqrt(2.0 / cfg.hidden)).astype(np.float32)
     )
 
+    w1, w2, losses = _descend(scenes, w1, w2, num_classes, cfg)
+    miou, acc = evaluate(eval_scenes, (w1, w2), cfg)
+    return TrainResult(weights=(w1, w2), losses=losses, miou=miou, pixel_acc=acc)
+
+
+def _descend(scenes, w1, w2, num_classes, cfg: TrainConfig):
+    """The weights after ``cfg.epochs`` steps from ``(w1, w2)``, and the losses."""
     # Offsets are fixed, so each scene's layer-1 samples and one-hot labels
     # are the same in every epoch: build them once.
     prepared = []
@@ -310,6 +321,10 @@ def train_toy(scenes, cfg: TrainConfig, eval_scenes) -> TrainResult:
         offsets = _scene_offsets(s, cfg)
         samples = gather_samples(s.features, offsets, _SPEC)
         prepared.append((s.features, offsets, samples, _one_hot(s.labels, num_classes)))
+    # Each step's hidden and dhidden; the hidden activations, spent once dw2 is
+    # taken, are dhidden's matmul buffer.  No container adopts either.
+    hid, dhid = (np.empty(cfg.hidden * max(s.labels.size for s in scenes), t)
+                 for t in (np.float64, np.float32))
 
     losses: list[float] = []
     for epoch in range(cfg.epochs):
@@ -321,14 +336,15 @@ def train_toy(scenes, cfg: TrainConfig, eval_scenes) -> TrainResult:
             gw2 = np.zeros_like(w2.data, dtype=np.float64)
             head = _head(w2)
             for x, offsets, samples, onehot in prepared:
-                pre, hidden, logits = _forward(x, w1, head, offsets, samples)
+                active, hidden, logits = _forward(x, w1, head, offsets, samples, hid)
                 loss, dlogits = _softmax_cross_entropy(logits.data, onehot)
                 total_loss += loss
                 g = dlogits.astype(np.float64)
                 dw2 = _conv_gemm(hidden, g=g)[1].astype(np.float32)
-                dhidden = _conv_gemm(g, w2=head.T)[0]
-                dpre = FeatureTensor(dhidden * (pre.data > 0))
-                _, dw1 = za_conv_backward(x, w1, offsets, _SPEC, dpre,
+                dhidden = dhid[:hidden.size].reshape(hidden.shape)
+                _conv_gemm(g, w2=head.T, out=dhidden, buf=hid)
+                np.multiply(dhidden, active, out=dhidden)
+                _, dw1 = za_conv_backward(x, w1, offsets, _SPEC, FeatureTensor(dhidden),
                                           samples=samples, need_grad_x=False)
                 gw1 += dw1.data
                 gw2 += dw2[:, :, None, None]
@@ -337,10 +353,7 @@ def train_toy(scenes, cfg: TrainConfig, eval_scenes) -> TrainResult:
         except ConfigError as exc:
             raise TrainingError(f"training diverged at epoch {epoch}: {exc}", epoch=epoch) from exc
         losses.append(total_loss / len(prepared))
-
-    del prepared  # free the fields' cached sampling plans; evaluate builds its own
-    miou, acc = evaluate(eval_scenes, (w1, w2), cfg)
-    return TrainResult(weights=(w1, w2), losses=losses, miou=miou, pixel_acc=acc)
+    return w1, w2, losses
 
 
 def evaluate(scenes, weights, cfg: TrainConfig):

@@ -200,7 +200,7 @@ def _summary(x: FeatureTensor, offsets: OffsetField, spec: KernelSpec) -> OpSumm
     return offsets._summaries[key]
 
 
-def _sample_rows(src):
+def _sample_rows(src, out=None):
     """The row tiles of the float64 ``(k, oh, ow)`` samples of ``src``, an
     ``(x, offsets, spec)`` triple (``k = ci*taps``) or an array ``(..., oh,
     ow)``.  Returns ``(k, oh, ow, rows)``, ``rows`` the largest tile's, and an
@@ -208,7 +208,8 @@ def _sample_rows(src):
     ``geometry._TILE_BYTES``: ``t`` is the rows' ``(k, (r1 - r0) * ow)``
     samples, a view of the array or gathered through the tile's own plan
     into a buffer that the next tile overwrites, a quarter of the channels
-    at a time so that the gather's scratch is a quarter tile.
+    at a time so that the gather's scratch is a quarter tile, or into the
+    rows of ``out``, a float64 ``(ci, taps, oh, ow)`` array, if given.
     (Tiles of half the rows slowed the toy training's small matmuls.)"""
     x, offsets, spec = src if isinstance(src, tuple) else (None, None, None)
     *lead, oh, ow = src.shape if x is None else (x.channels, spec.tap_count, *offsets.data.shape[1:])
@@ -218,28 +219,31 @@ def _sample_rows(src):
     def gather():
         data = x.data.astype(np.float64).reshape(x.channels, -1)
         cc = -(-x.channels // 4)  # channels per part
-        tile = np.empty(k * tiles[0][1] * ow)
-        tmp = np.empty(tile.size // x.channels * cc)  # one part's samples
+        tile = np.empty(k * tiles[0][1] * ow) if out is None else None
+        tmp = np.empty(spec.tap_count * tiles[0][1] * ow * cc)  # one part's samples
         for r0, r1, (base, steps, wgt) in _plans(x, offsets, spec, tiles):
-            t = tile[:k * (r1 - r0) * ow].reshape(*lead, r1 - r0, ow)
+            t = (tile[:k * (r1 - r0) * ow].reshape(*lead, r1 - r0, ow) if out is None
+                 else out[..., r0:r1, :])
             _bilinear_gather(data, base, steps, wgt, t, tmp[:cc * base.size])
-            yield r0, r1, t.reshape(k, -1)
+            yield r0, r1, t.reshape(k, -1)  # a view: only the rows are a slice
 
     views = ((r0, r1, src[..., r0:r1, :].reshape(k, -1)) for r0, r1 in tiles)
     return (k, oh, ow, tiles[0][1]), views if x is None else gather()
 
 
-def _conv_gemm(src, w2=None, g=None):
+def _conv_gemm(src, w2=None, g=None, out=None, buf=None):
     """One float64 matmul per row tile of a :func:`_sample_rows` source,
     over its joint ``k = ci*taps`` axis.  Returns ``(out, grad_w)``: for
     ``w2`` ``(co, k)`` the float32 ``(co, oh, ow)`` output ``w2 @ samples``,
     each tile summed in one reused float64 buffer and rounded once; for
     ``g`` ``(co, oh, ow)`` the float64 ``(co, k)`` weight gradient ``g @
-    samples.T``, summed over the tiles in order.  The tiles and the matmul
-    shapes depend only on the shapes, so either source gives the same bits."""
+    samples.T``, summed over the tiles in order; ``out`` and a flat ``buf``
+    of ``co`` tiles' pixels or more replace the output and the tile buffer.
+    The tiles and the matmul shapes depend only on the shapes, so either
+    source, and any buffers, give the same bits."""
     (k, oh, ow, rows), walk = _sample_rows(src)
-    buf = None if w2 is None else np.empty(len(w2) * rows * ow)
-    out = None if w2 is None else np.empty((len(w2), oh, ow), np.float32)
+    buf = np.empty(len(w2) * rows * ow) if buf is None and w2 is not None else buf
+    out = np.empty((len(w2), oh, ow), np.float32) if out is None and w2 is not None else out
     grad_w = None if g is None else np.zeros((len(g), k))
     for r0, r1, t in walk:
         if out is not None:
@@ -281,11 +285,11 @@ def gather_samples(x: FeatureTensor, offsets: OffsetField, spec: KernelSpec) -> 
     """The read-only float64 ``(ci, taps, oh, ow)`` bilinear samples of ``x``
     at every tap position of ``offsets``, gathered a row tile at a time: the
     ``samples`` that :func:`za_conv_forward` and :func:`za_conv_backward`
-    accept in place of their own gather."""
-    (_, oh, ow, _), walk = _sample_rows(_source(x, offsets, spec))
-    samples = np.empty((x.channels, spec.tap_count, oh, ow))
-    for r0, r1, t in walk:
-        samples[:, :, r0:r1] = t.reshape(x.channels, spec.tap_count, r1 - r0, ow)
+    accept in place of their own gather, each tile straight into its rows."""
+    src = _source(x, offsets, spec)
+    samples = np.empty((x.channels, spec.tap_count, offsets.height, offsets.width))
+    for _ in _sample_rows(src, out=samples)[1]:
+        pass
     samples.setflags(write=False)
     return samples
 

@@ -140,3 +140,13 @@ def test_operator_peaks_row(history):
     # the operators' memory grows with the image
     small, large = row["peaks_mib"].values()
     assert all(large[name] > small[name] for name in small)
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="VmHWM is read from /proc")
+def test_toy_run_row(history):
+    row = history.toy_run([1, 5], epochs=2)
+    assert (row["seed"], row["settings"]) == (history.TOY_SEED, {"epochs": 2})
+    assert [run["path_length"] for run in row["runs"]] == [1, 5]
+    for run in row["runs"]:
+        assert 5 < run["vmhwm_mb"] < 500
+        assert run["minor_faults"] >= 0

@@ -549,6 +549,67 @@ class TestComputeOffsets:
         # neighbors still get offsets from the valid part of their windows
         assert np.count_nonzero(field.data[:, 5, 5]) > 0
 
+    # (depth, fu, cu, dilation) -> (invalid center, few neighbors, collinear,
+    # behind camera) on a 9x9 map; the first cause that holds wins
+    @pytest.mark.parametrize("case, counts", [
+        # one hole in a smooth map
+        ("hole", (1, 0, 0, 0)),
+        # two valid pixels side by side: each has one valid neighbor, and every
+        # other pixel, whose window holds fewer than 3 too, has no center depth
+        ("pair", (79, 2, 0, 0)),
+        # one valid corner pixel: its window, clamped onto the image, reads it
+        # four times, so it has 3 neighbors at its own position
+        ("corner", (80, 0, 1, 0)),
+        # a side wall at x = -1 under a 2-pixel focal length and a dilated
+        # window: every grid reaches behind the camera, and one hole wins over it
+        ("wall", (1, 0, 0, 80)),
+    ])
+    def test_fallback_causes(self, rng, case, counts):
+        depth = np.full((9, 9), np.nan, np.float32)
+        K, spec = CameraIntrinsics(519.0, 519.0, 4.0, 4.0), KernelSpec.same(3)
+        if case == "hole":
+            depth = smooth_depth(rng, 9, 9)
+            depth[4, 4] = 0.0
+        elif case == "pair":
+            depth[4, 4:6] = 2.0
+        elif case == "corner":
+            depth[0, 0] = 2.0
+        else:
+            K, spec = CameraIntrinsics(2.0, 2.0, 10.0, 4.0), KernelSpec.same(3, dilation=3)
+            depth[:] = 2.0 / (10.0 - np.arange(9.0))
+            depth[2, 3] = 0.0
+        field, summary = compute_offsets(DepthMap(depth), K, spec, 9, 9)
+        got = (summary.invalid_center_pixels, summary.few_neighbors_pixels,
+               summary.collinear_pixels, summary.behind_camera_pixels)
+        assert got == counts
+        assert summary.degenerate_pixels == sum(counts)
+        # every degenerate pixel has a zero field, and the others do not here
+        zero = ~field.data.any(axis=0)
+        assert np.count_nonzero(zero) == sum(counts)
+
+    def test_fallback_causes_add_up_for_any_tiles_and_workers(self, rng, monkeypatch):
+        # the side wall of test_fallback_causes beside a fronto-parallel one,
+        # with a fifth of the pixels holes
+        h, w = 30, 40
+        u = np.arange(w, dtype=np.float64)
+        depth = np.broadcast_to(np.where(u < 20, 2.0 / (45.0 - u), 0.1), (h, w)).copy()
+        depth[rng.random((h, w)) < 0.2] = 0.0
+        depth = DepthMap(depth.astype(np.float32))
+        K = CameraIntrinsics(2.0, 2.0, 45.0, 15.0)
+        spec = KernelSpec.same(3, dilation=3)
+        row_bytes = spec.tap_count * w * 8
+        summaries = []
+        for rows in (1, 7, h):
+            monkeypatch.setattr(geometry, "_TILE_BYTES", rows * row_bytes)
+            for workers in (1, 2, 3):
+                summaries.append(compute_offsets(depth, K, spec, h, w, workers=workers)[1])
+        s = summaries[0]
+        causes = (s.invalid_center_pixels, s.few_neighbors_pixels, s.collinear_pixels,
+                  s.behind_camera_pixels)
+        assert sum(causes) == s.degenerate_pixels
+        assert all(c > 0 for c in causes[:2] + causes[3:]), causes
+        assert all(other == s for other in summaries[1:])
+
     def test_near_vertical_plane_uses_fallback_basis(self):
         # floor-like surface: Y = (v - cv) * Z / fv constant => normal ~ (0,1,0)
         fv = 10.0

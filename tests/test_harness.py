@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,7 @@ from zacn import (
     za_conv_backward,
     za_conv_forward,
 )
-from zacn import harness
+from zacn import geometry, harness
 from zacn.harness import (TrainConfig, generate_scene, paired_toy_runs, segmentation_metrics,
                           train_toy)
 
@@ -195,6 +197,29 @@ class TestTrainToy:
         assert result.losses == losses
         assert result.weights[0].data.tobytes() == w1.data.tobytes()
         assert result.weights[1].data.tobytes() == w2.data.tobytes()
+
+    @pytest.mark.parametrize("operator", ["adapted", "standard"])
+    def test_memory_is_what_the_epochs_hold_and_two_tiles(self, operator):
+        # The experiment's 48x64 scenes.  The epochs hold each training scene's
+        # float64 samples and one-hot labels and its float32 offset field, and
+        # one float64 hidden and one float32 dhidden for all steps; an
+        # operator's tile and its plan take the rest.  Evaluating while the
+        # last step's arrays were still alive peaked at 6.6 MiB here.
+        h, w, c, classes, taps = 48, 64, 3, 3, 9
+        train = [generate_scene("corridor", h, w, seed=1000 + i) for i in range(2)]
+        evals = [generate_scene("corridor", h, w, seed=9000)]
+        cfg = TrainConfig(epochs=3, operator=operator)
+        train_toy(train, TrainConfig(epochs=1, operator=operator), evals)  # one-time allocations
+        tracemalloc.start()
+        try:
+            train_toy(train, cfg, evals)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        scene = (c * taps * 8 + classes * 8 + 2 * taps * 4) * h * w
+        held = len(train) * scene + cfg.hidden * h * w * (8 + 4)
+        bound = held + 2 * geometry._TILE_BYTES
+        assert peak < bound, f"peak {peak / 2**20:.2f} MiB, bound {bound / 2**20:.2f} MiB"
 
     def test_empty_scene_list_rejected(self):
         with pytest.raises(ConfigError):

@@ -540,6 +540,42 @@ class TestRowTiles:
             np.testing.assert_allclose(gx.data, gx_whole.data, rtol=2 * F32_UNIT, atol=1e-12)
 
     @pytest.mark.parametrize("h, w, spec", TILE_CASES)
+    def test_gathered_samples_keep_every_bit_for_any_tile(self, rng, monkeypatch, h, w, spec):
+        # five channels gather in parts of two, the last part short
+        oh, ow = spec.output_shape(h, w)
+        x = rand_feature(rng, 5, h, w)
+        field = kind_field(rng, "general", spec, h, w)
+        first = None
+        for rows in (1, 3, oh):
+            monkeypatch.setattr(geometry, "_TILE_BYTES", rows * 5 * spec.tap_count * ow * 8)
+            _, walk = _sample_rows((x, field, spec))
+            walked = np.concatenate([t.reshape(-1, r1 - r0, ow).copy() for r0, r1, t in walk], axis=1)
+            samples = gather_samples(x, field, spec)
+            assert samples.tobytes() == walked.tobytes()
+            first = first or samples.tobytes()
+            assert samples.tobytes() == first
+
+    @pytest.mark.parametrize("h, w, spec", TILE_CASES)
+    @pytest.mark.parametrize("co", [1, 3])
+    def test_gemm_into_given_buffers_keeps_every_bit(self, rng, monkeypatch, h, w, spec, co):
+        oh, ow = spec.output_shape(h, w)
+        x = rand_feature(rng, 2, h, w)
+        field = kind_field(rng, "general", spec, h, w)
+        samples = gather_samples(x, field, spec)
+        # a transposed weight matrix, as the toy head's backward passes it
+        w2 = rng.standard_normal((2 * spec.tap_count, co)).T
+        g = rng.standard_normal((co, oh, ow))
+        for rows in (1, 3, oh):
+            monkeypatch.setattr(geometry, "_TILE_BYTES", rows * 2 * spec.tap_count * ow * 8)
+            for src in ((x, field, spec), samples):
+                y, gw = _conv_gemm(src, w2, g)
+                # buffers that already hold other values, the tile buffer too long
+                out, buf = np.full(y.shape, np.nan, np.float32), np.full(co * oh * ow + 7, np.nan)
+                y2, gw2 = _conv_gemm(src, w2, g, out=out, buf=buf)
+                assert y2 is out and y2.tobytes() == y.tobytes()
+                assert gw2.tobytes() == gw.tobytes()
+
+    @pytest.mark.parametrize("h, w, spec", TILE_CASES)
     def test_pool_adds_taps_in_plan_order(self, monkeypatch, h, w, spec):
         # An integer field points the taps of every output pixel at four
         # pixels that hold 2**60, -2**60, 1 and 3, so channel 0 sums the
