@@ -18,7 +18,11 @@ Another row holds the tracemalloc peaks of the operators, which the host's
 load does not move: one child calls ``compute_offsets``, ``za_conv_forward``,
 ``za_avg_pool`` and ``za_conv_backward`` (with ``grad_x``) on a seeded
 corridor scene at each shape of ``PEAK_SHAPES``, 16 -> 16 channels, each
-operator on a fresh offset field.  A last row holds the ``VmHWM`` and the
+operator on a fresh offset field.  The next row holds the minor page
+faults per warm call of the same four calls at the same shapes, in one
+child (Linux): each operator's first call, untimed, walks its field and
+warms the heap, and the faults of ``FAULT_CALLS`` more are averaged.
+A last row holds the ``VmHWM`` and the
 minor page faults of one ``paired_toy_runs([TOY_SEED])`` after a warm one,
 in one child per script path length of ``TOY_PATH_LENGTHS`` (Linux): the
 faults follow the heap's layout, which the length of the child's argv moves.
@@ -50,6 +54,8 @@ HWM_SEED = 26
 PEAK_SHAPES = ((120, 160), (480, 640))
 PEAK_CHANNELS = 16
 PEAK_SEED = 27
+# The operator_faults row: warm calls of each operator per shape of PEAK_SHAPES.
+FAULT_CALLS = 5
 # The toy_run row: one child per length of the script path it runs from.
 TOY_PATH_LENGTHS = (1, 7, 22)
 TOY_SEED = 0
@@ -107,6 +113,39 @@ for h, w in shapes:
             peaks[name] = tracemalloc.get_traced_memory()[1] / 2**20
         finally:
             tracemalloc.stop()
+print(json.dumps(row))
+"""
+
+# each operator keeps its field, whose border statistics the warm-up call
+# caches, and every result is freed before the next call
+_FAULTS_CHILD = r"""
+import json, resource, sys
+import numpy as np
+from zacn import (ConvWeights, FeatureTensor, KernelSpec, compute_offsets, za_avg_pool,
+                  za_conv_backward, za_conv_forward)
+from zacn.harness import generate_scene
+shapes, c, seed, calls = json.loads(sys.argv[1]), int(sys.argv[2]), int(sys.argv[3]), int(sys.argv[4])
+spec = KernelSpec.same(3)
+row = {}
+for h, w in shapes:
+    scene = generate_scene("corridor", h, w, seed=seed, focal=519.0 * w / 640)
+    rng = np.random.default_rng(seed)
+    x, g = (FeatureTensor(rng.standard_normal((c, h, w)).astype(np.float32)) for _ in "xg")
+    wts = ConvWeights((rng.standard_normal((c, c, 3, 3)) * 0.1).astype(np.float32))
+    field, _ = compute_offsets(scene.depth, scene.intrinsics, spec, h, w)
+    ops = {
+        "compute_offsets": lambda: compute_offsets(scene.depth, scene.intrinsics, spec, h, w),
+        "za_conv_forward": lambda: za_conv_forward(x, wts, field, spec),
+        "za_avg_pool": lambda: za_avg_pool(x, field, spec),
+        "za_conv_backward": lambda: za_conv_backward(x, wts, field, spec, g),
+    }
+    faults = row[f"{h}x{w}"] = {}
+    for name, call in ops.items():
+        call()
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        for _ in range(calls):
+            call()
+        faults[name] = (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / calls
 print(json.dumps(row))
 """
 
@@ -204,6 +243,20 @@ def operator_peaks(shapes, channels: int) -> dict:
     return {"channels": channels, "seed": PEAK_SEED, "peaks_mib": json.loads(child.stdout)}
 
 
+def operator_faults(shapes, channels: int, calls: int) -> dict:
+    """The minor page faults per warm call of the offsets and of each adapted
+    operator in one child (Linux), per ``(h, w)`` of ``shapes``: a seeded
+    corridor scene, ``channels`` -> ``channels``, averaged over ``calls``
+    calls after an untimed one."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    child = subprocess.run([sys.executable, "-c", _FAULTS_CHILD, json.dumps(shapes), str(channels),
+                            str(PEAK_SEED), str(calls)],
+                           env=env, check=True, capture_output=True, text=True)
+    return {"channels": channels, "seed": PEAK_SEED, "calls": calls,
+            "faults_per_call": json.loads(child.stdout)}
+
+
 def toy_run(path_lengths, **settings) -> dict:
     """The ``VmHWM`` (MB) and minor faults of one warm ``paired_toy_runs([TOY_SEED],
     **settings)`` (Linux), in one child per length of ``path_lengths``, each
@@ -286,6 +339,7 @@ def main(argv: list[str]) -> int:
     history["env"]["uncommitted_changes"] = uncommitted_changes()
     history["offsets_vmhwm"] = offsets_hwm(*HWM_SHAPE, HWM_RUNS)
     history["operator_peaks"] = operator_peaks(PEAK_SHAPES, PEAK_CHANNELS)
+    history["operator_faults"] = operator_faults(PEAK_SHAPES, PEAK_CHANNELS, FAULT_CALLS)
     history["toy_run"] = toy_run(TOY_PATH_LENGTHS)
     out = Path(argv[0])
     out.write_text(json.dumps(history, indent=1) + "\n")
@@ -295,6 +349,9 @@ def main(argv: list[str]) -> int:
     for shape, peaks in history["operator_peaks"]["peaks_mib"].items():
         print(f"operator peaks at {shape}: "
               + ", ".join(f"{name} {mib:.1f} MiB" for name, mib in peaks.items()))
+    for shape, faults in history["operator_faults"]["faults_per_call"].items():
+        print(f"operator minor faults per warm call at {shape}: "
+              + ", ".join(f"{name} {n:.0f}" for name, n in faults.items()))
     for run in history["toy_run"]["runs"]:
         print(f"toy run from a script path of {run['path_length']} characters: "
               f"VmHWM {run['vmhwm_mb']:.2f} MB, {run['minor_faults']} minor faults")

@@ -209,15 +209,20 @@ def _back_project(u, v, z, K: CameraIntrinsics):
     return (u - K.cu) * z / K.fu, (v - K.cv) * z / K.fv, z
 
 
-def _plane_normals(dx: np.ndarray, dy: np.ndarray, dz: np.ndarray):
-    """Batch form of :func:`fit_plane` over ``(n, h, w)`` neighborhoods.
-
-    ``dx``, ``dy``, ``dz`` hold ``Pi - P0``, excluded points set to zero.
-    Returns the normal's components ``(n1, n2, n3)``, each ``(h, w)``, and
-    the mask of collinear or single-point neighborhoods.
-    """
-    sums = [np.einsum("nhw,nhw->hw", a, b)
+def _scatter_sums(dx: np.ndarray, dy: np.ndarray, dz: np.ndarray) -> list[np.ndarray]:
+    """The scatter matrices of ``(n, h, w)`` neighborhoods whose points
+    ``Pi - P0`` are ``dx``, ``dy``, ``dz``, excluded points set to zero: their
+    six distinct entries ``(xx, yy, zz, xy, xz, yz)``, each ``(h, w)``."""
+    return [np.einsum("nhw,nhw->hw", a, b)
             for a, b in ((dx, dx), (dy, dy), (dz, dz), (dx, dy), (dx, dz), (dy, dz))]
+
+
+def _plane_normals(*sums: np.ndarray):
+    """Batch form of :func:`fit_plane` from the six :func:`_scatter_sums` of
+    each neighborhood, so that its points can be freed before the solve.
+    Returns the normal's components ``(n1, n2, n3)``, each of the sums'
+    shape, and the mask of collinear or single-point neighborhoods.
+    """
     (_, lam_mid, lam_max), normal = _smallest_eigenpair_sym3(*sums)
     return normal, (lam_max <= 0.0) | (lam_mid <= _RANK_TOL * lam_max)
 
@@ -235,23 +240,33 @@ def _smallest_eigenpair_sym3(a00, a11, a22, a01, a02, a12):
     ``S - lam*I``, which is exact for the fronto-parallel (block-diagonal)
     case.
     """
+    # Each temporary is freed, or overwritten in place, once its last use
+    # is done; every value is computed by the same operations in the same
+    # order as the written-out formulas in the comments.
     q = (a00 + a11 + a22) / 3.0
     b00 = a00 - q
     b11 = a11 - q
     b22 = a22 - q
-    p2 = b00 * b00 + b11 * b11 + b22 * b22 + 2.0 * (a01 * a01 + a02 * a02 + a12 * a12)
-    p = np.sqrt(p2 / 6.0)
-    psafe = np.where(p > 0.0, p, 1.0)
+    # p = sqrt((b00^2 + b11^2 + b22^2 + 2 (a01^2 + a02^2 + a12^2)) / 6)
+    p = b00 * b00 + b11 * b11 + b22 * b22 + 2.0 * (a01 * a01 + a02 * a02 + a12 * a12)
+    np.sqrt(np.divide(p, 6.0, out=p), out=p)
     det = (
         b00 * (b11 * b22 - a12 * a12)
         - a01 * (a01 * b22 - a12 * a02)
         + a02 * (a01 * a12 - b11 * a02)
     )
-    r = np.clip(det / (2.0 * psafe**3), -1.0, 1.0)
-    phi = np.arccos(r) / 3.0
+    del b00, b11, b22
+    # phi = arccos(clip(det / (2 psafe^3), -1, 1)) / 3, psafe = p or 1 where p is 0
+    psafe = np.where(p > 0.0, p, 1.0)
+    np.multiply(2.0, np.power(psafe, 3, out=psafe), out=psafe)
+    phi = np.divide(det, psafe, out=det)
+    del psafe
+    np.divide(np.arccos(np.clip(phi, -1.0, 1.0, out=phi), out=phi), 3.0, out=phi)
     lam_max = q + 2.0 * p * np.cos(phi)
     lam_min = q + 2.0 * p * np.cos(phi + 2.0 * np.pi / 3.0)
+    del phi, p
     lam_mid = 3.0 * q - lam_max - lam_min
+    del q
 
     # Rows of S - lam_min*I; the eigenvector is orthogonal to all of them.
     # Component by component: each cross product in np.cross's expression
@@ -269,21 +284,32 @@ def _smallest_eigenpair_sym3(a00, a11, a22, a01, a02, a12):
             v, best = c, norm2
         else:
             take = norm2 > best  # the first maximum wins, as in argmax
-            v = tuple(np.where(take, cn, vn) for cn, vn in zip(c, v))
-            best = np.maximum(best, norm2)
+            for vn, cn in zip(v, c):
+                np.copyto(vn, cn, where=take)
+            np.maximum(best, norm2, out=best)
+        del c, norm2
+    del r0, r1, r2
 
     # Isotropic or rank-deficient: no informative cross product; fall back
     # to the deterministic convention (callers flag these via eigenvalues).
-    usable = best > 0.0
-    vx = np.where(usable, v[0], 0.0)
-    vy = np.where(usable, v[1], 0.0)
-    vz = np.where(usable, v[2], 1.0)
+    unusable = ~(best > 0.0)
+    vx, vy, vz = v
+    del v, best
+    np.copyto(vx, 0.0, where=unusable)
+    np.copyto(vy, 0.0, where=unusable)
+    np.copyto(vz, 1.0, where=unusable)
     norm = np.sqrt((vx * vx + vy * vy) + vz * vz)
-    vx, vy, vz = vx / norm, vy / norm, vz / norm
+    vx /= norm
+    vy /= norm
+    vz /= norm
+    del norm
 
     sign = np.select([np.abs(vz) > _SIGN_TOL, np.abs(vx) > _SIGN_TOL, np.abs(vy) > _SIGN_TOL],
                      [np.sign(vz), np.sign(vx), np.sign(vy)], 1.0)
-    return (lam_min, lam_mid, lam_max), (vx * sign, vy * sign, vz * sign)
+    vx *= sign
+    vy *= sign
+    vz *= sign
+    return (lam_min, lam_mid, lam_max), (vx, vy, vz)
 
 
 def _plane_basis(n1, n2, n3):
@@ -325,9 +351,19 @@ def _plane_grid(ru, rv, x_axis, y_axis, spec: KernelSpec, K: CameraIntrinsics):
     return tx, ty, tz
 
 
-def _project(x, y, z, K: CameraIntrinsics):
-    """Fractional pixel ``(u, v)`` of camera-frame points ``(x, y, z)``."""
-    return K.fu * x / z + K.cu, K.fv * y / z + K.cv
+def _project(x, y, z, K: CameraIntrinsics, out=None):
+    """Fractional pixel ``(u, v)`` of camera-frame points ``(x, y, z)``.
+    ``out``, two float64 arrays of the full shape that may be ``x`` and
+    ``z`` themselves, takes ``u`` and ``v`` in place, with the same bits."""
+    if out is None:
+        return K.fu * x / z + K.cu, K.fv * y / z + K.cv
+    u, v = out
+    np.multiply(K.fu, x, out=u)  # u is written before v, so z still holds z
+    np.divide(u, z, out=u)
+    np.add(u, K.cu, out=u)
+    np.divide(K.fv * y, z, out=v)
+    np.add(v, K.cv, out=v)
+    return u, v
 
 
 def back_project(u: float, v: float, z: float, K: CameraIntrinsics) -> np.ndarray:
@@ -375,7 +411,7 @@ def fit_plane(points, center) -> np.ndarray:
             f"plane fit needs >= 3 valid points, got {pts.shape[0]}"
         )
     d = (pts - center).T[:, :, None, None]
-    normal, rank_deficient = _plane_normals(d[0], d[1], d[2])
+    normal, rank_deficient = _plane_normals(*_scatter_sums(d[0], d[1], d[2]))
     if rank_deficient[0, 0]:
         raise DegenerateNeighborhoodError("neighborhood is collinear or a single point")
     return np.array([c[0, 0] for c in normal])
@@ -452,12 +488,14 @@ def _offset_block(
         for a in (px, py, z):
             np.subtract(a, a[center_tap], out=a)
             np.copyto(a, 0.0, where=invalid)
-        normal, rank_deficient = _plane_normals(px, py, z)
-        del px, py, z, invalid
+        sums = _scatter_sums(px, py, z)
+        del px, py, z, invalid  # the solve needs only the sums
+        normal, rank_deficient = _plane_normals(*sums)
+        del sums
         x_axis, y_axis, fallback = _plane_basis(*normal)
         tx, ty, tz = _plane_grid(ru, rv, x_axis, y_axis, spec, K)
         behind = ~((tz > 0.0) & np.isfinite(tz)).all(axis=(0, 1))  # grid behind the camera
-        proj_u, proj_v = _project(tx, ty, tz, K)
+        proj_u, proj_v = _project(tx, ty, tz, K, out=(tx, tz))
         del tx, ty, tz
 
         # each pixel counts under the first cause that holds

@@ -16,14 +16,18 @@ off the image) of the neighbor slots that carry weight in the tile; slot
 image.  The field caches only the border statistics of :class:`OpSummary`.
 
 One walker, :func:`_sample_rows`, gathers the samples a row tile at a
-time: each convolution contraction is one float64 matmul over the joint
-``ci*taps`` axis per tile (:func:`_conv_gemm`), and pooling sums each
-tile's taps in order.  Backward scatters the input gradient through each
-tile's weights, in row tiles that fit four slots' weights.  Sums are
-float64; outputs are rounded once into the float32 arrays that the
-results adopt.  :func:`gather_samples` returns the all-tap samples, which
-forward and backward accept as ``samples`` in place of their own gather,
-with the same bits, so training over a fixed field gathers once.
+time from a float64 band of the input rows that the tile reaches, so no
+call holds a float64 copy of the whole input (a walk whose bands add up to
+many image heights reads one whole-image copy instead): each convolution
+contraction is one float64 matmul over the joint ``ci*taps`` axis per tile
+(:func:`_conv_gemm`), and pooling sums each tile's taps in order.  Backward
+converts ``grad_out`` to float64 a tile at a time and scatters the input
+gradient through each tile's weights, in row tiles that fit four slots'
+weights.  Sums are float64; outputs are rounded once into the float32
+arrays that the results adopt.  :func:`gather_samples` returns the all-tap
+samples, which forward and backward accept as ``samples`` in place of
+their own gather, with the same bits, so training over a fixed field
+gathers once.
 
 The tiles depend only on the shapes and each scatter is a sequential
 bincount, so outputs are bit-identical across runs and across BLAS thread
@@ -191,6 +195,15 @@ def _plans(x: FeatureTensor, offsets: OffsetField, spec: KernelSpec, tiles):
         offsets._summaries[key] = OpSummary(counts[0], counts[1] / (spec.tap_count * oh * ow))
 
 
+# A walk whose bands have converted more input rows than this many image
+# heights converts the whole image once, the widest band, and reads it for
+# the rest of the walk: a field whose taps reach across the image then costs
+# at most this many whole-image conversions more, not one a tile.  With 16
+# channels, a corridor field's bands add up to 2.1 heights at 120x160 and
+# 6.5 at 480x640 (one-row tiles).
+_BAND_HEIGHTS = 16
+
+
 def _summary(x: FeatureTensor, offsets: OffsetField, spec: KernelSpec) -> OpSummary:
     """The border statistics of ``offsets`` under ``spec`` on ``x``, walked once."""
     key = (spec, x.height, x.width)
@@ -210,25 +223,58 @@ def _sample_rows(src, out=None):
     into a buffer that the next tile overwrites, a quarter of the channels
     at a time so that the gather's scratch is a quarter tile, or into the
     rows of ``out``, a float64 ``(ci, taps, oh, ow)`` array, if given.
-    (Tiles of half the rows slowed the toy training's small matmuls.)"""
+    (Tiles of half the rows slowed the toy training's small matmuls.)
+
+    A gather reads a float64 band of the input: the rows that the tile's
+    weighted neighbors can lie in, converted into one buffer that later
+    tiles reuse.  Once the walk has converted more than ``_BAND_HEIGHTS``
+    image heights, it converts the whole image, the widest band, once and
+    reads it for every later tile."""
     x, offsets, spec = src if isinstance(src, tuple) else (None, None, None)
     *lead, oh, ow = src.shape if x is None else (x.channels, spec.tap_count, *offsets.data.shape[1:])
     k = math.prod(lead)
     tiles = geometry._row_tiles(oh, k * ow * 8)
 
     def gather():
-        data = x.data.astype(np.float64).reshape(x.channels, -1)
-        cc = -(-x.channels // 4)  # channels per part
+        c, h, w = x.data.shape
+        image = x.data.reshape(c, -1)
+        band, data = np.empty(0), np.empty((c, 0))  # data: the band's rows, as (c, n)
+        rows, converted = (0, 0), 0  # the input rows in data; the rows converted so far
+        cc = -(-c // 4)  # channels per part
         tile = np.empty(k * tiles[0][1] * ow) if out is None else None
         tmp = np.empty(spec.tap_count * tiles[0][1] * ow * cc)  # one part's samples
         for r0, r1, (base, steps, wgt) in _plans(x, offsets, spec, tiles):
+            if steps and rows != (0, h):  # a band of the whole image serves every tile
+                # every weighted neighbor lies in rows base.min() // w through
+                # (base.max() + w + 1) // w, so its index into the band is exact
+                lo = min(max(int(base.min()) // w, 0), h - 1)
+                rows = (lo, max(lo + 1, min((int(base.max()) + w + 1) // w + 1, h)))
+                converted += rows[1] - rows[0]
+                if converted > _BAND_HEIGHTS * h:
+                    rows = (0, h)
+                n = c * (rows[1] - rows[0]) * w
+                band = band if band.size >= n else np.empty(n)
+                data = band[:n].reshape(c, -1)
+                np.copyto(data, image[:, rows[0] * w:rows[1] * w])
             t = (tile[:k * (r1 - r0) * ow].reshape(*lead, r1 - r0, ow) if out is None
                  else out[..., r0:r1, :])
-            _bilinear_gather(data, base, steps, wgt, t, tmp[:cc * base.size])
+            _bilinear_gather(data, base, steps, wgt, t, tmp[:cc * base.size], rows[0] * w)
             yield r0, r1, t.reshape(k, -1)  # a view: only the rows are a slice
 
     views = ((r0, r1, src[..., r0:r1, :].reshape(k, -1)) for r0, r1 in tiles)
     return (k, oh, ow, tiles[0][1]), views if x is None else gather()
+
+
+def _rows64(a: np.ndarray, r0: int, r1: int, buf: np.ndarray | None) -> np.ndarray:
+    """The rows ``r0:r1`` of an ``(n, oh, ow)`` array as float64 ``(n, (r1 -
+    r0) * ow)``: a view of a float64 ``a``, else converted into the flat
+    float64 ``buf``, which the next call overwrites."""
+    rows = a[:, r0:r1].reshape(len(a), -1)
+    if a.dtype == np.float64:
+        return rows
+    out = buf[:rows.size].reshape(rows.shape)
+    np.copyto(out, rows)
+    return out
 
 
 def _conv_gemm(src, w2=None, g=None, out=None, buf=None):
@@ -236,8 +282,9 @@ def _conv_gemm(src, w2=None, g=None, out=None, buf=None):
     over its joint ``k = ci*taps`` axis.  Returns ``(out, grad_w)``: for
     ``w2`` ``(co, k)`` the float32 ``(co, oh, ow)`` output ``w2 @ samples``,
     each tile summed in one reused float64 buffer and rounded once; for
-    ``g`` ``(co, oh, ow)`` the float64 ``(co, k)`` weight gradient ``g @
-    samples.T``, summed over the tiles in order; ``out`` and a flat ``buf``
+    ``g`` ``(co, oh, ow)``, float32 or float64, the float64 ``(co, k)``
+    weight gradient ``g @ samples.T``, summed over the tiles in order, each
+    tile of a float32 ``g`` converted as it comes; ``out`` and a flat ``buf``
     of ``co`` tiles' pixels or more replace the output and the tile buffer.
     The tiles and the matmul shapes depend only on the shapes, so either
     source, and any buffers, give the same bits."""
@@ -245,6 +292,7 @@ def _conv_gemm(src, w2=None, g=None, out=None, buf=None):
     buf = np.empty(len(w2) * rows * ow) if buf is None and w2 is not None else buf
     out = np.empty((len(w2), oh, ow), np.float32) if out is None and w2 is not None else out
     grad_w = None if g is None else np.zeros((len(g), k))
+    gbuf = None if g is None or g.dtype == np.float64 else np.empty(len(g) * rows * ow)
     for r0, r1, t in walk:
         if out is not None:
             # one output row makes a gemv, whose bits follow the tile's strides
@@ -253,7 +301,7 @@ def _conv_gemm(src, w2=None, g=None, out=None, buf=None):
             with np.errstate(over="ignore"):  # FeatureTensor rejects a float32 inf
                 out[:, r0:r1] = y.reshape(len(w2), r1 - r0, ow)
         if grad_w is not None:
-            grad_w += g[:, r0:r1].reshape(len(g), -1) @ t.T
+            grad_w += _rows64(g, r0, r1, gbuf) @ t.T
     return out, grad_w
 
 
@@ -336,17 +384,27 @@ def za_conv_backward(
     want = (w.out_channels, offsets.height, offsets.width)
     if grad_out.data.shape != want:
         raise ConfigError(f"grad_out shape {grad_out.data.shape} does not match output {want}")
-    g = grad_out.data.astype(np.float64)
+    g = grad_out.data
     grad_w = ConvWeights(_conv_gemm(src, g=g)[1].reshape(w.data.shape))
     if not need_grad_x:
         return None, grad_w
-    # The input gradient, summed tile by tile in float64 and rounded once.  The
-    # tiles fit four slots' weights whatever a tile keeps, so that its indices
-    # and contributions fit a tile and the sums' order does not follow the trim.
+    with np.errstate(over="ignore"):  # FeatureTensor rejects a float32 inf
+        grad_x = _scatter_grad_x(x, w, offsets, spec, g).astype(np.float32)
+    return FeatureTensor(_Owned(grad_x.reshape(x.data.shape))), grad_w
+
+
+def _scatter_grad_x(x: FeatureTensor, w: ConvWeights, offsets: OffsetField, spec: KernelSpec,
+                    g: np.ndarray) -> np.ndarray:
+    """The float64 ``(ci, H*W)`` input-gradient sums of float32 ``grad_out``
+    ``g``, scattered a row tile at a time.  The tiles fit four slots' weights
+    whatever a tile keeps, so that its indices and contributions fit a tile
+    and the sums' order does not follow the trim; each tile of ``g`` is
+    converted to float64 as it comes."""
     acc = np.zeros((x.channels, x.height * x.width))
     taps = spec.tap_count
     w3 = w.data.astype(np.float64).reshape(len(g), x.channels, taps).transpose(1, 2, 0)
     tiles = geometry._row_tiles(offsets.height, 4 * taps * offsets.width * 8)
+    gbuf = np.empty(len(g) * (tiles[0][1] - tiles[0][0]) * offsets.width)
     for r0, r1, (base, steps, wgt) in _plans(x, offsets, spec, tiles):
         if not steps:  # no sample of these rows reaches the image
             continue
@@ -357,15 +415,13 @@ def za_conv_backward(
         np.clip(idx, 0, acc.shape[1] - 1, out=idx)
         lo = idx.min()  # each bincount spans only the bins that the tile reaches
         idx -= lo
-        gt = g[:, r0:r1].reshape(len(g), -1)
+        gt = _rows64(g, r0, r1, gbuf)
         contrib = np.empty_like(wgt)
         for i in range(x.channels):
             np.multiply(w3[i] @ gt, wgt, out=contrib)  # channel i's per-tap gradient
             b = np.bincount(idx.ravel(), weights=contrib.ravel())
             acc[i, lo:lo + len(b)] += b
-    with np.errstate(over="ignore"):  # FeatureTensor rejects a float32 inf
-        grad_x = acc.astype(np.float32).reshape(x.data.shape)
-    return FeatureTensor(_Owned(grad_x)), grad_w
+    return acc
 
 
 def standard_avg_pool(x: FeatureTensor, spec: KernelSpec) -> FeatureTensor:

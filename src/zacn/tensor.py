@@ -194,24 +194,28 @@ def _bilinear_gather(
     wgt,
     out: np.ndarray | None = None,
     tmp: np.ndarray | None = None,
+    start: int = 0,
 ) -> np.ndarray:
     """Zero-padded bilinear samples through a plan of up to 4 neighbors.
 
-    ``data`` is float64 ``(C, H*W)``; ``base`` and ``wgt`` come from
-    :func:`_bilinear_scatter_weights`, ``steps`` from
-    :func:`_neighbor_steps`, possibly without the neighbor slots that carry
-    no weight: slot ``k`` reads ``data`` at ``base + steps[k]``, clipped
-    onto the grid, with weight ``wgt[k]``.  Returns float64 samples of
+    ``data`` is a float64 band of whole rows of the ``(C, H*W)`` grid,
+    ``(C, n)``, whose first element is the grid's flat index ``start``: the
+    whole grid, or only the rows that the plan's weighted neighbors lie in.
+    ``base`` and ``wgt`` come from :func:`_bilinear_scatter_weights`,
+    ``steps`` from :func:`_neighbor_steps`, possibly without the neighbor
+    slots that carry no weight: slot ``k`` reads the band at ``base +
+    steps[k] - start``, clipped onto the band, with weight ``wgt[k]``.
+    Returns float64 samples of
     shape ``(C,) + base.shape``, summed over the neighbors in plan order.
     ``out``, if given, is a float64 buffer of that shape and ``tmp`` one of
     the samples of some ``cc`` channels; the gather overwrites both, reading
     ``cc`` channels at a time, so that a loop over row tiles allocates only
     its indices per slot; ``out`` is returned.
 
-    The index of a neighbor on the image is exact.  One off the image has
-    weight +0.0, so whichever element its clipped index reads adds a
-    signed zero to an accumulator that starts at +0.0 and so never
-    becomes -0.0: no bit depends on that element.
+    The index of a neighbor on the image is exact, as long as the band
+    holds its row.  One off the image has weight +0.0, so whichever element
+    its clipped index reads adds a signed zero to an accumulator that
+    starts at +0.0 and so never becomes -0.0: no bit depends on that element.
     """
     shape = (data.shape[0],) + base.shape
     out = np.empty(shape, dtype=np.float64) if out is None else out
@@ -220,7 +224,7 @@ def _bilinear_gather(
     idx = np.empty(base.shape, dtype=np.intp)
     out.fill(0.0)
     for step, w in zip(steps, wgt):
-        np.add(base, step, out=idx)
+        np.add(base, step - start, out=idx)
         for c0 in range(0, data.shape[0], cc):
             part = out[c0:c0 + cc]
             t = tmp.reshape(-1)[:part.size].reshape(part.shape)

@@ -144,6 +144,70 @@ def naive_za_pool(x: np.ndarray, off: np.ndarray, size, dilation, stride, paddin
     return out
 
 
+def whole_image_ops(x: np.ndarray, w: np.ndarray, off: np.ndarray, g: np.ndarray,
+                    size, dilation, stride, padding, gemm_tiles, scatter_tiles) -> dict:
+    """The adapted operators computed from whole-image float64 copies of the
+    float32 input ``x`` and output gradient ``g``: the reference that the
+    library's bands and per-tile conversions must match byte for byte.
+
+    The samples come from one float64 copy of ``x`` through the plan of
+    :func:`masked_bilinear_weights` over all taps and pixels at once, the
+    four neighbor slots summed in order (a slot without weight adds only
+    signed zeros).  The contractions run over the library's row tiles,
+    ``gemm_tiles`` for the convolution and its weight gradient and
+    ``scatter_tiles`` for the input gradient, as one matmul per tile and one
+    ``bincount`` per tile and channel, since their shapes set the bits.
+    Returns ``samples``, ``forward``, ``pool``, ``grad_x``, ``grad_w``
+    (float32 but for the samples), ``degenerate_pixels`` and
+    ``oob_sample_fraction``.
+    """
+    ci, h, wd = x.shape
+    co, taps, (oh, ow) = w.shape[0], size * size, off.shape[1:]
+    i, j = np.divmod(np.arange(taps)[:, None, None], size)
+    v = (np.arange(oh)[:, None] * stride - padding + dilation * i) + off[0::2].astype(np.float64)
+    u = (np.arange(ow) * stride - padding + dilation * j) + off[1::2].astype(np.float64)
+    inside = (u >= 0) & (u <= wd - 1) & (v >= 0) & (v <= h - 1)
+    wholly_off = (u <= -1) | (u >= wd) | (v <= -1) | (v >= h)
+    base, wgt = masked_bilinear_weights(h, wd, u, v)
+    steps = (0, 1, wd, wd + 1)
+    x64, g64 = x.astype(np.float64).reshape(ci, -1), g.astype(np.float64)
+    samples = np.zeros((ci, taps, oh, ow))
+    for step, wk in zip(steps, wgt):
+        samples += np.take(x64, base + step, axis=1, mode="clip") * wk
+
+    k = ci * taps
+    w2 = w.astype(np.float64).reshape(co, k)
+    forward = np.empty((co, oh, ow), np.float32)
+    grad_w = np.zeros((co, k))
+    for r0, r1 in gemm_tiles:
+        t = np.ascontiguousarray(samples[:, :, r0:r1].reshape(k, -1))
+        forward[:, r0:r1] = (w2 @ t).reshape(co, r1 - r0, ow)
+        grad_w += g64[:, r0:r1].reshape(co, -1) @ t.T
+    pool = np.zeros((ci, oh, ow))
+    for n in range(taps):
+        pool += samples[:, n]
+
+    acc = np.zeros((ci, h * wd))
+    w3 = w2.reshape(co, ci, taps).transpose(1, 2, 0)
+    for r0, r1 in scatter_tiles:
+        idx = np.add.outer(np.array(steps), base[:, r0:r1].reshape(taps, -1))
+        np.clip(idx, 0, h * wd - 1, out=idx)
+        tile_wgt = wgt[:, :, r0:r1].reshape(4, taps, -1)
+        gt = g64[:, r0:r1].reshape(co, -1)
+        for c in range(ci):
+            contrib = (w3[c] @ gt) * tile_wgt
+            acc[c] += np.bincount(idx.ravel(), weights=contrib.ravel(), minlength=h * wd)
+    return {
+        "samples": samples,
+        "forward": forward,
+        "pool": (pool / taps).astype(np.float32),
+        "grad_x": acc.astype(np.float32).reshape(x.shape),
+        "grad_w": grad_w.astype(np.float32).reshape(w.shape),
+        "degenerate_pixels": int(np.count_nonzero(wholly_off.any(axis=0))),
+        "oob_sample_fraction": (inside.size - int(np.count_nonzero(inside))) / inside.size,
+    }
+
+
 def plane_residual(normal, points, center) -> float:
     """Summed squared point-plane distances for a unit normal."""
     d = np.asarray(points, dtype=np.float64) - np.asarray(center, dtype=np.float64)

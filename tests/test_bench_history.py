@@ -142,6 +142,15 @@ def test_operator_peaks_row(history):
     assert all(large[name] > small[name] for name in small)
 
 
+def test_operator_faults_row(history):
+    row = history.operator_faults([[16, 24], [48, 64]], channels=2, calls=2)
+    assert (row["channels"], row["seed"], row["calls"]) == (2, history.PEAK_SEED, 2)
+    assert list(row["faults_per_call"]) == ["16x24", "48x64"]
+    for faults in row["faults_per_call"].values():
+        assert list(faults) == ["compute_offsets", "za_conv_forward", "za_avg_pool", "za_conv_backward"]
+        assert all(n >= 0 for n in faults.values())
+
+
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="VmHWM is read from /proc")
 def test_toy_run_row(history):
     row = history.toy_run([1, 5], epochs=2)

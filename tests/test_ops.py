@@ -27,7 +27,7 @@ from zacn.tensor import _bilinear_scatter_weights, _neighbor_steps
 
 from conftest import rand_feature, rand_offsets, rand_weights
 from oracles import (masked_bilinear_weights, naive_standard_conv, naive_za_conv,
-                     naive_za_conv_backward, naive_za_pool)
+                     naive_za_conv_backward, naive_za_pool, whole_image_ops)
 
 
 class TestStandardConv:
@@ -604,74 +604,72 @@ class TestRowTiles:
             monkeypatch.setattr(geometry, "_TILE_BYTES", rows * 2 * spec.tap_count * ow * 8)
             assert za_avg_pool(x, field, spec)[0].data.tobytes() == want.tobytes()
 
-    def test_forward_memory_is_tiled(self, rng):
-        # 480x640, 16 -> 16 channels, on a field of four neighbor slots that
-        # no call has used: the float32 output, the float64 copy of the input
-        # and a few tiles, with their plans.  Gathering all 9 taps at once
-        # would take 338 MiB, a float64 output copied to float32 at the end
-        # another 37.5 MiB, and a whole-image plan 95 MiB.
-        spec = KernelSpec.same(3)
-        x, wts = rand_feature(rng, 16, 480, 640), rand_weights(rng, 16, 16, 3)
-        field = kind_field(rng, "general", spec, 480, 640)
+    # 240x320, 16 -> 16 channels: the operators' largest arrays are their
+    # results, and they read the input through bands of the rows that a tile
+    # reaches, so no whole-image float64 copy of the input or of grad_out
+    # (9.4 MiB each) fits under these bounds.
+    PEAK_SHAPE = (16, 240, 320)
+
+    @staticmethod
+    def _peak(call):
         tracemalloc.start()
         try:
-            y, _ = za_conv_forward(x, wts, field, spec)
-            _, peak = tracemalloc.get_traced_memory()
+            result = call()
+            return result, tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        in64, out32 = 16 * 480 * 640 * 8, 16 * 480 * 640 * 4
-        assert y.data.shape == (16, 480, 640)
-        assert peak < in64 + out32 + 4 * geometry._TILE_BYTES, f"peak {peak / 2**20:.1f} MiB"
+
+    def test_forward_memory_is_tiled(self, rng):
+        # On a field of four neighbor slots that no call has used: the
+        # float32 output and a few tiles, with their plans and bands.
+        # Gathering all 9 taps at once would take 84 MiB, a float64 output
+        # copied to float32 at the end another 9.4 MiB, and a whole-image
+        # plan 24 MiB.
+        spec = KernelSpec.same(3)
+        c, h, w = self.PEAK_SHAPE
+        x, wts = rand_feature(rng, c, h, w), rand_weights(rng, c, c, 3)
+        field = kind_field(rng, "general", spec, h, w)
+        (y, _), peak = self._peak(lambda: za_conv_forward(x, wts, field, spec))
+        assert y.data.shape == (c, h, w)
+        assert peak < y.data.nbytes + 4 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
     def test_pool_memory_is_tiled(self, rng):
-        # as for the forward: the float32 output, the float64 copy of the
-        # input and a few tiles with their plans; whole-image sample and
-        # temporary buffers per tap would take 169 MiB
+        # as for the forward; whole-image sample and temporary buffers per
+        # tap would take 42 MiB
         spec = KernelSpec.same(3)
-        x = rand_feature(rng, 16, 480, 640)
-        field = kind_field(rng, "general", spec, 480, 640)
-        tracemalloc.start()
-        try:
-            y, _ = za_avg_pool(x, field, spec)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        in64, out32 = 16 * 480 * 640 * 8, 16 * 480 * 640 * 4
-        assert y.data.shape == (16, 480, 640)
-        assert peak < in64 + out32 + 4 * geometry._TILE_BYTES, f"peak {peak / 2**20:.1f} MiB"
+        c, h, w = self.PEAK_SHAPE
+        x = rand_feature(rng, c, h, w)
+        field = kind_field(rng, "general", spec, h, w)
+        (y, _), peak = self._peak(lambda: za_avg_pool(x, field, spec))
+        assert y.data.shape == (c, h, w)
+        assert peak < y.data.nbytes + 4 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
     @pytest.mark.parametrize("kind", ["integer", "general"])
     def test_backward_memory_holds_no_float64_grad_x(self, rng, kind):
-        # 480x640, 4 -> 4 channels, fields of one and of four neighbor slots
-        # that no call has used: the float64 copies of the input and of
-        # grad_out, the float64 input-gradient sums, the float32 grad_x and a
-        # few tiles with their plans (36.8 MiB).  Whole-image per-tap
-        # gradients, indices and contributions made the peak 134 MiB on the
-        # integer field and 260 MiB on the general one, and a whole-image
-        # plan takes 95 MiB on the general one.
+        # Fields of one and of four neighbor slots that no call has used: the
+        # float64 input-gradient sums, the float32 grad_x and a few tiles
+        # with their plans, bands and converted rows of grad_out.  Whole-image
+        # per-tap gradients, indices and contributions made the peak several
+        # times larger, and a whole-image plan takes 24 MiB on the general one.
         spec = KernelSpec.same(3)
-        x, g = rand_feature(rng, 4, 480, 640), rand_feature(rng, 4, 480, 640)
-        wts = rand_weights(rng, 4, 4, 3)
-        field = kind_field(rng, kind, spec, 480, 640)
-        tracemalloc.start()
-        try:
-            gx, _ = za_conv_backward(x, wts, field, spec, g)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        in64 = g64 = acc64 = 4 * 480 * 640 * 8
-        bound = in64 + g64 + acc64 + gx.data.nbytes + 4 * geometry._TILE_BYTES
-        assert gx.data.shape == (4, 480, 640)
+        c, h, w = self.PEAK_SHAPE
+        x, g = rand_feature(rng, c, h, w), rand_feature(rng, c, h, w)
+        wts = rand_weights(rng, c, c, 3)
+        field = kind_field(rng, kind, spec, h, w)
+        (gx, _), peak = self._peak(lambda: za_conv_backward(x, wts, field, spec, g))
+        acc64 = c * h * w * 8
+        bound = acc64 + gx.data.nbytes + 4 * 2**20
+        assert gx.data.shape == (c, h, w)
         assert peak < bound, f"peak {peak / 2**20:.1f} MiB, bound {bound / 2**20:.1f} MiB"
 
     def test_infer_item_memory(self, rng):
         # one item of the benchmark's inference loop at 120x160, 16 -> 16
         # channels: offsets, adapted conv, ReLU and adapted pooling.  The
         # bound is the pool's: the offset field, five float32 maps (input,
-        # conv, ReLU, its copy, pool), the pool's float64 input copy and a few
-        # tiles with their plans.  Whole-image float64 outputs and 64-byte
-        # plan samples made the peak 22 MiB, and a cached whole-image plan of
-        # 36 bytes a sample another 6.2 MiB.
+        # conv, ReLU, its copy, pool) and a few tiles with their plans and
+        # bands.  Whole-image float64 outputs and 64-byte plan samples made
+        # the peak 22 MiB, a cached whole-image plan of 36 bytes a sample
+        # another 6.2 MiB, and a float64 copy of the pool's input 2.3 MiB.
         h, w, c = 120, 160, 16
         spec = KernelSpec.same(3)
         scene = generate_scene("corridor", h, w, seed=0, focal=519.0 / 4)
@@ -687,8 +685,90 @@ class TestRowTiles:
         finally:
             tracemalloc.stop()
         assert len(whole_plan(hidden, field, spec)[2]) == 4  # the corridor's offsets are fractional
-        bound = field.data.nbytes + 5 * c * h * w * 4 + c * h * w * 8 + 2 * geometry._TILE_BYTES
+        bound = field.data.nbytes + 5 * c * h * w * 4 + 2 * geometry._TILE_BYTES
         assert peak < bound, f"peak {peak / 2**20:.1f} MiB, bound {bound / 2**20:.1f} MiB"
+
+
+def band_field(rng, kind, spec, h, w):
+    """A general field whose taps reach far: ``reach`` sends tap 0 anywhere
+    between the first and the last row, so every band is the whole image;
+    ``wide`` sends it up to a quarter of the height, so each band is about
+    half the image; ``off-image`` sends two taps 1e13 px off the image."""
+    oh, ow = spec.output_shape(h, w)
+    off = rng.uniform(-2.0, 2.0, (2 * spec.tap_count, oh, ow))
+    if kind == "reach":
+        off[0] = rng.uniform(-h, h, (oh, ow))
+    elif kind == "wide":
+        off[0] = rng.uniform(-h / 4, h / 4, (oh, ow))
+    elif kind == "off-image":
+        off[3, ::2] = 1e13  # dx of tap 1
+        off[2 * spec.tap_count - 2, 1::2] = -1e13  # dy of the last tap
+    return OffsetField(off.astype(np.float32))
+
+
+class TestBands:
+    """Each row tile gathers from a float64 band of the input rows that its
+    plan reaches, and backward converts ``grad_out`` a tile at a time: every
+    output keeps the bits of whole-image float64 copies."""
+
+    @pytest.mark.parametrize("kind", ["reach", "wide", "off-image"])
+    @pytest.mark.parametrize("spec", [KernelSpec.same(3), KernelSpec(5, 2, 2, 0), KernelSpec(3, 2, 1, 2)])
+    def test_outputs_match_whole_image_copies(self, rng, monkeypatch, kind, spec):
+        h, w, ci, co = 40, 23, 3, 2
+        oh, ow = spec.output_shape(h, w)
+        x, g = rand_feature(rng, ci, h, w), rand_feature(rng, co, oh, ow)
+        wts = rand_weights(rng, co, ci, spec.size)
+        off = band_field(rng, kind, spec, h, w).data
+        for rows in (1, 3, oh):
+            monkeypatch.setattr(geometry, "_TILE_BYTES", rows * ci * spec.tap_count * ow * 8)
+            ref = whole_image_ops(
+                x.data, wts.data, off, g.data, spec.size, spec.dilation, spec.stride, spec.padding,
+                geometry._row_tiles(oh, ci * spec.tap_count * ow * 8),
+                geometry._row_tiles(oh, 4 * spec.tap_count * ow * 8))
+            summary = {k: ref[k] for k in ("degenerate_pixels", "oob_sample_fraction")}
+            # a fresh field per call, so that each call walks it and counts
+            y, sy = za_conv_forward(x, wts, OffsetField(off), spec)
+            p, sp = za_avg_pool(x, OffsetField(off), spec)
+            gx, gw = za_conv_backward(x, wts, OffsetField(off), spec, g)
+            samples = gather_samples(x, OffsetField(off), spec)
+            assert samples.tobytes() == ref["samples"].tobytes()
+            assert y.data.tobytes() == ref["forward"].tobytes()
+            assert p.data.tobytes() == ref["pool"].tobytes()
+            assert gx.data.tobytes() == ref["grad_x"].tobytes()
+            assert gw.data.tobytes() == ref["grad_w"].tobytes()
+            assert sy.as_dict() == sp.as_dict() == summary
+            field = OffsetField(off)
+            gather_samples(x, field, spec)  # a walk with samples= counts row by row
+            assert za_conv_forward(x, wts, field, spec, samples=samples)[1].as_dict() == summary
+
+    def test_a_walk_that_converts_many_rows_reads_the_whole_image(self, rng, monkeypatch):
+        # One-row tiles whose bands are each about half the image: the walk
+        # converts bands until they add up to ops._BAND_HEIGHTS heights, then
+        # reads one whole-image copy, without converting it again.
+        spec = KernelSpec.same(3)
+        h, w = 80, 23
+        x = rand_feature(rng, 2, h, w)
+        field = band_field(rng, "wide", spec, h, w)
+        monkeypatch.setattr(geometry, "_TILE_BYTES", 2 * spec.tap_count * w * 8)
+        bands, copies, gather, copyto = [], [], ops._bilinear_gather, np.copyto
+
+        def spy(data, base, steps, wgt, out=None, tmp=None, start=0):
+            bands.append((start, data.shape[1]))
+            return gather(data, base, steps, wgt, out, tmp, start)
+
+        def counting_copyto(dst, src, *args, **kwargs):
+            copies.append(dst.size)
+            return copyto(dst, src, *args, **kwargs)
+
+        monkeypatch.setattr(ops, "_bilinear_gather", spy)
+        monkeypatch.setattr(ops.np, "copyto", counting_copyto)
+        gather_samples(x, field, spec)
+        monkeypatch.undo()
+        whole = bands.index((0, h * w))
+        assert len(bands) == h and 0 < whole < h - 1
+        assert all(n < h * w for _, n in bands[:whole]) and set(bands[whole:]) == {(0, h * w)}
+        assert sum(copies[:whole]) <= ops._BAND_HEIGHTS * 2 * h * w < sum(copies)
+        assert len(copies) == whole + 1 and copies[-1] == 2 * h * w
 
 
 # Unit roundoff of float32: the operators accumulate in float64 and round
