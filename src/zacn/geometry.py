@@ -240,9 +240,9 @@ def _smallest_eigenpair_sym3(a00, a11, a22, a01, a02, a12):
     ``S - lam*I``, which is exact for the fronto-parallel (block-diagonal)
     case.
     """
-    # Each temporary is freed, or overwritten in place, once its last use
-    # is done; every value is computed by the same operations in the same
-    # order as the written-out formulas in the comments.
+    # Each temporary is freed, or overwritten in place, after its last use;
+    # the in-place steps apply the operations of the formula in their
+    # comment in the same order, so every bit is kept.
     q = (a00 + a11 + a22) / 3.0
     b00 = a00 - q
     b11 = a11 - q
@@ -351,19 +351,16 @@ def _plane_grid(ru, rv, x_axis, y_axis, spec: KernelSpec, K: CameraIntrinsics):
     return tx, ty, tz
 
 
-def _project(x, y, z, K: CameraIntrinsics, out=None):
-    """Fractional pixel ``(u, v)`` of camera-frame points ``(x, y, z)``.
-    ``out``, two float64 arrays of the full shape that may be ``x`` and
-    ``z`` themselves, takes ``u`` and ``v`` in place, with the same bits."""
-    if out is None:
-        return K.fu * x / z + K.cu, K.fv * y / z + K.cv
-    u, v = out
-    np.multiply(K.fu, x, out=u)  # u is written before v, so z still holds z
-    np.divide(u, z, out=u)
-    np.add(u, K.cu, out=u)
-    np.divide(K.fv * y, z, out=v)
-    np.add(v, K.cv, out=v)
-    return u, v
+def _project(x, y, z, K: CameraIntrinsics):
+    """Fractional pixel ``(u, v)`` of camera-frame points ``(x, y, z)``,
+    float64 arrays of which ``y`` may broadcast against the other two:
+    ``fu*x/z + cu`` and ``fv*y/z + cv``, evaluated in that order in place
+    into ``x`` and then ``z``, which are returned."""
+    np.divide(np.multiply(K.fu, x, out=x), z, out=x)
+    np.add(x, K.cu, out=x)
+    np.divide(K.fv * y, z, out=z)
+    np.add(z, K.cv, out=z)
+    return x, z
 
 
 def back_project(u: float, v: float, z: float, K: CameraIntrinsics) -> np.ndarray:
@@ -378,10 +375,11 @@ def back_project(u: float, v: float, z: float, K: CameraIntrinsics) -> np.ndarra
 
 def project(p, K: CameraIntrinsics) -> tuple[float, float]:
     """Perspective-project a camera-frame 3-vector to fractional pixels."""
-    x, y, z = (float(t) for t in p)
+    x, y, z = (np.array(float(t)) for t in p)
     if z <= 0:
         raise BehindCameraError(f"cannot project point with Z={z} <= 0")
-    return _project(x, y, z, K)
+    u, v = _project(x, y, z, K)
+    return float(u), float(v)
 
 
 def fit_plane(points, center) -> np.ndarray:
@@ -495,7 +493,7 @@ def _offset_block(
         x_axis, y_axis, fallback = _plane_basis(*normal)
         tx, ty, tz = _plane_grid(ru, rv, x_axis, y_axis, spec, K)
         behind = ~((tz > 0.0) & np.isfinite(tz)).all(axis=(0, 1))  # grid behind the camera
-        proj_u, proj_v = _project(tx, ty, tz, K, out=(tx, tz))
+        proj_u, proj_v = _project(tx, ty, tz, K)
         del tx, ty, tz
 
         # each pixel counts under the first cause that holds
