@@ -197,10 +197,10 @@ def _plans(x: FeatureTensor, offsets: OffsetField, spec: KernelSpec, tiles):
 
 # A walk whose bands have converted more input rows than this many image
 # heights converts the whole image once, the widest band, and reads it for
-# the rest of the walk: a field whose taps reach across the image then costs
-# at most this many whole-image conversions more, not one a tile.  With 16
-# channels, a corridor field's bands add up to 2.1 heights at 120x160 and
-# 6.5 at 480x640 (one-row tiles).
+# the rest of the walk, so a field whose tiles each reach a wide band costs
+# at most this many image conversions more than one whole-image copy, not a
+# wide band a tile.  With 16 channels, a corridor field's bands add up to
+# 2.1 heights at 120x160 and 6.5 at 480x640 (one-row tiles).
 _BAND_HEIGHTS = 16
 
 
