@@ -212,23 +212,29 @@ def run_workload(benchmark: dict, name: str, seed: int) -> dict:
     return json.loads(record.read_text())
 
 
+def run_python(args, env=None, cwd=None) -> str:
+    """The standard output of a child ``python args``, run in ``cwd`` with
+    ``env`` (default: this process's environment) and this checkout's
+    ``src`` first on ``PYTHONPATH``; raises if the child fails."""
+    env = dict(os.environ if env is None else env)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env, check=True,
+                          stdout=subprocess.PIPE, text=True).stdout
+
+
 def offsets_hwm(h: int, w: int, runs: int) -> dict:
     """The ``VmHWM`` (MB, Linux) of one child that runs ``zacn offsets``
     ``runs`` times in process on a seeded ``h`` x ``w`` corridor PFM, with
     ``ZACN_THREADS`` unset and with it set to 1."""
     env = {k: v for k, v in os.environ.items() if k != "ZACN_THREADS"}
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     row = {"runs": runs, "shape": [h, w], "seed": HWM_SEED}
     with tempfile.TemporaryDirectory() as tmp:
         depth = os.path.join(tmp, "depth.pfm")
-        subprocess.run([sys.executable, "-c", _SCENE_CHILD, depth, str(h), str(w), str(HWM_SEED)],
-                       env=env, check=True)
-        for key, threads in (("threads_unset_mb", None), ("threads_1_mb", "1")):
-            child_env = env if threads is None else {**env, "ZACN_THREADS": threads}
-            child = subprocess.run([sys.executable, "-c", _HWM_CHILD, depth,
-                                    os.path.join(tmp, "o.zacn"), str(runs)],
-                                   env=child_env, check=True, capture_output=True, text=True)
-            row[key] = int(child.stdout) / 1024
+        run_python(["-c", _SCENE_CHILD, depth, str(h), str(w), str(HWM_SEED)], env)
+        for key, threads in (("threads_unset_mb", {}), ("threads_1_mb", {"ZACN_THREADS": "1"})):
+            out = run_python(["-c", _HWM_CHILD, depth, os.path.join(tmp, "o.zacn"), str(runs)],
+                             {**env, **threads})
+            row[key] = int(out) / 1024
     return row
 
 
@@ -236,11 +242,8 @@ def operator_peaks(shapes, channels: int) -> dict:
     """The tracemalloc peaks (MiB) of the offsets and of each adapted operator
     in one child, per ``(h, w)`` of ``shapes``: a seeded corridor scene,
     ``channels`` -> ``channels``, a fresh offset field per call."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    child = subprocess.run([sys.executable, "-c", _PEAKS_CHILD, json.dumps(shapes), str(channels),
-                            str(PEAK_SEED)], env=env, check=True, capture_output=True, text=True)
-    return {"channels": channels, "seed": PEAK_SEED, "peaks_mib": json.loads(child.stdout)}
+    out = run_python(["-c", _PEAKS_CHILD, json.dumps(shapes), str(channels), str(PEAK_SEED)])
+    return {"channels": channels, "seed": PEAK_SEED, "peaks_mib": json.loads(out)}
 
 
 def operator_faults(shapes, channels: int, calls: int) -> dict:
@@ -248,29 +251,23 @@ def operator_faults(shapes, channels: int, calls: int) -> dict:
     operator in one child (Linux), per ``(h, w)`` of ``shapes``: a seeded
     corridor scene, ``channels`` -> ``channels``, averaged over ``calls``
     calls after an untimed one."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    child = subprocess.run([sys.executable, "-c", _FAULTS_CHILD, json.dumps(shapes), str(channels),
-                            str(PEAK_SEED), str(calls)],
-                           env=env, check=True, capture_output=True, text=True)
+    out = run_python(["-c", _FAULTS_CHILD, json.dumps(shapes), str(channels), str(PEAK_SEED),
+                      str(calls)])
     return {"channels": channels, "seed": PEAK_SEED, "calls": calls,
-            "faults_per_call": json.loads(child.stdout)}
+            "faults_per_call": json.loads(out)}
 
 
 def toy_run(path_lengths, **settings) -> dict:
     """The ``VmHWM`` (MB) and minor faults of one warm ``paired_toy_runs([TOY_SEED],
     **settings)`` (Linux), in one child per length of ``path_lengths``, each
     started from this small process as a script with a relative path that long."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     row = {"seed": TOY_SEED, "settings": settings, "runs": []}
     with tempfile.TemporaryDirectory() as tmp:
         for n in path_lengths:
             script = "t" * n
             Path(tmp, script).write_text(_TOY_CHILD)
-            child = subprocess.run([sys.executable, script, str(TOY_SEED), json.dumps(settings)],
-                                   cwd=tmp, env=env, check=True, capture_output=True, text=True)
-            row["runs"].append({"path_length": n, **json.loads(child.stdout)})
+            out = run_python([script, str(TOY_SEED), json.dumps(settings)], cwd=tmp)
+            row["runs"].append({"path_length": n, **json.loads(out)})
     return row
 
 

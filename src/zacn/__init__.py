@@ -41,6 +41,7 @@ from .io import (
 from .ops import (
     ConvWeights,
     OpSummary,
+    bilinear_sample,
     conv_param_count,
     gather_samples,
     standard_avg_pool,
@@ -49,7 +50,7 @@ from .ops import (
     za_conv_backward,
     za_conv_forward,
 )
-from .tensor import DepthMap, FeatureTensor, OffsetField, bilinear_sample
+from .tensor import DepthMap, FeatureTensor, OffsetField
 
 __version__ = "0.1.0"
 

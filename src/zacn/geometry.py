@@ -560,14 +560,12 @@ def compute_offsets(
 
     # Each pool thread's glibc malloc arena keeps its tiles' temporaries
     # after they are freed, so no thread only waits: the calling thread
-    # computes the first share, and one worker starts no pool at all.
-    if nworkers == 1:
-        counts = run(tiles)
-    else:
-        shares = [tiles[k::nworkers] for k in range(nworkers)]
-        with ThreadPoolExecutor(max_workers=nworkers - 1) as pool:
-            others = pool.map(run, shares[1:])
-            counts = run(shares[0])
-            counts += [c for share in others for c in share]
+    # computes the first share.  A pool starts its threads only as shares
+    # are submitted, so one worker starts none.
+    shares = [tiles[k::nworkers] for k in range(nworkers)]
+    with ThreadPoolExecutor(max_workers=max(nworkers - 1, 1)) as pool:
+        others = pool.map(run, shares[1:])
+        counts = run(shares[0])
+        counts += [c for share in others for c in share]
     fb, *causes = (sum(c) for c in zip(*counts))
     return OffsetField(_Owned(out)), OffsetSummary(out_h * out_w, sum(causes), fb, *causes)

@@ -32,6 +32,7 @@ __all__ = [
 MAGIC = b"ZACN"
 VERSION = 1
 DTYPE_F32 = 0
+MAX_NDIM = 8  # a container holds 1 to MAX_NDIM dimensions
 
 _WHITESPACE = b" \t\n\r\f\v"
 
@@ -122,10 +123,15 @@ def read_depth(path) -> DepthMap:
 
 
 def write_tensor(array: np.ndarray, path) -> None:
-    """Write a float32 ndarray to the ZACN container format."""
-    arr = np.ascontiguousarray(np.asarray(array, dtype=np.float32))
-    if arr.ndim < 1:
-        raise ConfigError("cannot serialize a 0-dimensional tensor")
+    """Write a float32 ndarray to the ZACN container format; a scalar is
+    written as shape ``(1,)``.  A value too large for float32 is written as
+    an infinity.  Raises :class:`ConfigError` before the file is opened for
+    a shape that :func:`read_tensor` refuses."""
+    with np.errstate(over="ignore"):
+        arr = np.ascontiguousarray(np.asarray(array, dtype=np.float32))
+    if arr.ndim > MAX_NDIM or 0 in arr.shape:
+        raise ConfigError(f"cannot serialize a tensor of shape {arr.shape}: a container holds "
+                          f"1 to {MAX_NDIM} dimensions, none of them empty")
     with open(path, "wb") as f:
         f.write(MAGIC)
         f.write(struct.pack("<I", VERSION))
@@ -148,7 +154,7 @@ def _parse_container(buf: bytes, path) -> np.ndarray:
     dtype_tag, ndim = struct.unpack_from("<BB", buf, 8)
     if dtype_tag != DTYPE_F32:
         raise ParseError(f"unsupported dtype tag {dtype_tag}", path=path, offset=8)
-    if not (1 <= ndim <= 8):
+    if not (1 <= ndim <= MAX_NDIM):
         raise ParseError(f"implausible dimension count {ndim}", path=path, offset=9)
     dims_end = 10 + 8 * ndim
     if len(buf) < dims_end:

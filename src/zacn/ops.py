@@ -9,11 +9,14 @@ backward only produces gradients for the input and the weights.
 
 Each row tile of the output builds its own bilinear plan from the field,
 as Deformable ConvNets' im2col computes its coefficients where it reads
-them; no plan is cached.  A tile's plan holds the int32 flat index of each
-tap sample's top-left neighbor, unclipped, and the float64 weights (+0.0
-off the image) of the neighbor slots that carry weight in the tile; slot
-``k`` reads the input at that index plus the slot's step, clipped onto the
-image.  The field caches only the border statistics of :class:`OpSummary`.
+them; no plan is cached.  A tile's plan holds the int32 flat index of
+each tap sample's top-left neighbor, unclipped, and the float64 weights
+(+0.0 off the image) of the neighbor slots that carry weight in the tile;
+slot ``k`` reads the input at that index plus the slot's step, clipped
+onto the image.  The field caches only the border statistics of
+:class:`OpSummary`.  This module holds the whole plan: the weight kernel
+:func:`_bilinear_scatter_weights` builds it, :func:`_bilinear_gather`
+reads it, and :func:`bilinear_sample` is its scalar view.
 
 One walker, :func:`_sample_rows`, gathers the samples a row tile at a
 time from a float64 band of the input rows that the tile reaches, so no
@@ -37,27 +40,19 @@ counts (OpenBLAS never splits the contracted axis over threads).
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import geometry
 from .errors import ConfigError
 from .geometry import KernelSpec
-from .tensor import (
-    FeatureTensor,
-    OffsetField,
-    _all_finite,
-    _as_float32,
-    _bilinear_gather,
-    _bilinear_scatter_weights,
-    _neighbor_steps,
-    _Owned,
-)
+from .tensor import FeatureTensor, OffsetField, _Container, _Owned
 
 __all__ = [
     "ConvWeights",
     "OpSummary",
+    "bilinear_sample",
     "conv_param_count",
     "standard_conv",
     "za_conv_forward",
@@ -69,18 +64,15 @@ __all__ = [
 
 
 @dataclass(frozen=True, eq=False)
-class ConvWeights:
+class ConvWeights(_Container):
     """Dense kernel bank, layout (out_channels, in_channels, N, N)."""
 
-    data: np.ndarray = field(repr=False)
+    _ndim, _what, _non_finite = 4, "weights", "weights contain non-finite values"
 
     def __post_init__(self):
-        arr = _as_float32(self.data, 4, "weights")
-        if arr.shape[2] != arr.shape[3]:
-            raise ConfigError(f"weights must be (co, ci, N, N), got shape {arr.shape}")
-        if not _all_finite(arr):
-            raise ConfigError("weights contain non-finite values")
-        object.__setattr__(self, "data", arr)
+        super().__post_init__()
+        if self.data.shape[2] != self.data.shape[3]:
+            raise ConfigError(f"weights must be (co, ci, N, N), got shape {self.data.shape}")
 
     @property
     def out_channels(self) -> int:
@@ -139,6 +131,113 @@ def _check_conv_shapes(x: FeatureTensor, w: ConvWeights, spec: KernelSpec):
         raise ConfigError(
             f"weights expect {w.in_channels} input channels, tensor has {x.channels}"
         )
+
+
+def bilinear_sample(x: FeatureTensor, c: int, u: float, v: float) -> float:
+    """Sample channel ``c`` of ``x`` at the fractional position ``(u, v)``.
+
+    The value is the weighted average of the <= 4 integer-grid neighbors
+    with per-axis weights ``max(0, 1 - |delta|)``; neighbors outside the
+    image contribute zero, so positions beyond one pixel of the border
+    evaluate to 0.
+    """
+    if not (0 <= c < x.channels):
+        raise ConfigError(f"channel {c} out of range for {x.channels} channels")
+    if not (math.isfinite(u) and math.isfinite(v)):
+        raise ConfigError(f"sampling position ({u}, {v}) is not finite")
+    base, wgt = _bilinear_scatter_weights(x.height, x.width, np.asarray([u]), np.asarray([v]))
+    data = x.data[c].reshape(1, -1).astype(np.float64)
+    val = _bilinear_gather(data, base, _neighbor_steps(x.width), wgt)[0, 0]
+    return float(np.float32(val))
+
+
+def _neighbor_steps(w: int) -> tuple[int, int, int, int]:
+    """Flat index steps from the top-left neighbor to the (top-left,
+    top-right, bottom-left, bottom-right) neighbors on a grid ``w`` wide."""
+    return 0, 1, w, w + 1
+
+
+def _bilinear_gather(
+    data: np.ndarray,
+    base: np.ndarray,
+    steps,
+    wgt,
+    out: np.ndarray | None = None,
+    tmp: np.ndarray | None = None,
+    start: int = 0,
+) -> np.ndarray:
+    """Zero-padded bilinear samples through a plan of up to 4 neighbors.
+
+    ``data`` is a float64 band of whole rows of the ``(C, H*W)`` grid,
+    ``(C, n)``, whose first element is the grid's flat index ``start``: the
+    whole grid, or only the rows that the plan's weighted neighbors lie in.
+    ``base`` and ``wgt`` come from :func:`_bilinear_scatter_weights`,
+    ``steps`` from :func:`_neighbor_steps`, possibly without the neighbor
+    slots that carry no weight: slot ``k`` reads the band at ``base +
+    steps[k] - start``, clipped onto the band, with weight ``wgt[k]``.
+    Returns float64 samples of
+    shape ``(C,) + base.shape``, summed over the neighbors in plan order.
+    ``out``, if given, is a float64 buffer of that shape and ``tmp`` one of
+    the samples of some ``cc`` channels; the gather overwrites both, reading
+    ``cc`` channels at a time, so that a loop over row tiles allocates only
+    its indices per slot; ``out`` is returned.
+
+    The index of a neighbor on the image is exact, as long as the band
+    holds its row.  One off the image has weight +0.0, so whichever element
+    its clipped index reads adds a signed zero to an accumulator that
+    starts at +0.0 and so never becomes -0.0: no bit depends on that element.
+    """
+    shape = (data.shape[0],) + base.shape
+    out = np.empty(shape, dtype=np.float64) if out is None else out
+    tmp = np.empty(shape, dtype=np.float64) if tmp is None else tmp
+    cc = tmp.size // base.size  # channels per part
+    idx = np.empty(base.shape, dtype=np.intp)
+    out.fill(0.0)
+    for step, w in zip(steps, wgt):
+        np.add(base, step - start, out=idx)
+        for c0 in range(0, data.shape[0], cc):
+            part = out[c0:c0 + cc]
+            t = tmp.reshape(-1)[:part.size].reshape(part.shape)
+            np.take(data[c0:c0 + cc], idx, axis=1, out=t, mode="clip")
+            t *= w
+            part += t
+    return out
+
+
+def _bilinear_scatter_weights(h: int, w: int, u: np.ndarray, v: np.ndarray):
+    """The 4-neighbor bilinear plan of fractional positions on an (H, W) grid.
+
+    Returns ``(base, weights)``: ``base`` of shape ``u.shape`` holds the
+    flat index ``v0 * w + u0`` of each position's top-left neighbor, with
+    ``u0, v0`` the floors of the positions clipped to ``[-2, w + 1]`` and
+    ``[-2, h + 1]`` and no clipping onto the grid, so that neighbor ``k``
+    is at ``base + _neighbor_steps(w)[k]``.  It is int32 unless those
+    indices need int64.  ``weights`` of shape ``(4,) + u.shape`` are the
+    float64 weights of the neighbors (top-left, top-right, bottom-left,
+    bottom-right), +0.0 for neighbors off the image.  Gathers and gradient
+    scatters both use it.
+    """
+    # Past these bounds all four neighbors lie off the image, as they did
+    # before clipping, so weights are unchanged; clipping only keeps the
+    # integer casts below defined for positions far off the image.
+    u = np.clip(np.asarray(u, dtype=np.float64), -2.0, w + 1.0)
+    v = np.clip(np.asarray(v, dtype=np.float64), -2.0, h + 1.0)
+    u0 = np.floor(u)
+    v0 = np.floor(v)
+    du = np.subtract(u, u0, out=u)  # the clipped copies are ours to overwrite
+    dv = np.subtract(v, v0, out=v)
+    # Per-axis factors with each neighbor's in-image test folded in: the same
+    # bits as masking their product, since both factors are finite and >= 0.
+    ay = ((1 - dv) * ((v0 >= 0) & (v0 < h)), dv * ((v0 >= -1) & (v0 < h - 1)))
+    bx = ((1 - du) * ((u0 >= 0) & (u0 < w)), du * ((u0 >= -1) & (u0 < w - 1)))
+    # the flat indices reach from -2*w - 2 up to (h + 3)*w + 2
+    itype = np.int32 if (h + 3) * w + 2 <= np.iinfo(np.int32).max else np.int64
+    base = v0.astype(itype) * w + u0.astype(itype)
+    del u, v, du, dv, u0, v0  # the weights need only the factors
+    wgt = np.empty((4,) + base.shape, dtype=np.float64)
+    for k, (i, j) in enumerate(((0, 0), (0, 1), (1, 0), (1, 1))):
+        np.multiply(ay[i], bx[j], out=wgt[k])
+    return base, wgt
 
 
 # Bytes that one tap sample takes while its plan is built: its float64

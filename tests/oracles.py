@@ -26,7 +26,7 @@ def naive_bilinear(data: np.ndarray, c: int, u: float, v: float) -> float:
 
 def masked_bilinear_weights(h: int, w: int, u: np.ndarray, v: np.ndarray):
     """The bilinear plan ``(base, weights)`` in the layout of
-    ``zacn.tensor._bilinear_scatter_weights``, each weight formed as the
+    ``zacn.ops._bilinear_scatter_weights``, each weight formed as the
     product of its two axis factors, then masked by its neighbor's
     in-image test.  The library folds the test into the factors instead;
     both must give the same bits."""

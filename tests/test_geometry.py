@@ -477,12 +477,17 @@ class TestComputeOffsets:
             return block(*args)
 
         monkeypatch.setattr(geometry, "_offset_block", recording_block)
+        started = []
+        start = threading.Thread.start
+        monkeypatch.setattr(threading.Thread, "start", lambda t: started.append(t) or start(t))
         for workers in (1, 2, 3):
             threads.clear()
+            started.clear()
             compute_offsets(depth, K, spec, 30, 40, workers=workers)
             assert len(threads) == 10
             assert threading.get_ident() in threads
             assert len(set(threads)) <= workers
+            assert len(started) <= workers - 1  # one worker starts no thread
 
     @pytest.mark.parametrize("workers", [0, -3, "2", 2.9])
     def test_invalid_worker_count_rejected(self, rng, workers):

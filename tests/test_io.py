@@ -118,6 +118,20 @@ class TestContainer:
         assert back.shape == shape
         assert np.array_equal(back, arr)
 
+    @pytest.mark.parametrize("shape", [(0, 3), (3, 0, 2), (1,) * 9])
+    def test_write_refuses_what_read_refuses(self, tmp_path, shape):
+        # an empty dimension or more than 8 make a file that no read accepts
+        path = tmp_path / "t.zacn"
+        with pytest.raises(ConfigError, match="cannot serialize"):
+            write_tensor(np.zeros(shape, np.float32), path)
+        assert not path.exists()
+
+    def test_write_casts_overflow_to_inf(self, tmp_path):
+        # float64 beyond float32 range becomes an infinity, with no warning
+        path = tmp_path / "t.zacn"
+        write_tensor(np.array([1e39, -1e39, 1.5]), path)
+        assert read_tensor(path).tolist() == [np.inf, -np.inf, 1.5]
+
     def test_offsets_round_trip_bit_identical(self, rng, tmp_path):
         field = OffsetField(rng.standard_normal((18, 5, 6)).astype(np.float32))
         path = tmp_path / "o.zacn"

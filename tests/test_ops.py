@@ -22,8 +22,7 @@ from zacn import (
 )
 from zacn import compute_offsets, geometry, ops
 from zacn.harness import generate_scene
-from zacn.ops import _conv_gemm, _sample_rows, _tile_plan
-from zacn.tensor import _bilinear_scatter_weights, _neighbor_steps
+from zacn.ops import _bilinear_scatter_weights, _conv_gemm, _neighbor_steps, _sample_rows, _tile_plan
 
 from conftest import rand_feature, rand_offsets, rand_weights
 from oracles import (masked_bilinear_weights, naive_standard_conv, naive_za_conv,

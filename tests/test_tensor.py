@@ -10,7 +10,8 @@ from zacn import (
     bilinear_sample,
 )
 from zacn.harness import generate_scene
-from zacn.tensor import _bilinear_scatter_weights, _Owned
+from zacn.ops import _bilinear_scatter_weights
+from zacn.tensor import _Owned
 
 from conftest import rand_feature
 from oracles import naive_bilinear
@@ -51,7 +52,12 @@ class TestContainers:
         assert f.data[0, 0, 0] == 0.0
         assert not f.data.flags.writeable
 
-    @pytest.mark.parametrize("make, shape", [(FeatureTensor, (2, 3, 3)), (OffsetField, (18, 3, 3))])
+    @pytest.mark.parametrize("make, shape", [
+        (FeatureTensor, (2, 3, 3)),
+        (OffsetField, (18, 3, 3)),
+        (DepthMap, (3, 3)),
+        (ConvWeights, (2, 2, 3, 3)),
+    ])
     def test_owned_array_is_adopted_and_still_checked(self, make, shape):
         # the package's operators hand over arrays they just made: no copy,
         # but the same read-only flag and the same checks as a copy
@@ -59,13 +65,20 @@ class TestContainers:
         t = make(_Owned(arr))
         assert t.data is arr and not arr.flags.writeable
         bad = np.ones(shape, np.float32)
-        bad[0, 0, 0] = np.inf
-        with pytest.raises(ConfigError):
-            make(_Owned(bad))
-        with pytest.raises(ConfigError):
-            make(_Owned(np.ones(shape[1:], np.float32)))
-        with pytest.raises(ConfigError):
-            OffsetField(_Owned(np.zeros((7, 3, 3), np.float32)))
+        bad[(0,) * len(shape)] = np.inf
+        bad[(-1,) * len(shape)] = np.nan
+        if make is DepthMap:  # kept, and marked invalid
+            d = make(_Owned(bad))
+            assert d.data is bad and np.count_nonzero(~d.valid_mask()) == 2
+        else:
+            with pytest.raises(ConfigError, match="non-finite"):
+                make(_Owned(bad))
+        # the wrong dimension count, an empty dimension, and the class's own
+        # rule: 2*N*N offset channels, a square kernel
+        own = {OffsetField: (7, 3, 3), ConvWeights: (2, 2, 3, 2)}.get(make, shape + (1,))
+        for wrong in (shape[1:], (0,) + shape[1:], own):
+            with pytest.raises(ConfigError):
+                make(_Owned(np.ones(wrong, np.float32)))
 
     @pytest.mark.parametrize("make, shape", [
         (FeatureTensor, (2, 3, 3)),
