@@ -26,6 +26,10 @@ A last row holds the ``VmHWM`` and the
 minor page faults of one ``paired_toy_runs([TOY_SEED])`` after a warm one,
 in one child per script path length of ``TOY_PATH_LENGTHS`` (Linux): the
 faults follow the heap's layout, which the length of the child's argv moves.
+The ``trace_layers`` row holds one ``--trace 1`` run per workload at
+``TRACE_SEED``: its item counts and the value of each per-layer metric that
+``BENCHMARK.json`` declares, which place a change of the end-to-end time
+in the layers (host load moves them as it moves the end-to-end ones).
 A run that exits with an error stops the script.
 After writing the file, it prints each metric's median against the newest
 earlier ``BENCH_<n>.json`` at the repository root, marking changes worse
@@ -59,6 +63,8 @@ FAULT_CALLS = 5
 # The toy_run row: one child per length of the script path it runs from.
 TOY_PATH_LENGTHS = (1, 7, 22)
 TOY_SEED = 0
+# The trace_layers row: one traced run per workload at this seed.
+TRACE_SEED = 1
 
 _SCENE_CHILD = r"""
 import sys
@@ -202,14 +208,31 @@ def summarize(benchmark: dict, records: list[dict]) -> dict:
     }
 
 
-def run_workload(benchmark: dict, name: str, seed: int) -> dict:
-    """Run one workload at one seed and return run.py's result record."""
-    record = ROOT / "perfbench" / "out" / f"result-{name}-seed{seed}-trace0.json"
+def run_workload(benchmark: dict, name: str, seed: int, trace: int = 0) -> dict:
+    """Run one workload at one seed, traced if ``trace`` is 1, and return
+    run.py's result record."""
+    record = ROOT / "perfbench" / "out" / f"result-{name}-seed{seed}-trace{trace}.json"
     record.unlink(missing_ok=True)
     cmd = benchmark["command"] + ["--workload", name, "--seed", str(seed),
-                                  "--seconds", str(benchmark["run_seconds"]), "--trace", "0"]
+                                  "--seconds", str(benchmark["run_seconds"]), "--trace", str(trace)]
     subprocess.run(cmd, cwd=ROOT, check=True, stdout=subprocess.DEVNULL)
     return json.loads(record.read_text())
+
+
+def trace_layers(benchmark: dict, records: list[dict]) -> dict:
+    """The row of traced run.py result ``records``, one per workload in the
+    order given: the seed, the item counts, and the value of each per-layer
+    metric of the ``benchmark`` declaration, null where the run reports none."""
+    row = {}
+    for r in records:
+        result = r["result"]
+        row[r["args"]["workload"]] = {
+            "seed": r["args"]["seed"], "attempted": result["attempted"], "failed": result["failed"],
+            "metrics": {m["name"]: {"unit": m["unit"], "better": m["better"],
+                                    "value": (result["metrics"].get(m["name"]) or {}).get("value")}
+                        for m in benchmark["per_layer"]},
+        }
+    return row
 
 
 def run_python(args, env=None, cwd=None) -> str:
@@ -338,6 +361,9 @@ def main(argv: list[str]) -> int:
     history["operator_peaks"] = operator_peaks(PEAK_SHAPES, PEAK_CHANNELS)
     history["operator_faults"] = operator_faults(PEAK_SHAPES, PEAK_CHANNELS, FAULT_CALLS)
     history["toy_run"] = toy_run(TOY_PATH_LENGTHS)
+    history["trace_layers"] = trace_layers(
+        benchmark, [run_workload(benchmark, wl["name"], TRACE_SEED, trace=1)
+                    for wl in benchmark["workloads"]])
     out = Path(argv[0])
     out.write_text(json.dumps(history, indent=1) + "\n")
     hwm = history["offsets_vmhwm"]
@@ -352,6 +378,9 @@ def main(argv: list[str]) -> int:
     for run in history["toy_run"]["runs"]:
         print(f"toy run from a script path of {run['path_length']} characters: "
               f"VmHWM {run['vmhwm_mb']:.2f} MB, {run['minor_faults']} minor faults")
+    for name, run in history["trace_layers"].items():
+        called = {k: m["value"] for k, m in run["metrics"].items() if m["value"]}
+        print(f"traced {name}: " + ", ".join(f"{k} {v:.4g}" for k, v in called.items()))
     previous = previous_history(ROOT, out)
     if previous is not None:
         print(f"{out.name} against {previous.name}:")

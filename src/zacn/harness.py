@@ -21,8 +21,9 @@ convolution's matmul, for the float32 logits and ``dhidden`` and the
 float64 ``dw2``, so it is the adapted 1x1 convolution on a zero field.
 Offsets never change, so training gathers each scene's layer-1 samples
 once and never forms the layer-1 input gradient, which nothing reads.
-Each step writes its float64 hidden activations and float32 ``dhidden``
-into two buffers of the run, freed with the epochs before ``evaluate``.
+Each step writes its float64 hidden activations into a buffer of the run,
+freed with the epochs before ``evaluate``; its float32 logits and
+``dhidden`` are fresh, and their containers adopt them without a copy.
 
 The experiment has one fixed setup: a 3x3 first layer with "same"
 padding, trained on two 48x64 corridor scenes per seed and evaluated on
@@ -39,7 +40,7 @@ from .errors import ConfigError, TrainingError
 from .geometry import (CameraIntrinsics, KernelSpec, _back_project, _check_int, _check_real,
                        compute_offsets)
 from .ops import ConvWeights, _conv_gemm, gather_samples, za_conv_backward, za_conv_forward
-from .tensor import DepthMap, FeatureTensor, OffsetField
+from .tensor import DepthMap, FeatureTensor, OffsetField, _Owned
 
 __all__ = [
     "SyntheticScene",
@@ -195,28 +196,13 @@ def generate_scene(kind: str, h: int, w: int, seed: int, focal: float = 519.0) -
 
     coord = np.einsum("hwk,hwk->hw", points, axis_map)
     t = 2.0 * np.pi * (coord / period_map + phase_map)
-    feats = np.stack(
-        [
-            np.sin(t) + _NOISE_SIGMA * rng.standard_normal((h, w)),
-            np.cos(t) + _NOISE_SIGMA * rng.standard_normal((h, w)),
-            rng.standard_normal((h, w)),
-        ]
-    ).astype(np.float32)
-
-    description = {
-        "kind": kind,
-        "seed": seed,
-        "focal": focal,
-        "noise_sigma": _NOISE_SIGMA,
-        "planes": planes,
-    }
-    return SyntheticScene(
-        depth=DepthMap(depth.astype(np.float32)),
-        features=FeatureTensor(feats),
-        labels=labels,
-        intrinsics=K,
-        description=description,
-    )
+    feats = np.stack([np.sin(t) + _NOISE_SIGMA * rng.standard_normal((h, w)),
+                      np.cos(t) + _NOISE_SIGMA * rng.standard_normal((h, w)),
+                      rng.standard_normal((h, w))]).astype(np.float32)
+    description = {"kind": kind, "seed": seed, "focal": focal, "noise_sigma": _NOISE_SIGMA,
+                   "planes": planes}
+    return SyntheticScene(depth=DepthMap(depth.astype(np.float32)), features=FeatureTensor(feats),
+                          labels=labels, intrinsics=K, description=description)
 
 
 def segmentation_metrics(pred: np.ndarray, labels: np.ndarray, num_classes: int):
@@ -255,16 +241,18 @@ def _one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
 
 
 def _softmax_cross_entropy(logits: np.ndarray, onehot: np.ndarray):
-    """Mean cross-entropy against one-hot labels and its gradient w.r.t. the logits."""
-    z = logits.astype(np.float64)
-    z = z - z.max(axis=0, keepdims=True)
-    ez = np.exp(z)
-    p = ez / ez.sum(axis=0, keepdims=True)
+    """Mean cross-entropy of float32 ``logits`` against one-hot labels, and its
+    gradient w.r.t. the logits: rounded to float32, returned as float64."""
+    p = logits.astype(np.float64)
+    p -= p.max(axis=0)
+    p = np.exp(p, out=p)
+    p /= p.sum(axis=0)
     npix = onehot[0].size
-    eps = 1e-12
-    loss = float(-(onehot * np.log(p + eps)).sum() / npix)
-    grad = ((p - onehot) / npix).astype(np.float32)
-    return loss, grad
+    loss = float(-(np.log(p + 1e-12) * onehot).sum() / npix)
+    p -= onehot
+    p /= npix
+    np.copyto(p, p.astype(np.float32))
+    return loss, p
 
 
 def _head(w2: ConvWeights) -> np.ndarray:
@@ -278,8 +266,7 @@ def _forward(x, w1, head, offsets, samples=None, buf=None):
     pre = za_conv_forward(x, w1, offsets, _SPEC, samples=samples)[0].data
     hidden = (np.empty(pre.size) if buf is None else buf[:pre.size]).reshape(pre.shape)
     np.maximum(pre, 0.0, out=hidden)  # a float32 maximum, widened exactly
-    logits = FeatureTensor(_conv_gemm(hidden, w2=head)[0])
-    return pre > 0, hidden, logits
+    return pre > 0, hidden, FeatureTensor(_Owned(_conv_gemm(hidden, w2=head)[0]))
 
 
 def train_toy(scenes, cfg: TrainConfig, eval_scenes) -> TrainResult:
@@ -298,14 +285,10 @@ def train_toy(scenes, cfg: TrainConfig, eval_scenes) -> TrainResult:
     k = _SPEC.size
     rng = np.random.default_rng(cfg.seed)
 
-    w1 = ConvWeights(
-        (rng.standard_normal((cfg.hidden, c_in, k, k))
-         * np.sqrt(2.0 / (c_in * k * k))).astype(np.float32)
-    )
-    w2 = ConvWeights(
-        (rng.standard_normal((num_classes, cfg.hidden, 1, 1))
-         * np.sqrt(2.0 / cfg.hidden)).astype(np.float32)
-    )
+    w1 = ConvWeights((rng.standard_normal((cfg.hidden, c_in, k, k))
+                      * np.sqrt(2.0 / (c_in * k * k))).astype(np.float32))
+    w2 = ConvWeights((rng.standard_normal((num_classes, cfg.hidden, 1, 1))
+                      * np.sqrt(2.0 / cfg.hidden)).astype(np.float32))
 
     w1, w2, losses = _descend(scenes, w1, w2, num_classes, cfg)
     miou, acc = evaluate(eval_scenes, (w1, w2), cfg)
@@ -321,33 +304,27 @@ def _descend(scenes, w1, w2, num_classes, cfg: TrainConfig):
         offsets = _scene_offsets(s, cfg)
         samples = gather_samples(s.features, offsets, _SPEC)
         prepared.append((s.features, offsets, samples, _one_hot(s.labels, num_classes)))
-    # Each step's hidden and dhidden; the hidden activations, spent once dw2 is
-    # taken, are dhidden's matmul buffer.  No container adopts either.
-    hid, dhid = (np.empty(cfg.hidden * max(s.labels.size for s in scenes), t)
-                 for t in (np.float64, np.float32))
-
+    # Each step's float64 hidden activations; spent once dw2 is taken, they
+    # are dhidden's matmul buffer.  No container adopts it.
+    hid = np.empty(cfg.hidden * max(s.labels.size for s in scenes))
     losses: list[float] = []
     for epoch in range(cfg.epochs):
         # Shapes are fixed by construction, so a ConfigError here is a container's
         # finiteness check: an activation, a gradient or a weight went non-finite.
         try:
             total_loss = 0.0
-            gw1 = np.zeros_like(w1.data, dtype=np.float64)
-            gw2 = np.zeros_like(w2.data, dtype=np.float64)
+            gw1, gw2 = np.zeros(w1.data.shape), np.zeros(w2.data.shape)
             head = _head(w2)
             for x, offsets, samples, onehot in prepared:
                 active, hidden, logits = _forward(x, w1, head, offsets, samples, hid)
-                loss, dlogits = _softmax_cross_entropy(logits.data, onehot)
+                loss, g = _softmax_cross_entropy(logits.data, onehot)
                 total_loss += loss
-                g = dlogits.astype(np.float64)
-                dw2 = _conv_gemm(hidden, g=g)[1].astype(np.float32)
-                dhidden = dhid[:hidden.size].reshape(hidden.shape)
-                _conv_gemm(g, w2=head.T, out=dhidden, buf=hid)
+                gw2 += _conv_gemm(hidden, g=g)[1].astype(np.float32)[:, :, None, None]
+                dhidden = _conv_gemm(g, w2=head.T, buf=hid)[0]
                 np.multiply(dhidden, active, out=dhidden)
-                _, dw1 = za_conv_backward(x, w1, offsets, _SPEC, FeatureTensor(dhidden),
+                _, dw1 = za_conv_backward(x, w1, offsets, _SPEC, FeatureTensor(_Owned(dhidden)),
                                           samples=samples, need_grad_x=False)
                 gw1 += dw1.data
-                gw2 += dw2[:, :, None, None]
             w1 = ConvWeights((w1.data - cfg.learning_rate * gw1 / len(prepared)).astype(np.float32))
             w2 = ConvWeights((w2.data - cfg.learning_rate * gw2 / len(prepared)).astype(np.float32))
         except ConfigError as exc:
@@ -360,8 +337,7 @@ def evaluate(scenes, weights, cfg: TrainConfig):
     """Mean (mIoU, pixel accuracy) of a trained model over scenes."""
     w1, w2 = weights
     head = _head(w2)
-    mious = []
-    accs = []
+    mious, accs = [], []
     for scene in scenes:
         _, _, logits = _forward(scene.features, w1, head, _scene_offsets(scene, cfg))
         pred = np.argmax(logits.data, axis=0)

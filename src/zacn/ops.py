@@ -40,6 +40,7 @@ counts (OpenBLAS never splits the contracted axis over threads).
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -107,9 +108,7 @@ class OpSummary:
 
     def __post_init__(self):
         if not (0.0 <= self.oob_sample_fraction <= 1.0):
-            raise ConfigError(
-                f"out-of-bounds fraction {self.oob_sample_fraction} outside [0, 1]"
-            )
+            raise ConfigError(f"out-of-bounds fraction {self.oob_sample_fraction} outside [0, 1]")
 
     def as_dict(self) -> dict:
         """The fields as a JSON-ready dict."""
@@ -128,9 +127,7 @@ def _check_conv_shapes(x: FeatureTensor, w: ConvWeights, spec: KernelSpec):
             f"weights are {w.kernel_size}x{w.kernel_size} but spec says {spec.size}x{spec.size}"
         )
     if w.in_channels != x.channels:
-        raise ConfigError(
-            f"weights expect {w.in_channels} input channels, tensor has {x.channels}"
-        )
+        raise ConfigError(f"weights expect {w.in_channels} input channels, tensor has {x.channels}")
 
 
 def bilinear_sample(x: FeatureTensor, c: int, u: float, v: float) -> float:
@@ -146,8 +143,9 @@ def bilinear_sample(x: FeatureTensor, c: int, u: float, v: float) -> float:
     if not (math.isfinite(u) and math.isfinite(v)):
         raise ConfigError(f"sampling position ({u}, {v}) is not finite")
     base, wgt = _bilinear_scatter_weights(x.height, x.width, np.asarray([u]), np.asarray([v]))
-    data = x.data[c].reshape(1, -1).astype(np.float64)
-    val = _bilinear_gather(data, base, _neighbor_steps(x.width), wgt)[0, 0]
+    r0 = min(max(math.floor(v), 0), x.height - 1)  # the weighted rows: floor(v) and the next
+    data = x.data[c, r0:r0 + 2].reshape(1, -1).astype(np.float64)
+    val = _bilinear_gather(data, base, _neighbor_steps(x.width), wgt, start=r0 * x.width)[0, 0]
     return float(np.float32(val))
 
 
@@ -316,12 +314,12 @@ def _sample_rows(src, out=None):
     """The row tiles of the float64 ``(k, oh, ow)`` samples of ``src``, an
     ``(x, offsets, spec)`` triple (``k = ci*taps``) or an array ``(..., oh,
     ow)``.  Returns ``(k, oh, ow, rows)``, ``rows`` the largest tile's, and an
-    iterator of ``(r0, r1, t)`` per run of rows that fits
+    iterable of ``(r0, r1, t)`` per run of rows that fits
     ``geometry._TILE_BYTES``: ``t`` is the rows' ``(k, (r1 - r0) * ow)``
-    samples, a view of the array or gathered through the tile's own plan
-    into a buffer that the next tile overwrites, a quarter of the channels
-    at a time so that the gather's scratch is a quarter tile, or into the
-    rows of ``out``, a float64 ``(ci, taps, oh, ow)`` array, if given.
+    samples, a list of views of the array or gathered through the tile's
+    own plan into a buffer that the next tile overwrites, a quarter of the
+    channels at a time so that the gather's scratch is a quarter tile, or
+    into the rows of ``out``, a float64 ``(ci, taps, oh, ow)`` array, if given.
     (Tiles of half the rows slowed the toy training's small matmuls.)
 
     A gather reads a float64 band of the input: the rows that the tile's
@@ -333,6 +331,9 @@ def _sample_rows(src, out=None):
     *lead, oh, ow = src.shape if x is None else (x.channels, spec.tap_count, *offsets.data.shape[1:])
     k = math.prod(lead)
     tiles = geometry._row_tiles(oh, k * ow * 8)
+    if x is None:  # views of the array's rows, listed at once
+        return (k, oh, ow, tiles[0][1]), [(r0, r1, src[..., r0:r1, :].reshape(k, -1))
+                                          for r0, r1 in tiles]
 
     def gather():
         c, h, w = x.data.shape
@@ -360,8 +361,7 @@ def _sample_rows(src, out=None):
             _bilinear_gather(data, base, steps, wgt, t, tmp[:cc * base.size], rows[0] * w)
             yield r0, r1, t.reshape(k, -1)  # a view: only the rows are a slice
 
-    views = ((r0, r1, src[..., r0:r1, :].reshape(k, -1)) for r0, r1 in tiles)
-    return (k, oh, ow, tiles[0][1]), views if x is None else gather()
+    return (k, oh, ow, tiles[0][1]), gather()
 
 
 def _rows64(a: np.ndarray, r0: int, r1: int, buf: np.ndarray | None) -> np.ndarray:
@@ -376,22 +376,44 @@ def _rows64(a: np.ndarray, r0: int, r1: int, buf: np.ndarray | None) -> np.ndarr
     return out
 
 
-def _conv_gemm(src, w2=None, g=None, out=None, buf=None):
+# Each thread's float64 scratch for the tile buffers of :func:`_conv_gemm`,
+# kept from call to call, so that a loop of products (the toy training's
+# steps) neither allocates them again nor faults their pages in.  No result
+# is a view of it.
+_SCRATCH = threading.local()
+
+
+def _scratch(n: int) -> np.ndarray:
+    """``n`` float64 elements of this thread's scratch, which the next call
+    overwrites; fresh ones past two tiles, which the scratch does not keep."""
+    buf = getattr(_SCRATCH, "buf", None)
+    if buf is None or buf.size < n:
+        buf = np.empty(n)
+        if n <= 2 * geometry._TILE_BYTES // 8:
+            _SCRATCH.buf = buf
+    return buf[:n]
+
+
+def _conv_gemm(src, w2=None, g=None, buf=None):
     """One float64 matmul per row tile of a :func:`_sample_rows` source,
     over its joint ``k = ci*taps`` axis.  Returns ``(out, grad_w)``: for
-    ``w2`` ``(co, k)`` the float32 ``(co, oh, ow)`` output ``w2 @ samples``,
-    each tile summed in one reused float64 buffer and rounded once; for
-    ``g`` ``(co, oh, ow)``, float32 or float64, the float64 ``(co, k)``
-    weight gradient ``g @ samples.T``, summed over the tiles in order, each
-    tile of a float32 ``g`` converted as it comes; ``out`` and a flat ``buf``
-    of ``co`` tiles' pixels or more replace the output and the tile buffer.
-    The tiles and the matmul shapes depend only on the shapes, so either
-    source, and any buffers, give the same bits."""
+    ``w2`` ``(co, k)`` the fresh float32 ``(co, oh, ow)`` output ``w2 @
+    samples``, each tile summed in one reused float64 buffer and rounded
+    once; for ``g`` ``(co, oh, ow)``, float32 or float64, the float64 ``(co,
+    k)`` weight gradient ``g @ samples.T``, summed over the tiles in order,
+    each tile of a float32 ``g`` converted as it comes; a flat ``buf`` of
+    ``co`` tiles' pixels or more replaces the tile buffer.  The tiles and
+    the matmul shapes depend only on the shapes, so either source, and any
+    buffer, give the same bits."""
     (k, oh, ow, rows), walk = _sample_rows(src)
-    buf = np.empty(len(w2) * rows * ow) if buf is None and w2 is not None else buf
-    out = np.empty((len(w2), oh, ow), np.float32) if out is None and w2 is not None else out
+    # the tile buffers, in this thread's scratch: the product's, unless ``buf``
+    # is given, and a float32 ``g``'s converted rows
+    n = 0 if w2 is None or buf is not None else len(w2) * rows * ow
+    m = 0 if g is None or g.dtype == np.float64 else len(g) * rows * ow
+    scratch = _scratch(n + m)
+    buf, gbuf = scratch[:n] if buf is None else buf, scratch[n:]
+    out = None if w2 is None else np.empty((len(w2), oh, ow), np.float32)
     grad_w = None if g is None else np.zeros((len(g), k))
-    gbuf = None if g is None or g.dtype == np.float64 else np.empty(len(g) * rows * ow)
     for r0, r1, t in walk:
         if out is not None:
             # one output row makes a gemv, whose bits follow the tile's strides
@@ -422,9 +444,7 @@ def _source(x: FeatureTensor, offsets: OffsetField, spec: KernelSpec, samples=No
         raise ConfigError(f"offset field is {offsets.height}x{offsets.width}, "
                           f"output is {want[2]}x{want[3]}")
     if samples is not None and (samples.shape != want or samples.dtype != np.float64):
-        raise ConfigError(
-            f"samples are {samples.dtype} {samples.shape}, expected float64 {want}"
-        )
+        raise ConfigError(f"samples are {samples.dtype} {samples.shape}, expected float64 {want}")
     return (x, offsets, spec) if samples is None else samples
 
 

@@ -60,21 +60,23 @@ class _Container:
     _non_finite: ClassVar[str | None]
 
     def __post_init__(self):
-        with np.errstate(over="ignore"):
-            if isinstance(self.data, _Owned):
-                arr = np.asarray(self.data.array, dtype=np.float32, order="C")
-            else:
-                arr = np.array(self.data, dtype=np.float32, order="C")
-        if arr.ndim != self._ndim:
-            raise ConfigError(
-                f"{self._what} must be {self._ndim}-dimensional, got shape {arr.shape}"
-            )
-        if any(s <= 0 for s in arr.shape):
-            raise ConfigError(f"{self._what} has an empty dimension: shape {arr.shape}")
+        owned = isinstance(self.data, _Owned)
+        with np.errstate(over="ignore", invalid="ignore"):
+            arr = np.array(self.data.array if owned else self.data, dtype=np.float32, order="C",
+                           copy=None if owned else True)
+            if arr.ndim != self._ndim:
+                raise ConfigError(
+                    f"{self._what} must be {self._ndim}-dimensional, got shape {arr.shape}"
+                )
+            if not arr.size:
+                raise ConfigError(f"{self._what} has an empty dimension: shape {arr.shape}")
+            # the dot product of the values with themselves is finite unless one is not or
+            # the squares overflow; only then do min and max, which propagate NaN, decide
+            flat = arr.reshape(-1)
+            if self._non_finite and not math.isfinite(np.dot(flat, flat)) and not (
+                    math.isfinite(arr.min()) and math.isfinite(arr.max())):
+                raise ConfigError(self._non_finite)
         arr.setflags(write=False)
-        # min and max propagate NaN, and an infinity is one of them: no full-size mask
-        if self._non_finite and not (np.isfinite(arr.min()) and np.isfinite(arr.max())):
-            raise ConfigError(self._non_finite)
         object.__setattr__(self, "data", arr)
 
     @property

@@ -82,6 +82,51 @@ def test_missing_metrics_and_workloads(history):
     assert fast["metrics"]["latency_p50_ms"]["spread"] is None
 
 
+LAYERS = [{"name": "ops.self_ms", "unit": "ms", "better": "lower"},
+          {"name": "tensor.samples_per_s", "unit": "1/s", "better": "higher"}]
+
+
+def _traced(workload, seed, metrics):
+    return {"args": {"workload": workload, "seed": seed, "trace": 1}, "env": ENV,
+            "result": {"correct": True, "attempted": 3, "failed": 0,
+                       "metrics": {k: {"value": v, "unit": "x"} for k, v in metrics.items()}}}
+
+
+def test_trace_layers_row(history):
+    bench = {**BENCHMARK, "per_layer": LAYERS}
+    records = [_traced("fast", 7, {"ops.self_ms": 2.5, "trace.overhead_fraction": 0.1}),
+               _traced("slow", 7, {"ops.self_ms": None, "tensor.samples_per_s": 40.0})]
+    row = history.trace_layers(bench, records)
+    assert list(row) == ["fast", "slow"]
+    assert (row["fast"]["seed"], row["fast"]["attempted"], row["fast"]["failed"]) == (7, 3, 0)
+    # every declared metric, in the declared order, null where the run has none
+    assert row["fast"]["metrics"] == {
+        "ops.self_ms": {"unit": "ms", "better": "lower", "value": 2.5},
+        "tensor.samples_per_s": {"unit": "1/s", "better": "higher", "value": None},
+    }
+    assert [m["value"] for m in row["slow"]["metrics"].values()] == [None, 40.0]
+    json.dumps(row)
+
+
+def test_run_workload_reads_the_record_of_its_trace_setting(history, monkeypatch, tmp_path):
+    out = tmp_path / "perfbench" / "out"
+    out.mkdir(parents=True)
+    commands = []
+
+    def run(cmd, cwd, check, stdout):
+        commands.append(cmd)
+        trace = cmd[cmd.index("--trace") + 1]
+        (out / f"result-fast-seed4-trace{trace}.json").write_text(json.dumps({"trace": trace}))
+
+    monkeypatch.setattr(history, "ROOT", tmp_path)
+    monkeypatch.setattr(history.subprocess, "run", run)
+    assert history.run_workload(BENCHMARK, "fast", 4, trace=1) == {"trace": "1"}
+    assert history.run_workload(BENCHMARK, "fast", 4) == {"trace": "0"}
+    assert commands[0] == ["python3", "perfbench/run.py", "--workload", "fast", "--seed", "4",
+                           "--seconds", "15", "--trace", "1"]
+    assert commands[1][-1] == "0"
+
+
 def test_rejects_anything_but_one_output_path(history, capsys):
     assert history.main([]) == 2
     assert history.main(["a.json", "b.json"]) == 2

@@ -199,6 +199,21 @@ class TestTrainToy:
         assert result.weights[1].data.tobytes() == w2.data.tobytes()
 
     @pytest.mark.parametrize("operator", ["adapted", "standard"])
+    def test_matches_reference_loop_bitwise_over_row_tiles(self, operator):
+        # At 176x64 the layer-1 samples and the hidden activations each span
+        # three row tiles, so the weight gradients are sums over tiles, in order.
+        h, w, c, taps, hidden = 176, 64, 3, 9, 24
+        assert len(geometry._row_tiles(h, c * taps * w * 8)) == 3
+        assert len(geometry._row_tiles(h, hidden * w * 8)) == 3
+        train = [generate_scene("corridor", h, w, seed=s) for s in (61, 62)]
+        cfg = TrainConfig(epochs=3, seed=6, operator=operator, hidden=hidden)
+        result = train_toy(train, cfg, train)
+        losses, w1, w2 = _reference_train(train, cfg)
+        assert result.losses == losses
+        assert result.weights[0].data.tobytes() == w1.data.tobytes()
+        assert result.weights[1].data.tobytes() == w2.data.tobytes()
+
+    @pytest.mark.parametrize("operator", ["adapted", "standard"])
     def test_memory_is_what_the_epochs_hold_and_two_tiles(self, operator):
         # The experiment's 48x64 scenes.  The epochs hold each training scene's
         # float64 samples and one-hot labels and its float32 offset field, and

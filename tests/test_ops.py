@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 import warnings
 
@@ -566,13 +567,17 @@ class TestRowTiles:
         g = rng.standard_normal((co, oh, ow))
         for rows in (1, 3, oh):
             monkeypatch.setattr(geometry, "_TILE_BYTES", rows * 2 * spec.tap_count * ow * 8)
-            for src in ((x, field, spec), samples):
-                y, gw = _conv_gemm(src, w2, g)
-                # buffers that already hold other values, the tile buffer too long
-                out, buf = np.full(y.shape, np.nan, np.float32), np.full(co * oh * ow + 7, np.nan)
-                y2, gw2 = _conv_gemm(src, w2, g, out=out, buf=buf)
-                assert y2 is out and y2.tobytes() == y.tobytes()
-                assert gw2.tobytes() == gw.tobytes()
+            for src, gg in itertools.product(((x, field, spec), samples), (g, g.astype(np.float32))):
+                y, gw = _conv_gemm(src, w2, gg)
+                # a tile buffer, and the thread's scratch, that already hold
+                # other values and are too long
+                buf = np.full(co * oh * ow + 7, np.nan)
+                ops._SCRATCH.buf = np.full(2 * co * oh * ow + 7, np.nan)
+                y2, gw2 = _conv_gemm(src, w2, gg, buf=buf)
+                assert y2.tobytes() == y.tobytes() and gw2.tobytes() == gw.tobytes()
+                ops._SCRATCH.buf = np.full(2 * co * oh * ow + 7, np.nan)
+                y2, gw2 = _conv_gemm(src, w2, gg)
+                assert y2.tobytes() == y.tobytes() and gw2.tobytes() == gw.tobytes()
 
     @pytest.mark.parametrize("h, w, spec", TILE_CASES)
     def test_pool_adds_taps_in_plan_order(self, monkeypatch, h, w, spec):

@@ -10,7 +10,8 @@ from zacn import (
     bilinear_sample,
 )
 from zacn.harness import generate_scene
-from zacn.ops import _bilinear_scatter_weights
+from zacn import ops
+from zacn.ops import _bilinear_gather, _bilinear_scatter_weights, _neighbor_steps
 from zacn.tensor import _Owned
 
 from conftest import rand_feature
@@ -160,6 +161,29 @@ class TestBilinearSample:
         t = rand_feature(rng, 2, 4, 4)
         with pytest.raises(ConfigError):
             bilinear_sample(t, 2, 1.0, 1.0)
+
+    @pytest.mark.parametrize("h, w", [(1, 1), (1, 6), (5, 1), (9, 11)])
+    def test_band_read_keeps_every_bit(self, rng, monkeypatch, h, w):
+        # the whole channel in float64 read through the same plan: random
+        # points, points on and between the border rows and columns, and
+        # points far off the image on every side
+        t = rand_feature(rng, 2, h, w)
+        points = [(float(rng.uniform(-3, w + 2)), float(rng.uniform(-3, h + 2))) for _ in range(200)]
+        points += [(u, v) for u in (-1.5, -1.0, -0.25, 0.0, 0.5, w - 1.0, w - 0.5, w, w + 0.75)
+                   for v in (-1.0, -0.5, 0.0, 0.25, h - 1.0, h - 0.6, h, h + 1.5)]
+        points += [(-1e30, 0.5), (0.5, 1e30), (1e30, -1e30), (-7.3, h + 9.1)]
+        gather, rows = ops._bilinear_gather, []
+        monkeypatch.setattr(ops, "_bilinear_gather",
+                            lambda data, *a, **k: rows.append(data.size // w) or gather(data, *a, **k))
+        for u, v in points:
+            c = int(rng.integers(0, 2))
+            base, wgt = _bilinear_scatter_weights(h, w, np.asarray([u]), np.asarray([v]))
+            whole = t.data[c].reshape(1, -1).astype(np.float64)
+            want = np.float32(_bilinear_gather(whole, base, _neighbor_steps(w), wgt)[0, 0])
+            got = bilinear_sample(t, c, u, v)
+            assert np.float32(got).tobytes() == want.tobytes(), (u, v)
+        # at most the two rows that a point can reach are converted, whatever the image
+        assert len(rows) == len(points) and 1 <= min(rows) and max(rows) <= min(h, 2)
 
 
 def _neighbor_weights(h, w, u, v):
