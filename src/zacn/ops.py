@@ -336,6 +336,7 @@ def _sample_rows(src, out=None):
                                           for r0, r1 in tiles]
 
     def gather():
+        _SCRATCH.buf = None  # plans take the most memory of a walk: drop the kept scratch
         c, h, w = x.data.shape
         image = x.data.reshape(c, -1)
         band, data = np.empty(0), np.empty((c, 0))  # data: the band's rows, as (c, n)
@@ -377,9 +378,9 @@ def _rows64(a: np.ndarray, r0: int, r1: int, buf: np.ndarray | None) -> np.ndarr
 
 
 # Each thread's float64 scratch for the tile buffers of :func:`_conv_gemm`,
-# kept from call to call, so that a loop of products (the toy training's
-# steps) neither allocates them again nor faults their pages in.  No result
-# is a view of it.
+# kept from call to call until a walk gathers, so that a loop of products
+# over ``samples`` (the toy training's steps) neither allocates them again
+# nor faults their pages in.  No result is a view of it.
 _SCRATCH = threading.local()
 
 
