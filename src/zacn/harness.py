@@ -285,10 +285,14 @@ def train_toy(scenes, cfg: TrainConfig, eval_scenes) -> TrainResult:
     k = _SPEC.size
     rng = np.random.default_rng(cfg.seed)
 
-    w1 = ConvWeights((rng.standard_normal((cfg.hidden, c_in, k, k))
-                      * np.sqrt(2.0 / (c_in * k * k))).astype(np.float32))
-    w2 = ConvWeights((rng.standard_normal((num_classes, cfg.hidden, 1, 1))
-                      * np.sqrt(2.0 / cfg.hidden)).astype(np.float32))
+    w1 = ConvWeights(
+        (rng.standard_normal((cfg.hidden, c_in, k, k))
+         * np.sqrt(2.0 / (c_in * k * k))).astype(np.float32)
+    )
+    w2 = ConvWeights(
+        (rng.standard_normal((num_classes, cfg.hidden, 1, 1))
+         * np.sqrt(2.0 / cfg.hidden)).astype(np.float32)
+    )
 
     w1, w2, losses = _descend(scenes, w1, w2, num_classes, cfg)
     miou, acc = evaluate(eval_scenes, (w1, w2), cfg)
@@ -304,8 +308,7 @@ def _descend(scenes, w1, w2, num_classes, cfg: TrainConfig):
         offsets = _scene_offsets(s, cfg)
         samples = gather_samples(s.features, offsets, _SPEC)
         prepared.append((s.features, offsets, samples, _one_hot(s.labels, num_classes)))
-    # Each step's float64 hidden activations; spent once dw2 is taken, they
-    # are dhidden's matmul buffer.  No container adopts it.
+    # Each step's float64 hidden activations.  No container adopts them.
     hid = np.empty(cfg.hidden * max(s.labels.size for s in scenes))
     losses: list[float] = []
     for epoch in range(cfg.epochs):
@@ -320,7 +323,7 @@ def _descend(scenes, w1, w2, num_classes, cfg: TrainConfig):
                 loss, g = _softmax_cross_entropy(logits.data, onehot)
                 total_loss += loss
                 gw2 += _conv_gemm(hidden, g=g)[1].astype(np.float32)[:, :, None, None]
-                dhidden = _conv_gemm(g, w2=head.T, buf=hid)[0]
+                dhidden = _conv_gemm(g, w2=head.T)[0]
                 np.multiply(dhidden, active, out=dhidden)
                 _, dw1 = za_conv_backward(x, w1, offsets, _SPEC, FeatureTensor(_Owned(dhidden)),
                                           samples=samples, need_grad_x=False)

@@ -395,24 +395,21 @@ def _scratch(n: int) -> np.ndarray:
     return buf[:n]
 
 
-def _conv_gemm(src, w2=None, g=None, buf=None):
+def _conv_gemm(src, w2=None, g=None):
     """One float64 matmul per row tile of a :func:`_sample_rows` source,
     over its joint ``k = ci*taps`` axis.  Returns ``(out, grad_w)``: for
     ``w2`` ``(co, k)`` the fresh float32 ``(co, oh, ow)`` output ``w2 @
-    samples``, each tile summed in one reused float64 buffer and rounded
+    samples``, each tile summed in one float64 tile buffer and rounded
     once; for ``g`` ``(co, oh, ow)``, float32 or float64, the float64 ``(co,
     k)`` weight gradient ``g @ samples.T``, summed over the tiles in order,
-    each tile of a float32 ``g`` converted as it comes; a flat ``buf`` of
-    ``co`` tiles' pixels or more replaces the tile buffer.  The tiles and
-    the matmul shapes depend only on the shapes, so either source, and any
-    buffer, give the same bits."""
+    each tile of a float32 ``g`` converted as it comes.  Both tile buffers
+    are this thread's scratch.  The tiles and the matmul shapes depend only
+    on the shapes, so either source, and any scratch, give the same bits."""
     (k, oh, ow, rows), walk = _sample_rows(src)
-    # the tile buffers, in this thread's scratch: the product's, unless ``buf``
-    # is given, and a float32 ``g``'s converted rows
-    n = 0 if w2 is None or buf is not None else len(w2) * rows * ow
+    n = 0 if w2 is None else len(w2) * rows * ow
     m = 0 if g is None or g.dtype == np.float64 else len(g) * rows * ow
     scratch = _scratch(n + m)
-    buf, gbuf = scratch[:n] if buf is None else buf, scratch[n:]
+    buf, gbuf = scratch[:n], scratch[n:]
     out = None if w2 is None else np.empty((len(w2), oh, ow), np.float32)
     grad_w = None if g is None else np.zeros((len(g), k))
     for r0, r1, t in walk:

@@ -217,7 +217,7 @@ class TestTrainToy:
     def test_memory_is_what_the_epochs_hold_and_two_tiles(self, operator):
         # The experiment's 48x64 scenes.  The epochs hold each training scene's
         # float64 samples and one-hot labels and its float32 offset field, and
-        # one float64 hidden and one float32 dhidden for all steps; an
+        # one float64 hidden for all steps, and a step its float32 dhidden; an
         # operator's tile and its plan take the rest.  Evaluating while the
         # last step's arrays were still alive peaked at 6.6 MiB here.
         h, w, c, classes, taps = 48, 64, 3, 3, 9
