@@ -245,7 +245,7 @@ def _softmax_cross_entropy(logits: np.ndarray, onehot: np.ndarray):
     gradient w.r.t. the logits: rounded to float32, returned as float64."""
     p = logits.astype(np.float64)
     p -= p.max(axis=0)
-    p = np.exp(p, out=p)
+    np.exp(p, out=p)
     p /= p.sum(axis=0)
     npix = onehot[0].size
     loss = float(-(np.log(p + 1e-12) * onehot).sum() / npix)
@@ -340,7 +340,8 @@ def evaluate(scenes, weights, cfg: TrainConfig):
     """Mean (mIoU, pixel accuracy) of a trained model over scenes."""
     w1, w2 = weights
     head = _head(w2)
-    mious, accs = [], []
+    mious = []
+    accs = []
     for scene in scenes:
         _, _, logits = _forward(scene.features, w1, head, _scene_offsets(scene, cfg))
         pred = np.argmax(logits.data, axis=0)
