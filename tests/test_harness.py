@@ -201,7 +201,10 @@ class TestTrainToy:
     @pytest.mark.parametrize("operator", ["adapted", "standard"])
     def test_matches_reference_loop_bitwise_over_row_tiles(self, operator):
         # At 176x64 the layer-1 samples and the hidden activations each span
-        # three row tiles, so the weight gradients are sums over tiles, in order.
+        # three row tiles, so every product of a step walks all three (a walk
+        # that drops one fails here).  The float32 rounding of the weight
+        # gradients hides the order of their float64 tile sums, which
+        # TestRowTiles in test_ops.py checks.
         h, w, c, taps, hidden = 176, 64, 3, 9, 24
         assert len(geometry._row_tiles(h, c * taps * w * 8)) == 3
         assert len(geometry._row_tiles(h, hidden * w * 8)) == 3
