@@ -196,13 +196,28 @@ def generate_scene(kind: str, h: int, w: int, seed: int, focal: float = 519.0) -
 
     coord = np.einsum("hwk,hwk->hw", points, axis_map)
     t = 2.0 * np.pi * (coord / period_map + phase_map)
-    feats = np.stack([np.sin(t) + _NOISE_SIGMA * rng.standard_normal((h, w)),
-                      np.cos(t) + _NOISE_SIGMA * rng.standard_normal((h, w)),
-                      rng.standard_normal((h, w))]).astype(np.float32)
-    description = {"kind": kind, "seed": seed, "focal": focal, "noise_sigma": _NOISE_SIGMA,
-                   "planes": planes}
-    return SyntheticScene(depth=DepthMap(depth.astype(np.float32)), features=FeatureTensor(feats),
-                          labels=labels, intrinsics=K, description=description)
+    feats = np.stack(
+        [
+            np.sin(t) + _NOISE_SIGMA * rng.standard_normal((h, w)),
+            np.cos(t) + _NOISE_SIGMA * rng.standard_normal((h, w)),
+            rng.standard_normal((h, w)),
+        ]
+    ).astype(np.float32)
+
+    description = {
+        "kind": kind,
+        "seed": seed,
+        "focal": focal,
+        "noise_sigma": _NOISE_SIGMA,
+        "planes": planes,
+    }
+    return SyntheticScene(
+        depth=DepthMap(depth.astype(np.float32)),
+        features=FeatureTensor(feats),
+        labels=labels,
+        intrinsics=K,
+        description=description,
+    )
 
 
 def segmentation_metrics(pred: np.ndarray, labels: np.ndarray, num_classes: int):

@@ -108,7 +108,9 @@ class OpSummary:
 
     def __post_init__(self):
         if not (0.0 <= self.oob_sample_fraction <= 1.0):
-            raise ConfigError(f"out-of-bounds fraction {self.oob_sample_fraction} outside [0, 1]")
+            raise ConfigError(
+                f"out-of-bounds fraction {self.oob_sample_fraction} outside [0, 1]"
+            )
 
     def as_dict(self) -> dict:
         """The fields as a JSON-ready dict."""
@@ -127,7 +129,9 @@ def _check_conv_shapes(x: FeatureTensor, w: ConvWeights, spec: KernelSpec):
             f"weights are {w.kernel_size}x{w.kernel_size} but spec says {spec.size}x{spec.size}"
         )
     if w.in_channels != x.channels:
-        raise ConfigError(f"weights expect {w.in_channels} input channels, tensor has {x.channels}")
+        raise ConfigError(
+            f"weights expect {w.in_channels} input channels, tensor has {x.channels}"
+        )
 
 
 def bilinear_sample(x: FeatureTensor, c: int, u: float, v: float) -> float:
@@ -314,12 +318,12 @@ def _sample_rows(src, out=None):
     """The row tiles of the float64 ``(k, oh, ow)`` samples of ``src``, an
     ``(x, offsets, spec)`` triple (``k = ci*taps``) or an array ``(..., oh,
     ow)``.  Returns ``(k, oh, ow, rows)``, ``rows`` the largest tile's, and an
-    iterable of ``(r0, r1, t)`` per run of rows that fits
+    iterator of ``(r0, r1, t)`` per run of rows that fits
     ``geometry._TILE_BYTES``: ``t`` is the rows' ``(k, (r1 - r0) * ow)``
-    samples, a list of views of the array or gathered through the tile's
-    own plan into a buffer that the next tile overwrites, a quarter of the
-    channels at a time so that the gather's scratch is a quarter tile, or
-    into the rows of ``out``, a float64 ``(ci, taps, oh, ow)`` array, if given.
+    samples, a view of the array or gathered through the tile's own plan
+    into a buffer that the next tile overwrites, a quarter of the channels
+    at a time so that the gather's scratch is a quarter tile, or into the
+    rows of ``out``, a float64 ``(ci, taps, oh, ow)`` array, if given.
     (Tiles of half the rows slowed the toy training's small matmuls.)
 
     A gather reads a float64 band of the input: the rows that the tile's
@@ -331,9 +335,6 @@ def _sample_rows(src, out=None):
     *lead, oh, ow = src.shape if x is None else (x.channels, spec.tap_count, *offsets.data.shape[1:])
     k = math.prod(lead)
     tiles = geometry._row_tiles(oh, k * ow * 8)
-    if x is None:  # views of the array's rows, listed at once
-        return (k, oh, ow, tiles[0][1]), [(r0, r1, src[..., r0:r1, :].reshape(k, -1))
-                                          for r0, r1 in tiles]
 
     def gather():
         _SCRATCH.buf = None  # plans take the most memory of a walk: drop the kept scratch
@@ -362,7 +363,8 @@ def _sample_rows(src, out=None):
             _bilinear_gather(data, base, steps, wgt, t, tmp[:cc * base.size], rows[0] * w)
             yield r0, r1, t.reshape(k, -1)  # a view: only the rows are a slice
 
-    return (k, oh, ow, tiles[0][1]), gather()
+    views = ((r0, r1, src[..., r0:r1, :].reshape(k, -1)) for r0, r1 in tiles)
+    return (k, oh, ow, tiles[0][1]), views if x is None else gather()
 
 
 def _rows64(a: np.ndarray, r0: int, r1: int, buf: np.ndarray | None) -> np.ndarray:
@@ -442,7 +444,9 @@ def _source(x: FeatureTensor, offsets: OffsetField, spec: KernelSpec, samples=No
         raise ConfigError(f"offset field is {offsets.height}x{offsets.width}, "
                           f"output is {want[2]}x{want[3]}")
     if samples is not None and (samples.shape != want or samples.dtype != np.float64):
-        raise ConfigError(f"samples are {samples.dtype} {samples.shape}, expected float64 {want}")
+        raise ConfigError(
+            f"samples are {samples.dtype} {samples.shape}, expected float64 {want}"
+        )
     return (x, offsets, spec) if samples is None else samples
 
 

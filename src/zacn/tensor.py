@@ -61,9 +61,9 @@ class _Container:
 
     def __post_init__(self):
         owned = isinstance(self.data, _Owned)
-        with np.errstate(over="ignore", invalid="ignore"):
-            arr = np.array(self.data.array if owned else self.data, dtype=np.float32, order="C",
-                           copy=None if owned else True)
+        with np.errstate(over="ignore"):  # the cast's and the squares' overflow
+            arr = (np.asarray(self.data.array, dtype=np.float32, order="C") if owned
+                   else np.array(self.data, dtype=np.float32, order="C"))
             if arr.ndim != self._ndim:
                 raise ConfigError(
                     f"{self._what} must be {self._ndim}-dimensional, got shape {arr.shape}"
