@@ -86,30 +86,38 @@ with open("/proc/self/status") as f:
     print(next(line.split()[1] for line in f if line.startswith("VmHWM:")))
 """
 
-# each operator runs on a fresh copy of the field, so that nothing the field
-# caches from an earlier call lowers the peak; the result is freed before the
-# next call
-_PEAKS_CHILD = r"""
-import json, sys, tracemalloc
+# the scene, inputs and field of the operator rows at one shape, and each
+# operator as a call on a given field
+_OPERATORS_PRELUDE = r"""
+import json, sys
 import numpy as np
 from zacn import (ConvWeights, FeatureTensor, KernelSpec, OffsetField, compute_offsets,
                   za_avg_pool, za_conv_backward, za_conv_forward)
 from zacn.harness import generate_scene
 shapes, c, seed = json.loads(sys.argv[1]), int(sys.argv[2]), int(sys.argv[3])
 spec = KernelSpec.same(3)
-row = {}
-for h, w in shapes:
+def operators(h, w):
     scene = generate_scene("corridor", h, w, seed=seed, focal=519.0 * w / 640)
     rng = np.random.default_rng(seed)
     x, g = (FeatureTensor(rng.standard_normal((c, h, w)).astype(np.float32)) for _ in "xg")
     wts = ConvWeights((rng.standard_normal((c, c, 3, 3)) * 0.1).astype(np.float32))
     field, _ = compute_offsets(scene.depth, scene.intrinsics, spec, h, w)
-    calls = {
+    return field, {
         "compute_offsets": lambda f: compute_offsets(scene.depth, scene.intrinsics, spec, h, w),
         "za_conv_forward": lambda f: za_conv_forward(x, wts, f, spec),
         "za_avg_pool": lambda f: za_avg_pool(x, f, spec),
         "za_conv_backward": lambda f: za_conv_backward(x, wts, f, spec, g),
     }
+"""
+
+# each operator runs on a fresh copy of the field, so that nothing the field
+# caches from an earlier call lowers the peak; the result is freed before the
+# next call
+_PEAKS_CHILD = _OPERATORS_PRELUDE + r"""
+import tracemalloc
+row = {}
+for h, w in shapes:
+    field, calls = operators(h, w)
     peaks = row[f"{h}x{w}"] = {}
     for name, call in calls.items():
         fresh = OffsetField(field.data)
@@ -124,33 +132,18 @@ print(json.dumps(row))
 
 # each operator keeps its field, whose border statistics the warm-up call
 # caches, and every result is freed before the next call
-_FAULTS_CHILD = r"""
-import json, resource, sys
-import numpy as np
-from zacn import (ConvWeights, FeatureTensor, KernelSpec, compute_offsets, za_avg_pool,
-                  za_conv_backward, za_conv_forward)
-from zacn.harness import generate_scene
-shapes, c, seed, calls = json.loads(sys.argv[1]), int(sys.argv[2]), int(sys.argv[3]), int(sys.argv[4])
-spec = KernelSpec.same(3)
+_FAULTS_CHILD = _OPERATORS_PRELUDE + r"""
+import resource
+calls = int(sys.argv[4])
 row = {}
 for h, w in shapes:
-    scene = generate_scene("corridor", h, w, seed=seed, focal=519.0 * w / 640)
-    rng = np.random.default_rng(seed)
-    x, g = (FeatureTensor(rng.standard_normal((c, h, w)).astype(np.float32)) for _ in "xg")
-    wts = ConvWeights((rng.standard_normal((c, c, 3, 3)) * 0.1).astype(np.float32))
-    field, _ = compute_offsets(scene.depth, scene.intrinsics, spec, h, w)
-    ops = {
-        "compute_offsets": lambda: compute_offsets(scene.depth, scene.intrinsics, spec, h, w),
-        "za_conv_forward": lambda: za_conv_forward(x, wts, field, spec),
-        "za_avg_pool": lambda: za_avg_pool(x, field, spec),
-        "za_conv_backward": lambda: za_conv_backward(x, wts, field, spec, g),
-    }
+    field, ops = operators(h, w)
     faults = row[f"{h}x{w}"] = {}
     for name, call in ops.items():
-        call()
+        call(field)
         before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         for _ in range(calls):
-            call()
+            call(field)
         faults[name] = (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / calls
 print(json.dumps(row))
 """

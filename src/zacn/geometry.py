@@ -70,7 +70,8 @@ __all__ = [
 
 # Unit-length tolerance for normals and the degenerate-basis zone width.
 _FRAME_TOL = 1e-6
-# Relative eigenvalue gap below which a neighborhood counts as collinear.
+# Relative eigenvalue gap, and relative size of the scatter matrix's second
+# invariant, below which a neighborhood counts as collinear.
 _RANK_TOL = 1e-9
 # Components smaller than this count as zero in the normal-sign tie-break.
 # Set to the degenerate-basis zone width (n2^2 >= 1 - 1e-6 implies
@@ -217,14 +218,21 @@ def _scatter_sums(dx: np.ndarray, dy: np.ndarray, dz: np.ndarray) -> list[np.nda
             for a, b in ((dx, dx), (dy, dy), (dz, dz), (dx, dy), (dx, dz), (dy, dz))]
 
 
-def _plane_normals(*sums: np.ndarray):
+def _plane_normals(a00, a11, a22, a01, a02, a12):
     """Batch form of :func:`fit_plane` from the six :func:`_scatter_sums` of
     each neighborhood, so that its points can be freed before the solve.
     Returns the normal's components ``(n1, n2, n3)``, each of the sums'
     shape, and the mask of collinear or single-point neighborhoods.
+
+    On an exactly rank-1 matrix the trigonometric solve can leave ``lam_mid``
+    at about ``4e-9 * lam_max``, so the sum of the 2x2 principal minors
+    ``c2``, which is about ``1e-16 * trace^2`` there, flags it as well.
     """
-    (_, lam_mid, lam_max), normal = _smallest_eigenpair_sym3(*sums)
-    return normal, (lam_max <= 0.0) | (lam_mid <= _RANK_TOL * lam_max)
+    (_, lam_mid, lam_max), normal = _smallest_eigenpair_sym3(a00, a11, a22, a01, a02, a12)
+    c2 = (a00 * a11 - a01 * a01) + (a00 * a22 - a02 * a02) + (a11 * a22 - a12 * a12)
+    trace = a00 + a11 + a22
+    collinear = (lam_mid <= _RANK_TOL * lam_max) | (c2 <= _RANK_TOL * trace * trace)
+    return normal, (lam_max <= 0.0) | collinear
 
 
 def _smallest_eigenpair_sym3(a00, a11, a22, a01, a02, a12):

@@ -289,12 +289,15 @@ def train_toy(scenes, cfg: TrainConfig, eval_scenes) -> TrainResult:
 
     The metrics are :func:`evaluate` on ``eval_scenes``; pass the training
     scenes again to score the fit.  Runs are bit-reproducible for a
-    fixed config.  Raises :class:`TrainingError` naming the epoch if an
+    fixed config.  Raises :class:`ConfigError` for an empty list of training
+    or evaluation scenes, and :class:`TrainingError` naming the epoch if an
     activation, a gradient or a weight goes non-finite.
     """
-    scenes = list(scenes)
+    scenes, eval_scenes = list(scenes), list(eval_scenes)
     if not scenes:
         raise ConfigError("need at least one training scene")
+    if not eval_scenes:
+        raise ConfigError("need at least one evaluation scene")
     num_classes = max(s.num_classes for s in scenes)
     c_in = scenes[0].features.channels
     k = _SPEC.size
@@ -353,6 +356,9 @@ def _descend(scenes, w1, w2, num_classes, cfg: TrainConfig):
 
 def evaluate(scenes, weights, cfg: TrainConfig):
     """Mean (mIoU, pixel accuracy) of a trained model over scenes."""
+    scenes = list(scenes)
+    if not scenes:
+        raise ConfigError("need at least one evaluation scene")
     w1, w2 = weights
     head = _head(w2)
     mious = []

@@ -3,7 +3,9 @@
 ``perfbench/tracing.py`` wraps package functions by (module, attribute)
 name and reads their arguments and results; a renamed function or a
 changed return type would only show up as a missing or failing benchmark
-metric.  The file is loaded by path and only read.
+metric, and a call inlined out of a hooked function as a metric that reads
+0.  Each traced test runs one workload's calls and checks that the layers
+that workload calls read above 0.  The file is loaded by path and only read.
 """
 
 import importlib
@@ -60,7 +62,9 @@ def test_traced_toy_run_records_spans_and_counts(tracing, monkeypatch):
         elif s["name"] == "tensor.gather":
             assert s["samples"] > 0
     metrics = tracing.layer_metrics(tracer.spans, [], 1)
-    for name in ("tensor.gather_ms", "ops.za_conv_backward_ms", "ops.macs", "harness.epochs_per_s"):
+    for name in ("tensor.gather_ms", "tensor.scatter_ms", "ops.za_conv_forward_ms",
+                 "ops.za_conv_backward_ms", "ops.macs", "harness.train_self_ms",
+                 "harness.epochs_per_s"):
         assert metrics[name] > 0, name
 
 
@@ -77,7 +81,8 @@ def test_traced_offsets_run_records_spans_and_counts(tracing, monkeypatch, tmp_p
     names = {s["name"] for s in tracer.spans}
     assert {"cli.cmd_offsets", "geometry.compute_offsets", "io.read_depth", "io.write_offsets"} <= names
     metrics = tracing.layer_metrics(tracer.spans, [], 1)
-    for name in ("cli.offsets_self_ms", "geometry.compute_offsets_ms", "io.bytes_written"):
+    for name in ("cli.offsets_self_ms", "geometry.compute_offsets_ms", "io.write_offsets_ms",
+                 "io.bytes_written"):
         assert metrics[name] > 0, name
 
 

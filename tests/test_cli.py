@@ -562,66 +562,104 @@ class TestKernelFlags:
         assert not (workdir / "o.zacn").exists()
 
 
-# Runs every CLI command once per ZACN_THREADS value into its own folder.
-# BLAS reads its thread count when numpy loads, so the parent starts one
-# interpreter per OPENBLAS_NUM_THREADS value.
+# The one check that no output byte follows a thread count.  BLAS reads its
+# thread count when numpy loads, so the parent starts one interpreter per
+# OPENBLAS_NUM_THREADS value, both at once.  Each runs the offsets -> conv ->
+# pool chain, adapted and standard (a zero field, whose tiles keep one
+# neighbor slot), and a backward with grad_x, once per ZACN_THREADS value
+# into its own folder; then the benchmark's toy item, seed 0 at the default
+# settings, whose 3-channel multi-group gathers and 150 epochs of BLAS
+# products no other input here reaches.
 _THREADS_CHILD = r"""
 import os, sys
+from zacn import (ConvWeights, FeatureTensor, KernelSpec, read_offsets, read_tensor,
+                  write_tensor, za_conv_backward)
 from zacn.cli import main
 inputs, root = sys.argv[1:]
 inp = lambda name: os.path.join(inputs, name)
+blas = os.path.join(root, "blas" + os.environ["OPENBLAS_NUM_THREADS"])
+x, w, g = (read_tensor(inp(name)) for name in ("x.zacn", "w.zacn", "g.zacn"))
 for zacn_threads in ("1", "2"):
     os.environ["ZACN_THREADS"] = zacn_threads
-    out = os.path.join(root, f"blas{os.environ['OPENBLAS_NUM_THREADS']}-zacn{zacn_threads}")
+    out = os.path.join(blas, "zacn" + zacn_threads)
     os.makedirs(out)
     res = lambda name: os.path.join(out, name)
     commands = [
-        ["offsets", "--depth", inp("depth.pfm"), "--intrinsics", inp("K.txt"),
-         "--out", res("o.zacn")],
+        ["offsets", "--depth", inp("depth.pfm"), "--fu", "129.75", "--fv", "129.75",
+         "--out", res("off.zacn")],
         ["conv", "--input", inp("x.zacn"), "--weights", inp("w.zacn"),
-         "--offsets", res("o.zacn"), "--out", res("conv.zacn")],
-        ["conv", "--input", inp("x.zacn"), "--weights", inp("w.zacn"), "--standard",
-         "--out", res("conv_standard.zacn")],
-        ["pool", "--input", inp("x.zacn"), "--offsets", res("o.zacn"), "--padding", "same",
+         "--offsets", res("off.zacn"), "--out", res("conv.zacn")],
+        ["pool", "--input", res("conv.zacn"), "--offsets", res("off.zacn"), "--padding", "same",
          "--out", res("pool.zacn")],
-        ["pool", "--input", inp("x.zacn"), "--standard", "--out", res("pool_standard.zacn")],
-        ["toytrain", "--epochs", "2", "--hidden", "4",
-         "--csv", res("toy.csv"), "--json", res("toy.json")],
+        ["conv", "--input", inp("x.zacn"), "--weights", inp("w.zacn"), "--standard",
+         "--out", res("sconv.zacn")],
+        ["pool", "--input", res("sconv.zacn"), "--standard", "--padding", "same",
+         "--out", res("spool.zacn")],
     ]
     for argv in commands:
         if main(argv) != 0:
             sys.exit(f"zacn {argv[0]} failed under ZACN_THREADS={zacn_threads}")
+    field = read_offsets(res("off.zacn"))
+    grad_x, grad_w = za_conv_backward(FeatureTensor(x), ConvWeights(w), field, KernelSpec.same(3),
+                                      FeatureTensor(g))
+    write_tensor(grad_x.data, res("grad_x.zacn"))
+    write_tensor(grad_w.data, res("grad_w.zacn"))
+if main(["toytrain", "--seed", "0", "--csv", os.path.join(blas, "toy.csv"),
+         "--json", os.path.join(blas, "toy.json")]) != 0:
+    sys.exit("zacn toytrain failed")
 """
 
 
+def _assert_same_files(root, dirs):
+    """Every file directly in ``dirs`` has the same name set and bytes as
+    in the first; returns the names."""
+    names = sorted(p.name for p in dirs[0].iterdir() if p.is_file())
+    for d in dirs[1:]:
+        assert sorted(p.name for p in d.iterdir() if p.is_file()) == names
+        for name in names:
+            assert (d / name).read_bytes() == (dirs[0] / name).read_bytes(), \
+                f"{(d / name).relative_to(root)} differs from {(dirs[0] / name).relative_to(root)}"
+    return names
+
+
 class TestThreadCountReproducibility:
-    def test_outputs_byte_identical_across_thread_counts(self, tmp_path, rng):
-        # 120x160 makes two row tiles of the offset field, so two workers share them
-        scene = generate_scene("corridor", 120, 160, seed=5)
+    def test_outputs_byte_identical_across_thread_counts(self, tmp_path):
+        # the benchmark's frame: 120x160 makes two row tiles of the offset
+        # field, so two workers share them
+        scene = generate_scene("corridor", 120, 160, seed=29, focal=519.0 / 4)
         inputs = tmp_path / "inputs"
         inputs.mkdir()
         write_depth(scene.depth, inputs / "depth.pfm")
-        (inputs / "K.txt").write_text("fu=519\nfv=519\nwidth=160\nheight=120\n")
-        write_tensor(rng.standard_normal((3, 120, 160)).astype(np.float32), inputs / "x.zacn")
-        write_tensor(rng.standard_normal((4, 3, 3, 3)).astype(np.float32), inputs / "w.zacn")
+        rng = np.random.default_rng(29)
+        write_tensor(rng.standard_normal((16, 120, 160)).astype(np.float32), inputs / "x.zacn")
+        write_tensor((0.1 * rng.standard_normal((16, 16, 3, 3))).astype(np.float32),
+                     inputs / "w.zacn")
+        write_tensor(rng.standard_normal((16, 120, 160)).astype(np.float32), inputs / "g.zacn")
         src = os.path.dirname(os.path.dirname(zacn.__file__))
-        for blas_threads in ("1", "2"):
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=blas_threads,
-                       PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-            proc = subprocess.run(
-                [sys.executable, "-c", _THREADS_CHILD, str(inputs), str(tmp_path / "runs")],
-                env=env, capture_output=True, text=True,
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        root = tmp_path / "runs"
+        procs = [
+            subprocess.Popen(
+                [sys.executable, "-c", _THREADS_CHILD, str(inputs), str(root)],
+                env=dict(os.environ, OPENBLAS_NUM_THREADS=blas_threads, PYTHONPATH=path),
+                stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
             )
-            assert proc.returncode == 0, proc.stderr
-        runs = sorted((tmp_path / "runs").iterdir())
+            for blas_threads in ("1", "2")
+        ]
+        try:
+            errors = [proc.communicate(timeout=300)[1] for proc in procs]
+        finally:
+            for proc in procs:
+                proc.kill()  # a child still running after a timeout
+        for proc, err in zip(procs, errors):
+            assert proc.returncode == 0, err
+        blas = sorted(root.iterdir())
+        assert [d.name for d in blas] == ["blas1", "blas2"]
+        assert _assert_same_files(root, blas) == ["toy.csv", "toy.json"]
+        runs = sorted(root.glob("blas*/zacn*"))
         assert len(runs) == 4
-        names = sorted(p.name for p in runs[0].iterdir())
-        assert len(names) == 12  # 5 containers with a JSON summary each, the toy CSV and JSON
-        for run in runs[1:]:
-            assert sorted(p.name for p in run.iterdir()) == names
-            for name in names:
-                assert (run / name).read_bytes() == (runs[0] / name).read_bytes(), \
-                    f"{run.name}/{name} differs from {runs[0].name}/{name}"
+        # 5 containers with a JSON summary each, grad_x and grad_w
+        assert len(_assert_same_files(root, runs)) == 12
 
 
 class TestEntryPoint:

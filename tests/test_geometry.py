@@ -595,6 +595,28 @@ class TestComputeOffsets:
         zero = ~field.data.any(axis=0)
         assert np.count_nonzero(zero) == sum(counts)
 
+    @pytest.mark.parametrize("values, collinear", [
+        # a constant row is a line in space: every window is collinear,
+        # although the solve leaves its lam_mid above _RANK_TOL * lam_max
+        (np.full(9, 2.0), 9),
+        # the points of any one image row lie in a plane through the camera
+        # centre, so a ramp row is fitted exactly and edge-on, not collinear
+        (2.0 + 0.1 * np.arange(9.0), 0),
+    ])
+    def test_one_valid_row(self, values, collinear):
+        depth = np.full((9, 9), np.nan, np.float32)
+        depth[6] = values  # off the principal point's row
+        K = CameraIntrinsics(519.0, 519.0, 4.0, 4.0)
+        field, summary = compute_offsets(DepthMap(depth), K, KernelSpec.same(5), 9, 9)
+        assert summary.invalid_center_pixels == 72
+        assert summary.collinear_pixels == collinear
+        assert summary.degenerate_pixels == 72 + collinear
+        if collinear:
+            assert not field.data[:, 6].any()
+        else:  # the edge-on plane pulls each tap row, up to 2 px off, onto row 6
+            tap_rows = np.repeat(np.arange(5) - 2, 5)[:, None]
+            np.testing.assert_allclose(field.data[0::2, 6] + tap_rows, 0.0, atol=1e-6)
+
     def test_fallback_causes_add_up_for_any_tiles_and_workers(self, rng, monkeypatch):
         # the side wall of test_fallback_causes beside a fronto-parallel one,
         # with a fifth of the pixels holes

@@ -240,8 +240,19 @@ class TestTrainToy:
         assert peak < bound, f"peak {peak / 2**20:.2f} MiB, bound {bound / 2**20:.2f} MiB"
 
     def test_empty_scene_list_rejected(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="need at least one training scene"):
             train_toy([], TrainConfig(), [])
+
+    def test_empty_evaluation_list_rejected_before_training(self, monkeypatch):
+        train, _ = self._scenes()
+        cfg = TrainConfig(epochs=1, hidden=4)
+        monkeypatch.setattr(harness, "_descend", None)  # training would raise a TypeError
+        with pytest.raises(ConfigError, match="need at least one evaluation scene"):
+            train_toy(train, cfg, iter([]))
+        weights = (ConvWeights(np.zeros((4, 3, 3, 3), np.float32)),
+                   ConvWeights(np.zeros((3, 4, 1, 1), np.float32)))
+        with pytest.raises(ConfigError, match="need at least one evaluation scene"):
+            harness.evaluate([], weights, cfg)
 
     def test_config_validation(self, monkeypatch):
         for lr in (-1.0, float("nan"), float("inf")):
