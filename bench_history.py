@@ -31,16 +31,12 @@ The ``trace_layers`` row holds one ``--trace 1`` run per workload at
 ``BENCHMARK.json`` declares, which place a change of the end-to-end time
 in the layers (host load moves them as it moves the end-to-end ones).
 A run that exits with an error stops the script.
-After writing the file, it prints each metric's median against the newest
-earlier ``BENCH_<n>.json`` at the repository root, marking changes worse
-than the metric's declared bound; the comparison changes no exit code.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import re
 import statistics
 import subprocess
 import sys
@@ -133,7 +129,7 @@ print(json.dumps(row))
 # each operator keeps its field, whose border statistics the warm-up call
 # caches, and every result is freed before the next call
 _FAULTS_CHILD = _OPERATORS_PRELUDE + r"""
-import resource
+from resource import RUSAGE_SELF, getrusage
 calls = int(sys.argv[4])
 row = {}
 for h, w in shapes:
@@ -141,10 +137,10 @@ for h, w in shapes:
     faults = row[f"{h}x{w}"] = {}
     for name, call in ops.items():
         call(field)
-        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        before = getrusage(RUSAGE_SELF).ru_minflt
         for _ in range(calls):
             call(field)
-        faults[name] = (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / calls
+        faults[name] = (getrusage(RUSAGE_SELF).ru_minflt - before) / calls
 print(json.dumps(row))
 """
 
@@ -299,48 +295,6 @@ def uncommitted_changes():
     return bool(git.stdout.strip()) if git.returncode == 0 else None
 
 
-def _number(path: Path):
-    """The ``n`` of a ``BENCH_<n>.json`` path, or None for any other name."""
-    m = re.fullmatch(r"BENCH_(\d+)\.json", path.name)
-    return int(m.group(1)) if m else None
-
-
-def previous_history(root: Path, out: Path):
-    """The ``BENCH_<n>.json`` in ``root`` with the largest ``n``, below
-    ``out``'s own number if it has one; None if there is none."""
-    limit = _number(out)
-    found = [(n, path) for path in root.glob("BENCH_*.json")
-             if (n := _number(path)) is not None and (limit is None or n < limit)]
-    return max(found)[1] if found else None
-
-
-def _median(history: dict, workload: str, metric: str):
-    """The median of ``metric`` on ``workload`` in a history file, or None."""
-    entry = history["workloads"].get(workload, {}).get("metrics", {}).get(metric) or {}
-    return (entry.get("spread") or {}).get("median")
-
-
-def compare(benchmark: dict, old: dict, new: dict) -> list[str]:
-    """Report lines: per workload and end-to-end metric, the ``old`` and ``new``
-    medians and the relative change, marked where it is worse than the
-    metric's bound in the ``benchmark`` declaration."""
-    lines = ["note: files written in different sessions on a shared host cannot "
-             "be compared; only paired runs from one session can"]
-    for wl in benchmark["workloads"]:
-        for m in benchmark["end_to_end"]:
-            medians = [_median(h, wl["name"], m["name"]) for h in (old, new)]
-            label = f"{wl['name']} {m['name']}"
-            if None in medians or medians[0] == 0:
-                lines.append(f"{label}: {medians[0]} -> {medians[1]}")
-                continue
-            change = medians[1] / medians[0] - 1.0
-            worse = -change if m["better"] == "higher" else change
-            mark = f"  worse than the {m['bound']:.0%} bound" if worse > m["bound"] else ""
-            lines.append(f"{label}: {medians[0]:.4g} -> {medians[1]:.4g} {m['unit']} "
-                         f"({change:+.1%}){mark}")
-    return lines
-
-
 def main(argv: list[str]) -> int:
     if len(argv) != 1:
         print("usage: python3 bench_history.py OUT.json", file=sys.stderr)
@@ -374,10 +328,6 @@ def main(argv: list[str]) -> int:
     for name, run in history["trace_layers"].items():
         called = {k: m["value"] for k, m in run["metrics"].items() if m["value"]}
         print(f"traced {name}: " + ", ".join(f"{k} {v:.4g}" for k, v in called.items()))
-    previous = previous_history(ROOT, out)
-    if previous is not None:
-        print(f"{out.name} against {previous.name}:")
-        print("\n".join(compare(benchmark, json.loads(previous.read_text()), history)))
     return 0
 
 

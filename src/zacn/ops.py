@@ -25,12 +25,12 @@ many image heights reads one whole-image copy instead): each convolution
 contraction is one float64 matmul over the joint ``ci*taps`` axis per tile
 (:func:`_conv_gemm`), and pooling sums each tile's taps in order.  Backward
 converts ``grad_out`` to float64 a tile at a time and scatters the input
-gradient through each tile's weights, in row tiles that fit four slots'
-weights.  Sums are float64; outputs are rounded once into the float32
-arrays that the results adopt.  :func:`gather_samples` returns the all-tap
-samples, which forward and backward accept as ``samples`` in place of
-their own gather, with the same bits, so training over a fixed field
-gathers once.
+gradient through each tile's weights, in row tiles that fit ``_PLAN_BYTES``
+a tap sample and the tile's ``grad_out`` rows.  Sums are float64; outputs
+are rounded once into the float32 arrays that the results adopt.
+:func:`gather_samples` returns the all-tap samples, which forward and
+backward accept as ``samples`` in place of their own gather, with the same
+bits, so training over a fixed field gathers once.
 
 The tiles depend only on the shapes and each scatter is a sequential
 bincount, so outputs are bit-identical across runs and across BLAS thread
@@ -517,14 +517,14 @@ def za_conv_backward(
 def _scatter_grad_x(x: FeatureTensor, w: ConvWeights, offsets: OffsetField, spec: KernelSpec,
                     g: np.ndarray) -> np.ndarray:
     """The float64 ``(ci, H*W)`` input-gradient sums of float32 ``grad_out``
-    ``g``, scattered a row tile at a time.  The tiles fit four slots' weights
-    whatever a tile keeps, so that its indices and contributions fit a tile
-    and the sums' order does not follow the trim; each tile of ``g`` is
-    converted to float64 as it comes."""
+    ``g``, scattered a row tile at a time.  A tile's row takes ``_PLAN_BYTES``
+    a tap sample, which covers four slots' weights, clipped indices and
+    contributions whatever the tile keeps, so the sums' order does not follow
+    the trim, plus its rows of ``g``, converted to float64 as they come."""
     acc = np.zeros((x.channels, x.height * x.width))
     taps = spec.tap_count
     w3 = w.data.astype(np.float64).reshape(len(g), x.channels, taps).transpose(1, 2, 0)
-    tiles = geometry._row_tiles(offsets.height, 4 * taps * offsets.width * 8)
+    tiles = geometry._row_tiles(offsets.height, (_PLAN_BYTES * taps + 8 * len(g)) * offsets.width)
     gbuf = np.empty(len(g) * (tiles[0][1] - tiles[0][0]) * offsets.width)
     for r0, r1, (base, steps, wgt) in _plans(x, offsets, spec, tiles):
         if not steps:  # no sample of these rows reaches the image

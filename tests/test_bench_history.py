@@ -133,41 +133,6 @@ def test_rejects_anything_but_one_output_path(history, capsys):
     assert "usage" in capsys.readouterr().err
 
 
-def _history(**medians):
-    """A history file whose workload ``slow`` has the given metric medians."""
-    metrics = {name: {"spread": {"q1": v, "median": v, "q3": v}, "values": [v]}
-               for name, v in medians.items()}
-    return {"run_seconds": 15, "env": ENV, "workloads": {"slow": {"metrics": metrics}}}
-
-
-def test_compare_marks_changes_worse_than_the_bound(history):
-    old = _history(latency_p50_ms=100.0, peak_rss_mb=80.0)
-    lines = history.compare(BENCHMARK, old, _history(latency_p50_ms=130.0, peak_rss_mb=76.0))
-    assert "different sessions" in lines[0]
-    assert lines[1:] == [
-        "slow latency_p50_ms: 100 -> 130 ms (+30.0%)  worse than the 25% bound",
-        "slow peak_rss_mb: 80 -> 76 MB (-5.0%)",
-        "fast latency_p50_ms: None -> None",
-        "fast peak_rss_mb: None -> None",
-    ]
-    better = {**BENCHMARK, "end_to_end": [{"name": "items_per_s", "unit": "1/s",
-                                           "better": "higher", "bound": 0.25}]}
-    lines = history.compare(better, _history(items_per_s=10.0), _history(items_per_s=7.0))
-    assert lines[1] == "slow items_per_s: 10 -> 7 1/s (-30.0%)  worse than the 25% bound"
-    lines = history.compare(better, _history(items_per_s=10.0), _history(items_per_s=13.0))
-    assert lines[1] == "slow items_per_s: 10 -> 13 1/s (+30.0%)"
-
-
-def test_previous_history_is_the_newest_earlier_file(history, tmp_path):
-    assert history.previous_history(tmp_path, tmp_path / "BENCH_24.json") is None
-    for name in ("BENCH_9.json", "BENCH_23.json", "BENCH_24.json", "BENCH_x.json"):
-        (tmp_path / name).write_text("{}")
-    assert history.previous_history(tmp_path, tmp_path / "BENCH_24.json").name == "BENCH_23.json"
-    assert history.previous_history(tmp_path, tmp_path / "BENCH_10.json").name == "BENCH_9.json"
-    assert history.previous_history(tmp_path, tmp_path / "out.json").name == "BENCH_24.json"
-    assert history.previous_history(tmp_path, tmp_path / "BENCH_9.json") is None
-
-
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="VmHWM is read from /proc")
 def test_offsets_hwm_row(history):
     row = history.offsets_hwm(48, 64, runs=2)

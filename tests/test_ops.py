@@ -296,9 +296,11 @@ class TestSamplingPlan:
             s = gather_samples(x, OffsetField(data), spec)
             return [a.tobytes() for a in (y.data, p.data, gx.data, gw.data, s)] + [sy.as_dict(), sp.as_dict()]
 
-        for rows in (1, 3, oh):
-            # 2 input channels for the gathers, 4 slots for the scatter
-            monkeypatch.setattr(geometry, "_TILE_BYTES", rows * 4 * spec.tap_count * ow * 8)
+        # a row of the gathers (2 input channels), and of the scatter
+        # (_PLAN_BYTES a tap sample and 3 channels of grad_out)
+        row_bytes = (2 * spec.tap_count * ow * 8, (ops._PLAN_BYTES * spec.tap_count + 3 * 8) * ow)
+        for rows, row in itertools.product((1, 3, oh), row_bytes):
+            monkeypatch.setattr(geometry, "_TILE_BYTES", rows * row)
             trimmed = run()
             with monkeypatch.context() as m:
                 slots = all_slot_plans(m)
@@ -724,7 +726,7 @@ class TestBands:
             ref = whole_image_ops(
                 x.data, wts.data, off, g.data, spec.size, spec.dilation, spec.stride, spec.padding,
                 geometry._row_tiles(oh, ci * spec.tap_count * ow * 8),
-                geometry._row_tiles(oh, 4 * spec.tap_count * ow * 8))
+                geometry._row_tiles(oh, (ops._PLAN_BYTES * spec.tap_count + co * 8) * ow))
             summary = {k: ref[k] for k in ("degenerate_pixels", "oob_sample_fraction")}
             # a fresh field per call, so that each call walks it and counts
             y, sy = za_conv_forward(x, wts, OffsetField(off), spec)
@@ -840,8 +842,8 @@ class TestZaConvBackward:
     @pytest.mark.parametrize("kind", ["general", "far", "off-image"])
     @pytest.mark.parametrize("rows", [1, 3])
     def test_matches_naive_loop(self, rng, monkeypatch, kind, rows):
-        # Tiles of 1 and 3 output rows, both for the weight gradient's samples
-        # and for the plan weights that the input gradient is scattered
+        # Tiles of 1 and 3 output rows, in turn for the weight gradient's
+        # samples and for the plan weights that the input gradient is scattered
         # through: each tile's bounded bincount must add every contribution
         # once, where the unclipped indices wrap rows (far), where they clip
         # at the border, and where the plan keeps no slot (off-image).
@@ -850,13 +852,41 @@ class TestZaConvBackward:
         x, g = rand_feature(rng, 4, h, w), rand_feature(rng, 3, h, w)
         wts = rand_weights(rng, 3, 4, 3)
         field = kind_field(rng, kind, spec, h, w)
-        # 4 input channels and at most 4 slots: a row of either takes these bytes
-        monkeypatch.setattr(geometry, "_TILE_BYTES", rows * 4 * spec.tap_count * w * 8)
-        gx, gw = za_conv_backward(x, wts, field, spec, g)
         ref_x, ref_w = naive_za_conv_backward(
             x.data, wts.data, field.data, g.data, spec.size, spec.dilation, spec.stride, spec.padding)
-        np.testing.assert_allclose(gx.data, ref_x, rtol=1e-5, atol=1e-5)
-        np.testing.assert_allclose(gw.data, ref_w, rtol=1e-5, atol=1e-5)
+        # a row of the samples (4 input channels), and of the scatter
+        # (_PLAN_BYTES a tap sample and 3 channels of grad_out)
+        for row in (4 * spec.tap_count * w * 8, (ops._PLAN_BYTES * spec.tap_count + 3 * 8) * w):
+            monkeypatch.setattr(geometry, "_TILE_BYTES", rows * row)
+            gx, gw = za_conv_backward(x, wts, field, spec, g)
+            np.testing.assert_allclose(gx.data, ref_x, rtol=1e-5, atol=1e-5)
+            np.testing.assert_allclose(gw.data, ref_w, rtol=1e-5, atol=1e-5)
+
+    def test_scatter_tiles_fit_the_budget(self, rng, monkeypatch):
+        # Given samples=, only the scatter walks plans.  Each of its tiles
+        # holds _PLAN_BYTES a tap sample (four slots' weights, clipped
+        # indices and contributions) and its float64 rows of grad_out: at
+        # 120x160 with 16 channels, tiles sized to four slots' weights alone
+        # were 22 rows, 3.3 MiB.
+        spec = KernelSpec.same(3)
+        c, h, w = 16, 120, 160
+        x, g = rand_feature(rng, c, h, w), rand_feature(rng, c, h, w)
+        wts = rand_weights(rng, c, c, 3)
+        field = kind_field(rng, "general", spec, h, w)
+        samples = gather_samples(x, field, spec)
+        walks, plans = [], ops._plans
+
+        def spy(x, offsets, spec, tiles):
+            walks.append(list(tiles))
+            return plans(x, offsets, spec, tiles)
+
+        monkeypatch.setattr(ops, "_plans", spy)
+        za_conv_backward(x, wts, field, spec, g, samples=samples)
+        [tiles] = walks
+        assert [r for t in tiles for r in range(*t)] == list(range(h))
+        row_bytes = (ops._PLAN_BYTES * spec.tap_count + 8 * c) * w
+        assert all(r1 - r0 == 1 or (r1 - r0) * row_bytes <= geometry._TILE_BYTES
+                   for r0, r1 in tiles)
 
     def test_grad_w_matches_finite_differences(self, rng):
         spec = KernelSpec.same(3)
