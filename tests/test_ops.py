@@ -246,6 +246,12 @@ def plan_bytes_per_sample(plan):
     return (base.nbytes + wgt.nbytes) / base.size
 
 
+def scatter_row_bytes(spec, co, ow):
+    """The bytes of one output row of backward's scatter tiles: ``_PLAN_BYTES``
+    a tap sample and ``co`` channels of float64 ``grad_out``."""
+    return (ops._PLAN_BYTES * spec.tap_count + 8 * co) * ow
+
+
 def all_slot_plans(monkeypatch):
     """Make every tile plan keep all four neighbor slots, straight from the
     bilinear weights of its positions; return the slot counts it gave."""
@@ -297,8 +303,7 @@ class TestSamplingPlan:
             return [a.tobytes() for a in (y.data, p.data, gx.data, gw.data, s)] + [sy.as_dict(), sp.as_dict()]
 
         # a row of the gathers (2 input channels), and of the scatter
-        # (_PLAN_BYTES a tap sample and 3 channels of grad_out)
-        row_bytes = (2 * spec.tap_count * ow * 8, (ops._PLAN_BYTES * spec.tap_count + 3 * 8) * ow)
+        row_bytes = (2 * spec.tap_count * ow * 8, scatter_row_bytes(spec, 3, ow))
         for rows, row in itertools.product((1, 3, oh), row_bytes):
             monkeypatch.setattr(geometry, "_TILE_BYTES", rows * row)
             trimmed = run()
@@ -726,7 +731,7 @@ class TestBands:
             ref = whole_image_ops(
                 x.data, wts.data, off, g.data, spec.size, spec.dilation, spec.stride, spec.padding,
                 geometry._row_tiles(oh, ci * spec.tap_count * ow * 8),
-                geometry._row_tiles(oh, (ops._PLAN_BYTES * spec.tap_count + co * 8) * ow))
+                geometry._row_tiles(oh, scatter_row_bytes(spec, co, ow)))
             summary = {k: ref[k] for k in ("degenerate_pixels", "oob_sample_fraction")}
             # a fresh field per call, so that each call walks it and counts
             y, sy = za_conv_forward(x, wts, OffsetField(off), spec)
@@ -855,19 +860,17 @@ class TestZaConvBackward:
         ref_x, ref_w = naive_za_conv_backward(
             x.data, wts.data, field.data, g.data, spec.size, spec.dilation, spec.stride, spec.padding)
         # a row of the samples (4 input channels), and of the scatter
-        # (_PLAN_BYTES a tap sample and 3 channels of grad_out)
-        for row in (4 * spec.tap_count * w * 8, (ops._PLAN_BYTES * spec.tap_count + 3 * 8) * w):
+        for row in (4 * spec.tap_count * w * 8, scatter_row_bytes(spec, 3, w)):
             monkeypatch.setattr(geometry, "_TILE_BYTES", rows * row)
             gx, gw = za_conv_backward(x, wts, field, spec, g)
             np.testing.assert_allclose(gx.data, ref_x, rtol=1e-5, atol=1e-5)
             np.testing.assert_allclose(gw.data, ref_w, rtol=1e-5, atol=1e-5)
 
     def test_scatter_tiles_fit_the_budget(self, rng, monkeypatch):
-        # Given samples=, only the scatter walks plans.  Each of its tiles
-        # holds _PLAN_BYTES a tap sample (four slots' weights, clipped
-        # indices and contributions) and its float64 rows of grad_out: at
-        # 120x160 with 16 channels, tiles sized to four slots' weights alone
-        # were 22 rows, 3.3 MiB.
+        # Given samples=, only the scatter walks plans.  _PLAN_BYTES a tap
+        # sample covers four slots' weights, clipped indices and
+        # contributions: at 120x160 with 16 channels, tiles sized to four
+        # slots' weights alone were 22 rows, 3.3 MiB.
         spec = KernelSpec.same(3)
         c, h, w = 16, 120, 160
         x, g = rand_feature(rng, c, h, w), rand_feature(rng, c, h, w)
@@ -884,7 +887,7 @@ class TestZaConvBackward:
         za_conv_backward(x, wts, field, spec, g, samples=samples)
         [tiles] = walks
         assert [r for t in tiles for r in range(*t)] == list(range(h))
-        row_bytes = (ops._PLAN_BYTES * spec.tap_count + 8 * c) * w
+        row_bytes = scatter_row_bytes(spec, c, w)
         assert all(r1 - r0 == 1 or (r1 - r0) * row_bytes <= geometry._TILE_BYTES
                    for r0, r1 in tiles)
 
