@@ -18,14 +18,11 @@ Another row holds the tracemalloc peaks of the operators, which the host's
 load does not move: one child calls ``compute_offsets``, ``za_conv_forward``,
 ``za_avg_pool`` and ``za_conv_backward`` (with ``grad_x``) on a seeded
 corridor scene at each shape of ``PEAK_SHAPES``, 16 -> 16 channels, each
-operator on a fresh offset field.  The next row holds the minor page
-faults per warm call of the same four calls at the same shapes, in one
-child (Linux): each operator's first call, untimed, walks its field and
-warms the heap, and the faults of ``FAULT_CALLS`` more are averaged.
-A last row holds the ``VmHWM`` and the
-minor page faults of one ``paired_toy_runs([TOY_SEED])`` after a warm one,
-in one child per script path length of ``TOY_PATH_LENGTHS`` (Linux): the
-faults follow the heap's layout, which the length of the child's argv moves.
+operator on a fresh offset field.  The ``toy_run`` row holds the ``VmHWM``
+of one child that runs ``paired_toy_runs([TOY_SEED])`` twice (Linux).
+No row counts page faults: the length of a child's script text or path
+moves them, so they are compared by hand, in alternating runs of two
+checkouts with equal-length paths through one copy of a child script.
 The ``trace_layers`` row holds one ``--trace 1`` run per workload at
 ``TRACE_SEED``: its item counts and the value of each per-layer metric that
 ``BENCHMARK.json`` declares, which place a change of the end-to-end time
@@ -54,10 +51,7 @@ HWM_SEED = 26
 PEAK_SHAPES = ((120, 160), (480, 640))
 PEAK_CHANNELS = 16
 PEAK_SEED = 27
-# The operator_faults row: warm calls of each operator per shape of PEAK_SHAPES.
-FAULT_CALLS = 5
-# The toy_run row: one child per length of the script path it runs from.
-TOY_PATH_LENGTHS = (1, 7, 22)
+# The toy_run row: one child runs the paired toy experiment at this seed.
 TOY_SEED = 0
 # The trace_layers row: one traced run per workload at this seed.
 TRACE_SEED = 1
@@ -82,10 +76,11 @@ with open("/proc/self/status") as f:
     print(next(line.split()[1] for line in f if line.startswith("VmHWM:")))
 """
 
-# the scene, inputs and field of the operator rows at one shape, and each
-# operator as a call on a given field
-_OPERATORS_PRELUDE = r"""
-import json, sys
+# each operator runs on a fresh copy of the field, so that nothing the field
+# caches from an earlier call lowers the peak; the result is freed before the
+# next call
+_PEAKS_CHILD = r"""
+import json, sys, tracemalloc
 import numpy as np
 from zacn import (ConvWeights, FeatureTensor, KernelSpec, OffsetField, compute_offsets,
                   za_avg_pool, za_conv_backward, za_conv_forward)
@@ -104,13 +99,6 @@ def operators(h, w):
         "za_avg_pool": lambda f: za_avg_pool(x, f, spec),
         "za_conv_backward": lambda f: za_conv_backward(x, wts, f, spec, g),
     }
-"""
-
-# each operator runs on a fresh copy of the field, so that nothing the field
-# caches from an earlier call lowers the peak; the result is freed before the
-# next call
-_PEAKS_CHILD = _OPERATORS_PRELUDE + r"""
-import tracemalloc
 row = {}
 for h, w in shapes:
     field, calls = operators(h, w)
@@ -126,37 +114,15 @@ for h, w in shapes:
 print(json.dumps(row))
 """
 
-# each operator keeps its field, whose border statistics the warm-up call
-# caches, and every result is freed before the next call
-_FAULTS_CHILD = _OPERATORS_PRELUDE + r"""
-from resource import RUSAGE_SELF, getrusage
-calls = int(sys.argv[4])
-row = {}
-for h, w in shapes:
-    field, ops = operators(h, w)
-    faults = row[f"{h}x{w}"] = {}
-    for name, call in ops.items():
-        call(field)
-        before = getrusage(RUSAGE_SELF).ru_minflt
-        for _ in range(calls):
-            call(field)
-        faults[name] = (getrusage(RUSAGE_SELF).ru_minflt - before) / calls
-print(json.dumps(row))
-"""
-
-# run as a script whose relative path is as long as the row asks; the faults
-# and VmHWM are this process's own, of the second paired run after a warm one
+# the VmHWM is this process's own, after a warm paired run and a second one
 _TOY_CHILD = r"""
-import json, resource, sys
+import json, sys
 from zacn.harness import paired_toy_runs
 seed, settings = int(sys.argv[1]), json.loads(sys.argv[2])
 paired_toy_runs([seed], **settings)
-before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 paired_toy_runs([seed], **settings)
-faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
 with open("/proc/self/status") as f:
-    hwm = next(line.split()[1] for line in f if line.startswith("VmHWM:"))
-print(json.dumps({"vmhwm_mb": int(hwm) / 1024, "minor_faults": faults}))
+    print(next(line.split()[1] for line in f if line.startswith("VmHWM:")))
 """
 
 
@@ -224,13 +190,13 @@ def trace_layers(benchmark: dict, records: list[dict]) -> dict:
     return row
 
 
-def run_python(args, env=None, cwd=None) -> str:
-    """The standard output of a child ``python args``, run in ``cwd`` with
-    ``env`` (default: this process's environment) and this checkout's
-    ``src`` first on ``PYTHONPATH``; raises if the child fails."""
+def run_python(args, env=None) -> str:
+    """The standard output of a child ``python args``, run with ``env``
+    (default: this process's environment) and this checkout's ``src`` first
+    on ``PYTHONPATH``; raises if the child fails."""
     env = dict(os.environ if env is None else env)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, *args], cwd=cwd, env=env, check=True,
+    return subprocess.run([sys.executable, *args], env=env, check=True,
                           stdout=subprocess.PIPE, text=True).stdout
 
 
@@ -258,29 +224,11 @@ def operator_peaks(shapes, channels: int) -> dict:
     return {"channels": channels, "seed": PEAK_SEED, "peaks_mib": json.loads(out)}
 
 
-def operator_faults(shapes, channels: int, calls: int) -> dict:
-    """The minor page faults per warm call of the offsets and of each adapted
-    operator in one child (Linux), per ``(h, w)`` of ``shapes``: a seeded
-    corridor scene, ``channels`` -> ``channels``, averaged over ``calls``
-    calls after an untimed one."""
-    out = run_python(["-c", _FAULTS_CHILD, json.dumps(shapes), str(channels), str(PEAK_SEED),
-                      str(calls)])
-    return {"channels": channels, "seed": PEAK_SEED, "calls": calls,
-            "faults_per_call": json.loads(out)}
-
-
-def toy_run(path_lengths, **settings) -> dict:
-    """The ``VmHWM`` (MB) and minor faults of one warm ``paired_toy_runs([TOY_SEED],
-    **settings)`` (Linux), in one child per length of ``path_lengths``, each
-    started from this small process as a script with a relative path that long."""
-    row = {"seed": TOY_SEED, "settings": settings, "runs": []}
-    with tempfile.TemporaryDirectory() as tmp:
-        for n in path_lengths:
-            script = "t" * n
-            Path(tmp, script).write_text(_TOY_CHILD)
-            out = run_python([script, str(TOY_SEED), json.dumps(settings)], cwd=tmp)
-            row["runs"].append({"path_length": n, **json.loads(out)})
-    return row
+def toy_run(**settings) -> dict:
+    """The ``VmHWM`` (MB, Linux) of one child that runs
+    ``paired_toy_runs([TOY_SEED], **settings)`` twice."""
+    out = run_python(["-c", _TOY_CHILD, str(TOY_SEED), json.dumps(settings)])
+    return {"seed": TOY_SEED, "settings": settings, "vmhwm_mb": int(out) / 1024}
 
 
 def uncommitted_changes():
@@ -306,8 +254,7 @@ def main(argv: list[str]) -> int:
     history["env"]["uncommitted_changes"] = uncommitted_changes()
     history["offsets_vmhwm"] = offsets_hwm(*HWM_SHAPE, HWM_RUNS)
     history["operator_peaks"] = operator_peaks(PEAK_SHAPES, PEAK_CHANNELS)
-    history["operator_faults"] = operator_faults(PEAK_SHAPES, PEAK_CHANNELS, FAULT_CALLS)
-    history["toy_run"] = toy_run(TOY_PATH_LENGTHS)
+    history["toy_run"] = toy_run()
     history["trace_layers"] = trace_layers(
         benchmark, [run_workload(benchmark, wl["name"], TRACE_SEED, trace=1)
                     for wl in benchmark["workloads"]])
@@ -319,12 +266,7 @@ def main(argv: list[str]) -> int:
     for shape, peaks in history["operator_peaks"]["peaks_mib"].items():
         print(f"operator peaks at {shape}: "
               + ", ".join(f"{name} {mib:.1f} MiB" for name, mib in peaks.items()))
-    for shape, faults in history["operator_faults"]["faults_per_call"].items():
-        print(f"operator minor faults per warm call at {shape}: "
-              + ", ".join(f"{name} {n:.0f}" for name, n in faults.items()))
-    for run in history["toy_run"]["runs"]:
-        print(f"toy run from a script path of {run['path_length']} characters: "
-              f"VmHWM {run['vmhwm_mb']:.2f} MB, {run['minor_faults']} minor faults")
+    print(f"toy run VmHWM: {history['toy_run']['vmhwm_mb']:.2f} MB")
     for name, run in history["trace_layers"].items():
         called = {k: m["value"] for k, m in run["metrics"].items() if m["value"]}
         print(f"traced {name}: " + ", ".join(f"{k} {v:.4g}" for k, v in called.items()))

@@ -152,20 +152,35 @@ def test_operator_peaks_row(history):
     assert all(large[name] > small[name] for name in small)
 
 
-def test_operator_faults_row(history):
-    row = history.operator_faults([[16, 24], [48, 64]], channels=2, calls=2)
-    assert (row["channels"], row["seed"], row["calls"]) == (2, history.PEAK_SEED, 2)
-    assert list(row["faults_per_call"]) == ["16x24", "48x64"]
-    for faults in row["faults_per_call"].values():
-        assert list(faults) == ["compute_offsets", "za_conv_forward", "za_avg_pool", "za_conv_backward"]
-        assert all(n >= 0 for n in faults.values())
-
-
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="VmHWM is read from /proc")
 def test_toy_run_row(history):
-    row = history.toy_run([1, 5], epochs=2)
+    row = history.toy_run(epochs=2)
     assert (row["seed"], row["settings"]) == (history.TOY_SEED, {"epochs": 2})
-    assert [run["path_length"] for run in row["runs"]] == [1, 5]
-    for run in row["runs"]:
-        assert 5 < run["vmhwm_mb"] < 500
-        assert run["minor_faults"] >= 0
+    assert 5 < row["vmhwm_mb"] < 500
+    assert "runs" not in row
+
+
+def test_main_writes_each_row_once(history, monkeypatch, tmp_path, capsys):
+    bench = {**BENCHMARK, "per_layer": LAYERS}
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(bench))
+    monkeypatch.setattr(history, "ROOT", tmp_path)
+    monkeypatch.setattr(history, "run_workload", lambda benchmark, name, seed, trace=0: (
+        _traced(name, seed, {"ops.self_ms": 2.5}) if trace else _record(name, seed, 3, 0, 9.0, 40.0)))
+    monkeypatch.setattr(history, "uncommitted_changes", lambda: False)
+    monkeypatch.setattr(history, "offsets_hwm", lambda h, w, runs: {
+        "runs": runs, "shape": [h, w], "seed": history.HWM_SEED,
+        "threads_unset_mb": 68.9, "threads_1_mb": 62.7})
+    monkeypatch.setattr(history, "operator_peaks", lambda shapes, channels: {
+        "channels": channels, "seed": history.PEAK_SEED,
+        "peaks_mib": {f"{h}x{w}": {"za_conv_forward": 1.0} for h, w in shapes}})
+    monkeypatch.setattr(history, "toy_run", lambda **settings: {
+        "seed": history.TOY_SEED, "settings": settings, "vmhwm_mb": 41.6})
+    out = tmp_path / "BENCH.json"
+    assert history.main([str(out)]) == 0
+    written = json.loads(out.read_text())
+    assert list(written) == ["run_seconds", "env", "workloads", "offsets_vmhwm",
+                             "operator_peaks", "toy_run", "trace_layers"]
+    assert written["env"]["uncommitted_changes"] is False
+    # one line each: the offsets VmHWM, the peaks per shape, the toy run, each traced workload
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1 + len(history.PEAK_SHAPES) + 1 + len(bench["workloads"])
