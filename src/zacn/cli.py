@@ -1,12 +1,14 @@
 """Command-line front-end.
 
-Subcommands: ``offsets`` (depth -> offset field container + JSON summary),
-``conv`` / ``pool`` (run operators on tensor containers), ``viz`` (SVG of
-standard vs adapted sampling positions over the depth map), and
-``toytrain`` (the paired toy segmentation experiment).
+Subcommands: ``offsets`` (depth -> offset field container + JSON summary,
+whose exact percentiles of ``|offsets|`` come in place from the field once
+the container is written), ``conv`` / ``pool`` (run operators on tensor
+containers), ``viz`` (SVG of standard vs adapted sampling positions over
+the depth map), and ``toytrain`` (the paired toy segmentation experiment).
 
 Exit codes are a stable scripting contract: 0 success, 1 IO/parse
-failure, 2 configuration or shape mismatch.  Every machine-readable
+failure, 2 configuration or shape mismatch; ``ZACN_THREADS``, the offset
+worker count, must be ASCII digits.  Every machine-readable
 output (containers, CSV, JSON) is byte-reproducible for identical inputs,
 flags, and seeds; no output holds a wall-clock time.
 """
@@ -18,7 +20,6 @@ import csv
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -45,11 +46,9 @@ def _workers() -> int:
         if hasattr(os, "sched_getaffinity"):
             return len(os.sched_getaffinity(0))
         return os.cpu_count() or 1
-    try:
-        n = int(env)
-    except ValueError as exc:
-        raise ConfigError(f"ZACN_THREADS must be an integer, got {env!r}") from exc
-    return _check_int("ZACN_THREADS", n, 1)
+    if not (env.isascii() and env.isdigit()):
+        raise ConfigError(f"ZACN_THREADS must be ASCII digits, got {env!r}")
+    return _check_int("ZACN_THREADS", int(env), 1)
 
 
 def _spec_from_args(args) -> KernelSpec:
@@ -92,91 +91,61 @@ def _summary_path(args) -> str:
     return args.summary if args.summary else f"{args.out}.json"
 
 
-# Values per sorted chunk (1 MiB of uint32) and most values in the sample of
-# _abs_percentiles; a bracket spans _MARGIN_SD binomial deviations each side.
-_CHUNK = 1 << 18
-_SAMPLE = 1 << 16
-_MARGIN_SD = 6.0
-
-
-def _chunk_pass(bits, low, high):
-    """Per bracket ``[low[k], high[k]]``, the counts below and up to each end and the
-    sorted values inside, from sorted chunks of sign-cleared ``bits``; and the max."""
-    buf = np.empty(min(bits.size, _CHUNK), dtype=np.uint32)
-    counts, inner, top = 0, [[] for _ in low], 0
-    for start in range(0, bits.size, buf.size):
-        part = buf[:bits.size - start]
-        np.bitwise_and(bits[start:start + part.size], 0x7FFFFFFF, out=part)
-        part.sort()
-        top = max(top, part[-1])
-        at = np.array([np.searchsorted(part, e, s) for e in (low, high) for s in ("left", "right")])
-        counts = counts + at
-        for k, (a, b) in enumerate(zip(at[1], at[2])):
-            inner[k].append(part[a:b].copy())  # buf is reused by the next chunk
-    return counts, [np.sort(np.concatenate(v)) for v in inner], top
-
-
 def _abs_percentiles(x: np.ndarray, percents) -> tuple[np.ndarray, float]:
     """``np.percentile(np.abs(x, dtype=np.float64), percents)`` and the max of
-    ``|x|``, byte for byte, for a finite float32 ``x``, which is left untouched.
+    ``|x|``, byte for byte, for a finite float32 ``x``, which it overwrites.
 
-    Holds no copy of ``x``: finite float32 values with the sign bit cleared
-    sort like their bits, so a sorted sample of every ``ceil(n / _SAMPLE)``-th
-    value brackets each rank, and one pass over sorted chunks counts the
-    values below each bracket and keeps those inside.  A rank outside its
-    bracket widens that side to the end of the range for one more pass: a
-    sample that misses costs memory, up to the whole array, never a value.
+    Holds no copy of ``x``: with the sign bits cleared, finite float32 values
+    sort like their bits, and with the bits then inverted in place they sort
+    in reverse.  Each rank is a single-kth ``partition`` (introselect; a list
+    of kths takes a much slower path), from the smallest magnitude up, each
+    on the prefix of larger ones that the one before left.  Reversed, the
+    zeros that are often most of a field (centre taps, fallback pixels,
+    fronto-parallel planes) tie at the top, not at the bottom, where numpy's
+    vectorised select takes many times longer over a large tie.
     """
-    bits = np.ravel(x).view(np.uint32)
+    bits = x.reshape(-1).view(np.uint32)
+    np.bitwise_and(bits, np.uint32(0x7FFFFFFF), out=bits)
+    np.invert(bits, out=bits)
     n = bits.size
     # numpy's "linear" method interpolates between the order statistics at the
     # floor of (n - 1) * q and the next rank, or takes the last one for q = 1
     virtual = (n - 1) * np.true_divide(percents, 100)
     lo = np.floor(virtual).astype(np.int64)
-    ranks = np.stack([lo, np.minimum(lo + 1, n - 1)], axis=1)
-    sample = np.sort(bits[::-(-n // _SAMPLE)] & 0x7FFFFFFF)
-    m, f = sample.size, (lo + 1) / n
-    margin = _MARGIN_SD * np.sqrt(m * f * (1 - f)) + 2
-    # brackets of ranks lo and lo + 1; 0xFFFFFFFF is above every |x|
-    ends = np.concatenate([[0], sample, [0xFFFFFFFF]]).astype(np.uint32)
-    low = ends[np.clip(np.floor(lo * m / n - margin).astype(np.int64) + 1, 0, m + 1)]
-    high = ends[np.clip(np.ceil((lo + 2) * m / n + margin).astype(np.int64) + 1, 0, m + 1)]
-    pairs = np.empty(ranks.shape, dtype=np.uint32)
-    todo = np.arange(lo.size)
-    while todo.size:
-        (lt_low, le_low, lt_high, le_high), inner, top = _chunk_pass(bits, low[todo], high[todo])
-        below, beyond = ranks[todo, 0] < lt_low, ranks[todo, 1] >= le_high
-        for k in np.flatnonzero(~(below | beyond)):
-            i = todo[k]
-            for j, r in enumerate(ranks[i] - le_low[k]):
-                pairs[i, j] = low[i] if r < 0 else inner[k][r] if r < inner[k].size else high[i]
-        low[todo[below]] = 0
-        high[todo[beyond]] = 0xFFFFFFFF
-        todo = todo[below | beyond]
-    a, b = pairs.view(np.float32).astype(np.float64).T
+    pairs = np.empty((lo.size, 2), dtype=np.uint32)
+    stop = n  # bits[stop:] are >= every value in bits[:stop]
+    for i in np.argsort(lo):
+        m = n - 1 - lo[i]  # the reversed rank of lo
+        if m < stop:  # else the same rank as the one before
+            bits[:stop].partition(m)
+            stop = m
+        # reversed rank m - 1, the next magnitude up, is the largest below m
+        pairs[i] = bits[m], bits[:m].max() if m else bits[m]
+    top = bits[:stop + 1].min()  # the largest magnitude
+    a, b = (~pairs).view(np.float32).astype(np.float64).T
     gamma = virtual - lo
     # numpy's _lerp, with its branch for t >= 0.5
     diff_b_a = b - a
     out = a + diff_b_a * gamma
     np.subtract(b, diff_b_a * (1 - gamma), out=out, where=gamma >= 0.5)
-    return out, float(np.uint32(top).view(np.float32))
+    return out, float((~top).view(np.float32))
 
 
 def cmd_offsets(args) -> int:
     """``zacn offsets``: the offset field, and a JSON summary with exact percentiles
-    of ``|offsets|`` read in bounded chunks; with more than one worker, a pool
-    thread computes them while the calling thread writes the container."""
+    of ``|offsets|``, taken in place from the field once its container is written."""
     depth = zio.read_depth(args.depth)
     K = _load_intrinsics(args, depth)
     spec = _spec_from_args(args)
     out_h, out_w = spec.output_shape(depth.height, depth.width)
-    workers = _workers()
-    field, summary = compute_offsets(depth, K, spec, out_h, out_w, workers=workers)
-    stats = (field.data, [50, 90, 99])
-    with ThreadPoolExecutor(1) as pool:  # its thread starts on the first submit
-        future = pool.submit(_abs_percentiles, *stats) if workers > 1 else None
-        zio.write_offsets(field, args.out)
-        (p50, p90, p99), mag_max = future.result() if future else _abs_percentiles(*stats)
+    field, summary = compute_offsets(depth, K, spec, out_h, out_w, workers=_workers())
+    zio.write_offsets(field, args.out)
+    # The summary overwrites the field's buffer, which is safe: the field is
+    # local, owns its buffer (compute_offsets adopts its np.empty through
+    # _Owned), is dropped after the summary, and no library function writes
+    # a container.
+    field.data.setflags(write=True)
+    (p50, p90, p99), mag_max = _abs_percentiles(field.data, [50, 90, 99])
     payload = {
         **summary.as_dict(),
         "kernel": spec.size,

@@ -5,8 +5,8 @@ import re
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -121,15 +121,15 @@ class TestOffsetsCommand:
 
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_summary_thread_and_container_write(self, workdir, monkeypatch, threads):
-        # the calling thread writes the container (the benchmark's trace
-        # records spans from one thread); with two workers a pool thread
-        # computes the summary meanwhile
+        # the summary overwrites the field, so it runs after the container
+        # write, and both on the calling thread (the benchmark's trace
+        # records spans from one thread)
         monkeypatch.setenv("ZACN_THREADS", threads)
-        seen = {}
+        seen = []
 
         def spy(key, fn):
             def call(*args):
-                seen[key] = threading.get_ident()
+                seen.append((key, threading.get_ident()))
                 return fn(*args)
             return call
 
@@ -140,8 +140,7 @@ class TestOffsetsCommand:
             "--out", workdir / "o.zacn",
         )
         assert rc == 0
-        assert seen["write"] == threading.get_ident()
-        assert (seen["stats"] != threading.get_ident()) == (threads == "2")
+        assert seen == [("write", threading.get_ident()), ("stats", threading.get_ident())]
 
     def test_default_workers_follow_cpu_affinity(self, monkeypatch):
         monkeypatch.delenv("ZACN_THREADS", raising=False)
@@ -154,12 +153,15 @@ class TestOffsetsCommand:
         assert _workers() == 1
 
     def test_bad_thread_override(self, workdir, monkeypatch):
-        monkeypatch.setenv("ZACN_THREADS", "many")
-        rc = run_cli(
-            "offsets", "--depth", workdir / "depth.pfm", "--intrinsics", workdir / "K.txt",
-            "--out", workdir / "o.zacn",
-        )
-        assert rc == 2
+        # int() would read "1_0" as 10 and "+2", " 2" and "\u0663" as 2 and 3;
+        # the PFM header rejects the same spellings
+        for threads in ["many", "1_0", "+2", " 2", "\u0663"]:
+            monkeypatch.setenv("ZACN_THREADS", threads)
+            rc = run_cli(
+                "offsets", "--depth", workdir / "depth.pfm", "--intrinsics", workdir / "K.txt",
+                "--out", workdir / "o.zacn",
+            )
+            assert rc == 2, threads
 
 
 PERCENTS = [50, 90, 99]
@@ -179,27 +181,18 @@ def _expected_stats(x, percents):
 
 class TestAbsPercentiles:
     def _assert_exact(self, x, percents=PERCENTS):
-        before = x.copy()
-        got, top = _abs_percentiles(x, percents)
+        got, top = _abs_percentiles(x.copy(), percents)  # it overwrites its input
         want, want_top = _expected_stats(x, percents)
         assert got.dtype == np.float64
         assert got.tobytes() == want.tobytes()
         assert np.float64(top).tobytes() == want_top.tobytes()
-        assert x.tobytes() == before.tobytes()
 
     @settings(max_examples=300, deadline=None)
     @given(hnp.arrays(np.float32, hnp.array_shapes(min_dims=1, max_dims=3, max_side=12),
                       elements=FLOAT32S),
-           st.lists(st.floats(0, 100), min_size=1, max_size=4),
-           st.sampled_from([(cli._CHUNK, cli._SAMPLE, cli._MARGIN_SD),
-                            (1, 1, 0.0), (5, 7, 0.0), (16, 30, 1.0), (64, 8, cli._MARGIN_SD)]))
-    def test_byte_equal_to_numpy(self, x, percents, sizes):
-        # at the default sizes every array here is one chunk and its own
-        # sample; small chunks and samples send it through several chunks,
-        # and a small margin makes brackets miss their rank and widen
-        chunk, sample, margin = sizes
-        with mock.patch.multiple(cli, _CHUNK=chunk, _SAMPLE=sample, _MARGIN_SD=margin):
-            self._assert_exact(x, PERCENTS + percents)
+           st.lists(st.floats(0, 100), min_size=1, max_size=4))
+    def test_byte_equal_to_numpy(self, x, percents):
+        self._assert_exact(x, PERCENTS + percents)
 
     @pytest.mark.parametrize("values", [
         [7.25],  # n = 1: every percentile is the one value
@@ -214,26 +207,24 @@ class TestAbsPercentiles:
     def test_edge_cases(self, values):
         self._assert_exact(np.array(values, dtype=np.float32))
 
-    @pytest.mark.parametrize("sampled, missed", [(0.0, 1), (-1e30, 2)])
-    def test_sample_that_misses_a_rank_widens_its_bracket(self, monkeypatch, sampled, missed):
-        # the sample is every 10th value, here all equal and below (above)
-        # the rest, so the bracket of the median (and of the 90th
-        # percentile) misses its rank, and one more pass widens it
-        x = np.arange(1, 1001, dtype=np.float32)
-        x[::10] = sampled
-        passes = []
-        monkeypatch.setattr(cli, "_SAMPLE", 100)
-        monkeypatch.setattr(cli, "_CHUNK", 64)
-        chunk_pass = cli._chunk_pass
-        monkeypatch.setattr(cli, "_chunk_pass", lambda *a: passes.append(a) or chunk_pass(*a))
-        self._assert_exact(x)
-        assert len(passes) == 2
-        assert len(passes[1][1]) == missed  # only the brackets that missed
+    def test_a_field_of_mostly_zeros_costs_a_few_partitions_at_most(self, rng):
+        # numpy's vectorised select takes 25-30 times one partition when a
+        # tie fills the bottom of its range, as the zeros of centre taps,
+        # fallback pixels and fronto-parallel planes would if not reversed
+        def best(fn, x):
+            times = []
+            for _ in range(5):
+                y = x.copy()
+                start = time.perf_counter()
+                fn(y)
+                times.append(time.perf_counter() - start)
+            return min(times)
 
-    def test_read_only_field_is_left_as_it_is(self, rng):
-        field = OffsetField(rng.standard_normal((18, 6, 7)).astype(np.float32))
-        self._assert_exact(field.data)
-        assert not field.data.flags.writeable
+        n = 1 << 18
+        x = rng.standard_normal(n, dtype=np.float32)
+        partition = best(lambda y: y.partition(n // 2), x)
+        x[rng.random(n) < 0.85] = 0.0
+        assert best(lambda y: _abs_percentiles(y, PERCENTS), x) < 5 * partition
 
     def test_peak_memory_is_under_a_quarter_of_the_field(self, rng):
         x = rng.standard_normal((18, 480, 640), dtype=np.float32)
@@ -243,9 +234,9 @@ class TestAbsPercentiles:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # a uint32 copy of the field alone would take x.nbytes (21 MiB), and
-        # np.abs(x, dtype=np.float64) 2 * x.nbytes
-        assert peak < x.nbytes / 4
+        # it works in x itself: a uint32 copy of the field alone would take
+        # x.nbytes (21 MiB), and np.abs(x, dtype=np.float64) 2 * x.nbytes
+        assert peak < 64 << 10
 
 
 class TestConvPoolCommands:
